@@ -18,23 +18,18 @@ conservative choice, and is recorded in the certificate metadata.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .errors import WindowExcludesTransition
 from .lattice import compute_id
-from .models import ModelSpec, phi_full_scale
+from .models import ModelSpec
 from .solver import barrier_height, find_transition, solve_branches
 
 __all__ = ["ErrorBudget", "Certificate", "allowed_bands", "compute_DJ",
-           "certify", "energy_magnetization_gap", "delta_d_factor"]
-
-
-def delta_d_factor(model: ModelSpec) -> float:
-    """J-independent budget factor n*kappa/2 (Potts (q-1)^2/2q, cubic r/2,
-    nematic (N-1)^2/4)."""
-    return model.delta_factor
+           "certify", "energy_magnetization_gap"]
 
 
 @dataclass(frozen=True)
@@ -64,13 +59,27 @@ class ErrorBudget:
                    delta_d=float(model.delta_factor * I_d))
 
 
-def _phi_grid(model: ModelSpec, J: float, grid: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Full-scale free energy on a uniform m >= 0 grid (interior endpoints)."""
+@lru_cache(maxsize=8)
+def _entropy_grid(model: ModelSpec, grid: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Uniform m >= 0 grid (interior endpoints) and s(m) on it, read-only."""
     _, hi = model.m_bounds()
     eps = 1e-9 * hi
-    ms = np.linspace(0.0, hi - eps, int(grid))
-    phis = np.array([phi_full_scale(model, J, m) for m in ms])
-    return ms, phis
+    ms = np.linspace(0.0, hi - eps, grid)
+    s, _ = model.entropy(ms)
+    ms.flags.writeable = False
+    s.flags.writeable = False
+    return ms, s
+
+
+def _phi_grid(model: ModelSpec, J: float, grid: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Full-scale free energy |omega|^2 (-J m^2/2 - s(m)) on the m >= 0 grid.
+
+    s(m) does not depend on J, so it comes from the per-(model, grid) cache
+    `_entropy_grid`; only the quadratic term is formed per J, in the same
+    operation order as `phi_full_scale`, so the values are bit-identical.
+    """
+    ms, s = _entropy_grid(model, int(grid))
+    return ms, model.omega_norm_sq * (-J * ms * ms / 2.0 - s)
 
 
 def allowed_bands(model: ModelSpec, J: float, slack: float,
@@ -161,12 +170,8 @@ class Certificate:
         }
 
 
-def _forbidden_from_allowed(model: ModelSpec,
-                            bands: List[Tuple[float, float]]) -> List[Tuple[float, float]]:
-    gaps = []
-    for (a_lo, a_hi), (b_lo, b_hi) in zip(bands, bands[1:]):
-        gaps.append((a_hi, b_lo))
-    return gaps
+def _forbidden_from_allowed(bands: List[Tuple[float, float]]) -> List[Tuple[float, float]]:
+    return [(a[1], b[0]) for a, b in zip(bands, bands[1:])]
 
 
 def certify(model: ModelSpec, d: int, J_window: Tuple[float, float],
@@ -187,6 +192,11 @@ def certify(model: ModelSpec, d: int, J_window: Tuple[float, float],
     J_lo, J_hi = float(J_window[0]), float(J_window[1])
     if not (0 < J_lo < J_hi):
         raise ValueError(f"bad J_window {J_window}")
+    if m_grid < 4:
+        raise ValueError(f"m_grid must be at least 4, got {m_grid}")
+    if J_grid < 1 or DJ_J_grid < 1:
+        raise ValueError(f"J_grid and DJ_J_grid must be at least 1, "
+                         f"got {J_grid} and {DJ_J_grid}")
     budget = ErrorBudget.at_dimension(model, d, I_d=I_d)
 
     if transition_bracket is None:
@@ -207,7 +217,7 @@ def certify(model: ModelSpec, d: int, J_window: Tuple[float, float],
         barriers.append(delta)
         margins.append(delta - budget.slack(J))
         bands = allowed_bands(model, J, budget.slack(J), grid=m_grid)
-        forbidden[J] = _forbidden_from_allowed(model, bands)
+        forbidden[J] = _forbidden_from_allowed(bands)
         stable = solve_branches(model, J).stable(nonnegative=True)
         asym = [p.m for p in stable if p.m > 1e-6]
         if asym:

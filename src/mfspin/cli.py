@@ -21,7 +21,7 @@ import numpy as np
 
 from . import lattice, mc, models, oracle, solver
 from .certification import allowed_bands as _allowed_bands, certify as _certify
-from .errors import MFSpinError
+from .errors import MFSpinError, NoStableRoot
 
 SCHEMA_VERSION = 1
 
@@ -37,9 +37,7 @@ class RunConfig:
     """Validated flag record; built in full before any computation starts."""
 
     subcommand: str
-    output_format: str            # "json" or "csv"
     output_path: Optional[str]
-    threads: int
     args: argparse.Namespace
 
 
@@ -83,6 +81,16 @@ def _cmd_id(cfg: RunConfig):
     _emit_json(cfg, est.as_dict())
 
 
+def _potts_phi_points(q: int, J: float, ms: np.ndarray) -> List[float]:
+    """potts_phi at each m by the scalar path.
+
+    The scalar path squares through libm pow and the ndarray path by
+    multiplication; the two differ in the last bit at a small fraction of
+    points, so the printed raw column keeps the scalar path.
+    """
+    return [models.potts_phi(q, J, m) for m in ms.tolist()]
+
+
 def _cmd_profile(cfg: RunConfig):
     a = cfg.args
     model = _model_from_args(a)
@@ -90,15 +98,14 @@ def _cmd_profile(cfg: RunConfig):
     eps = 1e-9 * (hi - lo)
     ms = np.linspace(max(lo, 0.0) + eps if a.nonnegative else lo + eps,
                      hi - eps, a.grid)
-    rows = []
-    for m in ms:
-        phi1d = models.scalar_phi(model, a.J, float(m))
-        if model.kind == "potts":
-            phi = models.potts_phi(model.param, a.J, float(m))  # raw simplex
-        else:
-            phi = phi1d
-        rows.append((float(m), phi, model.omega_norm_sq * phi1d))
-    _emit_csv(cfg, ("m", "phi", "phi_full_scale"), rows)
+    phi1d = models.scalar_phi(model, a.J, ms)
+    if model.kind == "potts":
+        phi = _potts_phi_points(model.param, a.J, ms)  # raw simplex
+    else:
+        phi = phi1d.tolist()
+    full = model.omega_norm_sq * phi1d
+    _emit_csv(cfg, ("m", "phi", "phi_full_scale"),
+              zip(ms.tolist(), phi, full.tolist()))
 
 
 def _cmd_branches(cfg: RunConfig):
@@ -178,22 +185,22 @@ def _cmd_oracle(cfg: RunConfig):
     a = cfg.args
     model = _model_from_args(a)
     tol = 2.0 / a.resolution
+    scan = {"scan_resolution": 200} if model.kind == "nematic" else {}
+    bp = solver.solve_branches(model, a.J, **scan).global_minimum()
+    if bp is None:
+        raise NoStableRoot(f"no stable root m >= 0 of the mean-field equation "
+                           f"for {model} at J={a.J}")
     if model.kind == "potts":
         res = oracle.potts_fullspace_min(model.param, a.J, a.resolution)
-        bp = solver.solve_branches(model, a.J).global_minimum()
         scal = models.potts_phi(model.param, a.J, bp.m)
-        matched = abs(res.value - scal) < tol
     elif model.kind == "cubic":
         res = oracle.cubic_fullspace_min(model.param, a.J, a.resolution)
-        bp = solver.solve_branches(model, a.J).global_minimum()
         scal = models.scalar_phi(model, a.J, bp.m) - np.log(4.0 * model.param)
-        matched = abs(res.value - scal) < tol
     else:
         res = oracle.nematic_dual_min(model.param, a.J, a.resolution,
                                       a.sphere_samples)
-        bp = solver.solve_branches(model, a.J, 200).global_minimum()
         scal = models.phi_full_scale(model, a.J, bp.m)
-        matched = abs(res.value - scal) < tol
+    matched = abs(res.value - scal) < tol
     _emit_json(cfg, {"model": str(model), "J": a.J,
                      **res.as_dict(), "scalar_min": float(scal),
                      "matched_scalar": bool(matched)})
@@ -252,10 +259,10 @@ def _cmd_reproduce_figures(cfg: RunConfig):
     ms = np.linspace(0.0, hi - 1e-9, a.grid)
     lines = ["J,m,phi,phi_full_scale"]
     for J in _FIG1_JS:
-        for m in ms:
-            phi = models.potts_phi(3, J, float(m))
-            full = q3.omega_norm_sq * models.scalar_phi(q3, J, float(m))
-            lines.append(f"{_fmt(J)},{_fmt(float(m))},{_fmt(phi)},{_fmt(full)}")
+        phis = _potts_phi_points(3, J, ms)
+        fulls = q3.omega_norm_sq * models.scalar_phi(q3, J, ms)
+        for m, phi, full in zip(ms.tolist(), phis, fulls.tolist()):
+            lines.append(f"{_fmt(J)},{_fmt(m)},{_fmt(phi)},{_fmt(full)}")
     with open(os.path.join(outdir, "fig1_q3.csv"), "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     manifest["files"]["fig1_q3.csv"] = {"model": "potts(q=3)", "J": list(_FIG1_JS),
@@ -298,11 +305,19 @@ def _add_model_flags(p):
                    help="q (potts), r (cubic) or N (nematic)")
 
 
+def _int_at_least(lo: int):
+    """argparse type: an integer no smaller than lo (usage error otherwise)."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+        return value
+    parse.__name__ = "int"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="mfspin", description=__doc__)
-    ap.add_argument("--threads", type=int,
-                    default=int(os.environ.get("MFT_THREADS", "1")),
-                    help="cap on worker counts (modules may run single-threaded)")
     ap.add_argument("--out", dest="out", default=None,
                     help="write primary output to this path instead of stdout")
     sub = ap.add_subparsers(dest="subcommand", required=True)
@@ -342,15 +357,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="I_d to convert into slack J*n*(kappa/2)*I_d")
     p.add_argument("--slack", type=float, default=None,
                    help="explicit slack (overrides --id-value)")
-    p.add_argument("--grid", type=int, default=2000)
+    p.add_argument("--grid", type=_int_at_least(2), default=2000)
 
     p = sub.add_parser("certify", help="first-order certificate on a J window")
     _add_model_flags(p)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--Jlo", type=float, required=True)
     p.add_argument("--Jhi", type=float, required=True)
-    p.add_argument("--J-grid", dest="J_grid", type=int, default=21)
-    p.add_argument("--m-grid", dest="m_grid", type=int, default=2000)
+    p.add_argument("--J-grid", dest="J_grid", type=_int_at_least(1), default=21)
+    p.add_argument("--m-grid", dest="m_grid", type=_int_at_least(4), default=2000)
 
     p = sub.add_parser("oracle", help="full-space brute-force minimization")
     _add_model_flags(p)
@@ -398,21 +413,13 @@ _DISPATCH = {
     "reproduce-figures": _cmd_reproduce_figures,
 }
 
-_CSV_COMMANDS = {"profile", "branches", "bands", "rate"}
-
 
 def dispatch(argv: Optional[List[str]] = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     if args.subcommand == "bands" and args.id_value is None and args.slack is None:
         ap.error("bands requires --id-value or --slack")
-    cfg = RunConfig(
-        subcommand=args.subcommand,
-        output_format="csv" if args.subcommand in _CSV_COMMANDS else "json",
-        output_path=args.out,
-        threads=max(int(args.threads), 1),
-        args=args,
-    )
+    cfg = RunConfig(subcommand=args.subcommand, output_path=args.out, args=args)
     try:
         _DISPATCH[args.subcommand](cfg)
     except MFSpinError as exc:

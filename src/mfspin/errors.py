@@ -33,6 +33,10 @@ class NoAsymmetricBranch(MFSpinError):
     """No nonzero stable solution of the mean-field equation at this coupling."""
 
 
+class NoStableRoot(MFSpinError):
+    """No stable root m >= 0 of the mean-field equation (e.g. at a marginal spinodal)."""
+
+
 class WindowExcludesTransition(MFSpinError):
     """Certification window does not contain the located J_MF."""
 

@@ -128,12 +128,19 @@ class ModelSpec:
             return (-1.0, 1.0)
         return (-1.0 / p, (p - 1.0) / p)
 
-    def check_magnetization(self, m: float) -> float:
+    def check_magnetization(self, m):
+        """m clipped into m_bounds(); OutOfSimplex if any element lies outside.
+
+        Takes a float or an ndarray and returns the same kind.
+        """
         lo, hi = self.m_bounds()
-        if not (lo - 1e-12 <= m <= hi + 1e-12):
+        arr = np.asarray(m, dtype=float)
+        bad = ~((lo - 1e-12 <= arr) & (arr <= hi + 1e-12))
+        if np.any(bad):
             raise OutOfSimplex(
-                f"scalar magnetization {m} outside [{lo}, {hi}] for {self}")
-        return float(min(max(m, lo), hi))
+                f"scalar magnetization {arr[bad].flat[0]} outside [{lo}, {hi}] for {self}")
+        out = np.minimum(np.maximum(arr, lo), hi)
+        return out if out.ndim else float(out)
 
     # -- on-axis cumulant function --------------------------------------
     def g(self, h):
@@ -157,18 +164,25 @@ class ModelSpec:
             return cubic_g_second(self.param, h)
         return nematic_g_second(self.param, h)
 
-    def g_prime_range(self) -> Tuple[float, float]:
-        """Open interval swept by g' as h runs over the real line."""
-        lo, hi = self.m_bounds()
-        return lo, hi
+    def entropy(self, m):
+        """s(m) and the minimizing dual field h (g'(h) = m).
 
-    def entropy(self, m: float) -> Tuple[float, float]:
-        """s(m) and the minimizing dual field h (g'(h) = m)."""
+        Takes a float or an ndarray of magnetizations and returns a pair of
+        the same kind, elementwise equal to the scalar results.  Potts and
+        cubic use their closed forms on the whole array; nematic solves one
+        Legendre problem per point.
+        """
         if self.kind == "potts":
             return _potts_entropy(self.param, m)
         if self.kind == "cubic":
             return _cubic_entropy(self.param, m)
-        return legendre_entropy(self.g, self.g_prime, m)
+        if np.ndim(m) == 0:
+            return legendre_entropy(self.g, self.g_prime, m)
+        pairs = [legendre_entropy(self.g, self.g_prime, float(x))
+                 for x in np.asarray(m, dtype=float).flat]
+        s = np.array([p[0] for p in pairs]).reshape(np.shape(m))
+        h = np.array([p[1] for p in pairs]).reshape(np.shape(m))
+        return s, h
 
     def __str__(self):
         letter = {"potts": "q", "cubic": "r", "nematic": "N"}[self.kind]
@@ -251,15 +265,23 @@ def potts_g_second(q: int, h):
 
 
 def _potts_entropy(q: int, m):
-    """Closed-form s(m) = (q-1)/q * (-sum x_k log x_k - log q), with h*."""
+    """Closed-form s(m) = (q-1)/q * (-sum x_k log x_k - log q), with h*.
+
+    Elementwise on an ndarray m; a scalar m gives a pair of floats.
+    """
     x1, xk = potts_occupations(q, m)
-    if np.minimum(x1, xk) < -1e-12:
-        raise BoundaryMagnetization(f"m={m} outside the Potts interval")
+    bad = np.minimum(x1, xk) < -1e-12
+    if np.any(bad):
+        raise BoundaryMagnetization(
+            f"m={np.asarray(m)[bad].flat[0]} outside the Potts interval")
     s = (q - 1.0) / q * (-_xlogx(x1) - (q - 1) * _xlogx(xk) - np.log(q))
     # dual field: g'(h) = m  <=>  e^{hq/(q-1)} = x1/xk (interior only)
-    if x1 <= 0.0 or xk <= 0.0:
-        return float(s), np.inf if m > 0 else -np.inf
-    h = (q - 1.0) / q * np.log(x1 / xk)
+    interior = (x1 > 0.0) & (xk > 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = np.where(interior, (q - 1.0) / q * np.log(x1 / xk),
+                     np.where(np.asarray(m) > 0, np.inf, -np.inf))
+    if h.ndim:
+        return s, h
     return float(s), float(h)
 
 
@@ -325,14 +347,20 @@ def _cubic_entropy(r: int, m):
     """Closed-form Legendre data for the cubic chain.
 
     Inverts g'(h) = m: u = e^h solves (1-m)u^2 - 2m(r-1)u - (1+m) = 0.
+    Elementwise on an ndarray m; a scalar m gives a pair of floats.
     """
-    if abs(m) >= 1.0:
-        raise BoundaryMagnetization(f"|m|={abs(m)} at/beyond the cubic range")
+    m = np.asarray(m, dtype=float)
+    bad = np.abs(m) >= 1.0
+    if np.any(bad):
+        raise BoundaryMagnetization(
+            f"|m|={np.abs(m[bad].flat[0])} at/beyond the cubic range")
     c = r - 1.0
     u = (m * c + np.sqrt(m * m * c * c + 1.0 - m * m)) / (1.0 - m)
-    h = float(np.log(u))
+    h = np.log(u)
     s = cubic_g(r, h) - m * h
-    return float(s), h
+    if m.ndim:
+        return s, h
+    return float(s), float(h)
 
 
 # ---------------------------------------------------------------------------
@@ -464,23 +492,26 @@ def legendre_entropy(g: Callable[[float], float],
     return float(g(h) - m * h), float(h)
 
 
-def scalar_phi(model: ModelSpec, J: float, m: float) -> float:
+def scalar_phi(model: ModelSpec, J: float, m):
     """Scalar free energy phi_J(m) = -J m^2/2 - s(m).
 
     Normalized so that stationary points solve m = g'(Jm) and
     d(phi)/dJ = -m^2/2 along stationary branches.  For Potts this delegates
     to the exact simplex closed form (no numerical Legendre transform).
+    Takes a float or an ndarray m and returns the same kind; an ndarray
+    gives elementwise the same bits as the scalar calls.
     """
     model.check_magnetization(m)
     s, _ = model.entropy(m)
     return -J * m * m / 2.0 - s
 
 
-def phi_full_scale(model: ModelSpec, J: float, m: float) -> float:
+def phi_full_scale(model: ModelSpec, J: float, m):
     """Free energy on the full-Phi scale, |omega|^2 * phi_J(m).
 
     This is the scale on which the infrared error budget J * n * kappa/2 * I_d
     lives; for Potts it differs from `potts_phi` only by an m-independent
-    constant, so differences at fixed J agree exactly.
+    constant, so differences at fixed J agree exactly.  Takes a float or an
+    ndarray m, like `scalar_phi`.
     """
     return model.omega_norm_sq * scalar_phi(model, J, m)

@@ -176,3 +176,25 @@ def test_forbidden_bands_empty_when_connected():
     # slack 0.05*4.05*J ~ 1.0 >> barrier: single band everywhere
     assert all(len(v) == 0 for v in cert.forbidden_bands.values())
     assert not cert.passed
+
+
+@pytest.mark.parametrize("model,J", [(M.potts(3), 2.77), (M.potts(10), 4.94),
+                                     (M.cubic(3), 3.0), (M.cubic(4), 3.785),
+                                     (M.nematic(3), 6.81)], ids=str)
+def test_phi_grid_matches_pointwise_bitwise(model, J):
+    grid = 9 if model.kind == "nematic" else 400
+    ms, phis = C._phi_grid(model, J, grid)
+    assert np.array_equal(phis, [M.phi_full_scale(model, J, m) for m in ms])
+    # s(m) is cached per (model, grid) and shared read-only across couplings
+    ms2, _ = C._phi_grid(model, J + 0.01, grid)
+    assert ms2 is ms
+    assert not ms.flags.writeable
+    with pytest.raises(ValueError):
+        ms[0] = 1.0
+
+
+@pytest.mark.parametrize("kwargs", [dict(m_grid=1), dict(m_grid=3), dict(J_grid=0),
+                                    dict(DJ_J_grid=0)], ids=str)
+def test_certify_rejects_tiny_grids(kwargs):
+    with pytest.raises(ValueError):
+        C.certify(M.potts(3), 1024, (2.7715, 2.7735), I_d=1e-3, **kwargs)

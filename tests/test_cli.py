@@ -226,3 +226,51 @@ def test_reproduce_figures_deterministic(figures_dir, tmp_path_factory):
     for name in ("fig1_q3.csv", "fig2_q10_branches.csv", "fig2_q10_bands.csv",
                  "manifest.json"):
         assert (figures_dir / name).read_bytes() == (other / name).read_bytes()
+
+
+# Outputs pinned byte for byte; regenerate a fixture only when an output is
+# meant to change, and say so in CHANGES.md.
+GOLDEN = [
+    ("certify_potts3_d1024.json",
+     ("certify", "--model", "potts", "--param", "3", "--dim", "1024",
+      "--Jlo", "2.7715", "--Jhi", "2.7735", "--J-grid", "3", "--m-grid", "400")),
+    ("bands_potts10.csv",
+     ("bands", "--model", "potts", "--param", "10", "--J", "4.94",
+      "--id-value", "0.002", "--grid", "500")),
+    ("profile_potts3.csv",
+     ("profile", "--model", "potts", "--param", "3", "--J", "2.76", "--grid", "50")),
+    ("profile_cubic4.csv",
+     ("profile", "--model", "cubic", "--param", "4", "--J", "3.785", "--grid", "50")),
+]
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+@pytest.mark.parametrize("fixture,argv", GOLDEN, ids=[g[0] for g in GOLDEN])
+def test_outputs_match_golden_bytes(capsys, fixture, argv):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    with open(os.path.join(DATA, fixture), "rb") as fh:
+        assert out.encode("utf-8") == fh.read()
+
+
+def test_oracle_without_stable_root_is_typed_error(capsys):
+    # J = 3 is the m = 0 spinodal of cubic r = 3, where no root is stable
+    code, out, err = run_cli(capsys, "oracle", "--model", "cubic", "--param", "3",
+                             "--J", "3.0")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "NoStableRoot"
+
+
+@pytest.mark.parametrize("argv", [
+    ("certify", "--m-grid", "1"), ("certify", "--m-grid", "3"),
+    ("certify", "--J-grid", "0"), ("bands", "--grid", "1"),
+], ids=" ".join)
+def test_tiny_grids_are_usage_errors(capsys, argv):
+    base = {"certify": ["certify", "--model", "potts", "--param", "3", "--dim", "1024",
+                        "--Jlo", "2.7715", "--Jhi", "2.7735"],
+            "bands": ["bands", "--model", "potts", "--param", "3", "--J", "2.77",
+                      "--slack", "0.001"]}[argv[0]]
+    with pytest.raises(SystemExit) as exc:
+        dispatch(base + list(argv[1:]))
+    assert exc.value.code == 2

@@ -317,3 +317,69 @@ def test_stationarity_equivalence(model, J):
         dphi = (M.scalar_phi(model, J, m_off + eps)
                 - M.scalar_phi(model, J, m_off - eps)) / (2 * eps)
         assert abs(dphi) > 1e-4
+
+
+# ---------------------------------------------------------------------------
+# ndarray paths: bit-identical to the scalar path, same typed errors
+# ---------------------------------------------------------------------------
+
+NDARRAY_MODELS = [(M.potts(3), 41), (M.potts(10), 41), (M.cubic(3), 41),
+                  (M.cubic(4), 41), (M.nematic(3), 7)]
+
+
+def _interior_grid(model, n):
+    lo, hi = model.m_bounds()
+    # the nematic g' reaches its ends only like 1/|h|, so stay off them
+    eps = (1e-3 if model.kind == "nematic" else 1e-9) * (hi - lo)
+    return np.linspace(lo + eps, hi - eps, n)
+
+
+@pytest.mark.parametrize("model,n", NDARRAY_MODELS, ids=str)
+def test_entropy_ndarray_matches_scalar_bitwise(model, n):
+    ms = _interior_grid(model, n)
+    s, h = model.entropy(ms)
+    pairs = [model.entropy(float(m)) for m in ms]
+    assert isinstance(s, np.ndarray) and s.shape == ms.shape
+    assert np.array_equal(s, [p[0] for p in pairs])
+    assert np.array_equal(h, [p[1] for p in pairs])
+    assert all(type(v) is float for v in pairs[0])
+
+
+@pytest.mark.parametrize("model,n", NDARRAY_MODELS, ids=str)
+def test_phi_ndarray_matches_scalar_bitwise(model, n):
+    ms = _interior_grid(model, n)
+    for J in (0.0, 2.77, 4.9):
+        full = M.phi_full_scale(model, J, ms)
+        assert np.array_equal(full, [M.phi_full_scale(model, J, float(m)) for m in ms])
+        assert np.array_equal(M.scalar_phi(model, J, ms),
+                              [M.scalar_phi(model, J, float(m)) for m in ms])
+    assert np.array_equal(model.check_magnetization(ms), ms)
+
+
+def test_potts_entropy_ndarray_at_simplex_corners():
+    model = M.potts(4)
+    lo, hi = model.m_bounds()
+    ms = np.array([lo, 0.0, hi])
+    s, h = model.entropy(ms)
+    for i, m in enumerate(ms):
+        s_i, h_i = model.entropy(float(m))
+        assert s[i] == s_i and h[i] == h_i
+    assert h[0] == -np.inf and h[2] == np.inf
+
+
+@pytest.mark.parametrize("model", [m for m, _ in NDARRAY_MODELS], ids=str)
+def test_ndarray_out_of_range_raises_scalar_error(model):
+    lo, hi = model.m_bounds()
+    for bad in (hi + 0.01, lo - 0.01):
+        ms = np.append(_interior_grid(model, 5), bad)
+        for fn in (model.check_magnetization,
+                   lambda m: M.scalar_phi(model, 2.0, m),
+                   lambda m: M.phi_full_scale(model, 2.0, m)):
+            with pytest.raises(OutOfSimplex):
+                fn(bad)
+            with pytest.raises(OutOfSimplex, match=str(bad)):
+                fn(ms)
+        with pytest.raises(BoundaryMagnetization):
+            model.entropy(bad)
+        with pytest.raises(BoundaryMagnetization):
+            model.entropy(ms)
