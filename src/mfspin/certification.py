@@ -51,10 +51,10 @@ class ErrorBudget:
         return self.model.n * self.I_d / J
 
     @classmethod
-    def at_dimension(cls, model: ModelSpec, d: int, tol: float = 1e-10,
+    def at_dimension(cls, model: ModelSpec, d: int,
                      I_d: Optional[float] = None) -> "ErrorBudget":
         if I_d is None:
-            I_d = compute_id(d, "bessel", tol).value
+            I_d = compute_id(d, "bessel", 1e-10).value
         return cls(model=model, d=d, I_d=float(I_d),
                    delta_d=float(model.delta_factor * I_d))
 

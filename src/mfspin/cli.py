@@ -81,16 +81,6 @@ def _cmd_id(cfg: RunConfig):
     _emit_json(cfg, est.as_dict())
 
 
-def _potts_phi_points(q: int, J: float, ms: np.ndarray) -> List[float]:
-    """potts_phi at each m by the scalar path.
-
-    The scalar path squares through libm pow and the ndarray path by
-    multiplication; the two differ in the last bit at a small fraction of
-    points, so the printed raw column keeps the scalar path.
-    """
-    return [models.potts_phi(q, J, m) for m in ms.tolist()]
-
-
 def _cmd_profile(cfg: RunConfig):
     a = cfg.args
     model = _model_from_args(a)
@@ -99,13 +89,11 @@ def _cmd_profile(cfg: RunConfig):
     ms = np.linspace(max(lo, 0.0) + eps if a.nonnegative else lo + eps,
                      hi - eps, a.grid)
     phi1d = models.scalar_phi(model, a.J, ms)
-    if model.kind == "potts":
-        phi = _potts_phi_points(model.param, a.J, ms)  # raw simplex
-    else:
-        phi = phi1d.tolist()
+    # Potts prints the raw simplex free energy
+    phi = models.potts_phi(model.param, a.J, ms) if model.kind == "potts" else phi1d
     full = model.omega_norm_sq * phi1d
     _emit_csv(cfg, ("m", "phi", "phi_full_scale"),
-              zip(ms.tolist(), phi, full.tolist()))
+              zip(ms.tolist(), phi.tolist(), full.tolist()))
 
 
 def _cmd_branches(cfg: RunConfig):
@@ -119,36 +107,13 @@ def _cmd_branches(cfg: RunConfig):
     _emit_csv(cfg, ("J", "m", "stability", "phi"), rows)
 
 
-def _auto_bracket(model: models.ModelSpec):
-    """Heuristic transition bracket: just below the m=0 spinodal J2 down to
-    the first coupling where the asymmetric branch still sits above phi(0)."""
-    J2 = 1.0 / model.g_second(0.0)
-    hi = 0.999 * J2
-    lo = None
-    J = hi
-    for _ in range(400):
-        J *= 0.997
-        bs = solver.solve_branches(model, J)
-        stab = [p for p in bs.stable() if p.m > 1e-6]
-        if not stab:
-            break
-        m = max(p.m for p in stab)
-        gap = (J / 2.0) * m * m - model.g(J * m) + model.g(0.0)
-        if gap > 0:
-            lo = J
-            break
-    if lo is None:
-        raise MFSpinError("could not auto-bracket the transition; pass --Jlo/--Jhi")
-    return lo, hi
-
-
 def _cmd_transition(cfg: RunConfig):
     a = cfg.args
     model = _model_from_args(a)
     if a.Jlo is not None and a.Jhi is not None:
         bracket = (a.Jlo, a.Jhi)
     else:
-        bracket = _auto_bracket(model)
+        bracket = solver.auto_bracket(model)
     tp = solver.find_transition(model, bracket)
     _emit_json(cfg, {"model": str(model), **tp.as_dict()})
 
@@ -259,7 +224,7 @@ def _cmd_reproduce_figures(cfg: RunConfig):
     ms = np.linspace(0.0, hi - 1e-9, a.grid)
     lines = ["J,m,phi,phi_full_scale"]
     for J in _FIG1_JS:
-        phis = _potts_phi_points(3, J, ms)
+        phis = models.potts_phi(3, J, ms).tolist()
         fulls = q3.omega_norm_sq * models.scalar_phi(q3, J, ms)
         for m, phi, full in zip(ms.tolist(), phis, fulls.tolist()):
             lines.append(f"{_fmt(J)},{_fmt(m)},{_fmt(phi)},{_fmt(full)}")
@@ -330,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("profile", help="scalar free-energy profile at fixed J")
     _add_model_flags(p)
     p.add_argument("--J", type=float, required=True)
-    p.add_argument("--grid", type=int, default=400)
+    p.add_argument("--grid", type=_int_at_least(1), default=400)
     p.add_argument("--nonnegative", action="store_true",
                    help="restrict the grid to m >= 0")
 
@@ -370,17 +335,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="full-space brute-force minimization")
     _add_model_flags(p)
     p.add_argument("--J", type=float, required=True)
-    p.add_argument("--resolution", type=int, default=200)
+    p.add_argument("--resolution", type=_int_at_least(20), default=200)
     p.add_argument("--sphere-samples", dest="sphere_samples", type=int, default=4096)
 
     p = sub.add_parser("mc", help="complete-graph Monte Carlo")
     _add_model_flags(p)
     p.add_argument("--J", type=float, required=True)
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--N", type=_int_at_least(2), required=True)
     p.add_argument("--sweeps", type=int, required=True)
-    p.add_argument("--burn-in", dest="burn_in", type=int, default=0)
+    p.add_argument("--burn-in", dest="burn_in", type=_int_at_least(0), default=0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bins", type=int, default=100)
+    p.add_argument("--bins", type=_int_at_least(1), default=100)
     p.add_argument("--hist-out", dest="hist_out", default=None)
 
     p = sub.add_parser("rate", help="rate-function estimate over several N")
@@ -388,13 +353,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--J", type=float, required=True)
     p.add_argument("--Ns", required=True, help="comma-separated, e.g. 50,100,200")
     p.add_argument("--sweeps", type=int, default=30000)
-    p.add_argument("--burn-in", dest="burn_in", type=int, default=2000)
+    p.add_argument("--burn-in", dest="burn_in", type=_int_at_least(0), default=2000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bins", type=int, default=100)
+    p.add_argument("--bins", type=_int_at_least(1), default=100)
 
     p = sub.add_parser("reproduce-figures", help="emit figure-reproduction data")
     p.add_argument("--outdir", required=True)
-    p.add_argument("--grid", type=int, default=400)
+    p.add_argument("--grid", type=_int_at_least(1), default=400)
 
     return ap
 
@@ -419,6 +384,10 @@ def dispatch(argv: Optional[List[str]] = None) -> int:
     args = ap.parse_args(argv)
     if args.subcommand == "bands" and args.id_value is None and args.slack is None:
         ap.error("bands requires --id-value or --slack")
+    if args.subcommand in ("mc", "rate") and args.sweeps <= args.burn_in:
+        ap.error(f"{args.subcommand} requires --sweeps > --burn-in")
+    if args.subcommand == "rate" and len(args.Ns.split(",")) < 3:
+        ap.error("rate requires at least three comma-separated values in --Ns")
     cfg = RunConfig(subcommand=args.subcommand, output_path=args.out, args=args)
     try:
         _DISPATCH[args.subcommand](cfg)

@@ -300,7 +300,7 @@ class RateFunctionEstimate:
 
     bin_centers: np.ndarray
     rate: np.ndarray               # intercept of -(1/N) log freq vs 1/N
-    adequate: np.ndarray           # bool: >= min_count samples at largest N
+    adequate: np.ndarray           # bool: >= 10 samples at largest N
     Ns: Sequence[int]
     per_N_rate: np.ndarray         # raw -(1/N) log freq, shape (len(Ns), bins)
     results: List[MCResult]
@@ -314,13 +314,12 @@ class RateFunctionEstimate:
 
 def estimate_rate_function(model: ModelSpec, J: float, Ns: Sequence[int],
                            sweeps: int, burn_in: int, seed: int = 0,
-                           histogram_bins: int = 100,
-                           min_count: int = 10) -> RateFunctionEstimate:
+                           histogram_bins: int = 100) -> RateFunctionEstimate:
     """Estimate the large-deviation rate of the scalar magnetization.
 
     Runs one chain per vertex count, computes per-bin -(1/N) log(frequency)
-    and extrapolates linearly in 1/N.  Bins with fewer than ``min_count``
-    samples at the largest N are flagged inadequate and excluded from the
+    and extrapolates linearly in 1/N.  Bins with fewer than 10 samples
+    at the largest N are flagged inadequate and excluded from the
     extrapolation (never filled in).
     """
     Ns = sorted(int(n) for n in Ns)
@@ -335,7 +334,7 @@ def estimate_rate_function(model: ModelSpec, J: float, Ns: Sequence[int],
     centers = 0.5 * (edges[:-1] + edges[1:])
     per_N = np.vstack([r.rate_estimates for r in results])
     largest = results[-1]
-    adequate = largest.histogram >= min_count
+    adequate = largest.histogram >= 10
 
     rate = np.full(len(centers), np.nan)
     invN = 1.0 / np.asarray(Ns, dtype=float)

@@ -11,9 +11,10 @@ Three model families are supported:
   vectors in R^N; the scalar lambda is the top eigenvalue of the order
   parameter along omega = diag(1, -1/(N-1), ..., -1/(N-1)).
 
-Every model exposes the on-axis cumulant function g(h) = |omega|^-2 G(h omega)
-and its first two derivatives.  The scalar free energy used throughout the
-package is
+Every model exposes the on-axis cumulant function g(h) = |omega|^-2 G(h omega),
+its first two derivatives and the entropy s(m), each elementwise on a float or
+an ndarray; `ModelSpec` finds them in the model's record in `_KINDS`.  The
+scalar free energy used throughout the package is
 
     phi_J(m) = -J m^2 / 2 - s(m),      s(m) = inf_h { g(h) - m h },
 
@@ -30,8 +31,8 @@ they cancel in every difference the solvers and certificates take.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable, Tuple
+from functools import lru_cache, partial
+from typing import Callable, NamedTuple, Tuple
 
 import numpy as np
 from scipy import integrate, optimize
@@ -67,49 +68,36 @@ class ModelSpec:
 
     n is the dimension of the spin vector space E_Omega, kappa the maximal
     squared spin norm, omega_norm_sq the squared norm of the on-axis
-    direction.  The J-independent error-budget factor is n*kappa/2.
+    direction.  The J-independent error-budget factor is n*kappa/2.  Every
+    model-dependent value comes from the model's `_Kind` record in `_KINDS`.
     """
 
     kind: str          # "potts" | "cubic" | "nematic"
     param: int         # q, r or N
 
     def __post_init__(self):
-        if self.kind == "potts":
-            if self.param < 2:
-                raise ValueError("potts requires q >= 2")
-        elif self.kind == "cubic":
-            if self.param < 1:
-                raise ValueError("cubic requires r >= 1")
-        elif self.kind == "nematic":
-            if self.param < 3:
-                raise ValueError("nematic requires N >= 3")
-        else:
+        spec = _KINDS.get(self.kind)
+        if spec is None:
             raise ValueError(f"unknown model kind {self.kind!r}")
+        if self.param < spec.least:
+            raise ValueError(f"{self.kind} requires {spec.letter} >= {spec.least}")
+
+    @property
+    def _spec(self) -> "_Kind":
+        return _KINDS[self.kind]
 
     # -- constants -----------------------------------------------------
     @property
     def n(self) -> int:
-        if self.kind == "potts":
-            return self.param - 1
-        if self.kind == "cubic":
-            return self.param
-        return self.param * (self.param - 1) // 2
+        return self._spec.n(self.param)
 
     @property
     def kappa(self) -> float:
-        if self.kind == "potts":
-            return (self.param - 1) / self.param
-        if self.kind == "cubic":
-            return 1.0
-        return (self.param - 1) / self.param
+        return self._spec.kappa(self.param)
 
     @property
     def omega_norm_sq(self) -> float:
-        if self.kind == "potts":
-            return self.param / (self.param - 1)
-        if self.kind == "cubic":
-            return 1.0
-        return self.param / (self.param - 1)
+        return self._spec.omega_norm_sq(self.param)
 
     @property
     def delta_factor(self) -> float:
@@ -118,15 +106,7 @@ class ModelSpec:
 
     # -- scalar magnetization interval ----------------------------------
     def m_bounds(self) -> Tuple[float, float]:
-        # nematic: eigenvalues of a convex combination of the projector spins
-        # constrain the on-axis coefficient to [-1/N, (N-1)/N], which is also
-        # the closure of the range of g'.
-        p = self.param
-        if self.kind == "potts":
-            return (-1.0 / p, (p - 1.0) / p)
-        if self.kind == "cubic":
-            return (-1.0, 1.0)
-        return (-1.0 / p, (p - 1.0) / p)
+        return self._spec.m_bounds(self.param)
 
     def check_magnetization(self, m):
         """m clipped into m_bounds(); OutOfSimplex if any element lies outside.
@@ -142,51 +122,27 @@ class ModelSpec:
         out = np.minimum(np.maximum(arr, lo), hi)
         return out if out.ndim else float(out)
 
-    # -- on-axis cumulant function --------------------------------------
+    # -- on-axis cumulant function and its Legendre transform -----------
+    # Each takes a float or an ndarray and returns the same kind.
     def g(self, h):
-        if self.kind == "potts":
-            return potts_g(self.param, h)
-        if self.kind == "cubic":
-            return cubic_g(self.param, h)
-        return nematic_g(self.param, h)
+        return self._spec.g(self.param, h)
 
     def g_prime(self, h):
-        if self.kind == "potts":
-            return potts_g_prime(self.param, h)
-        if self.kind == "cubic":
-            return cubic_g_prime(self.param, h)
-        return nematic_g_prime(self.param, h)
+        return self._spec.g_prime(self.param, h)
 
     def g_second(self, h):
-        if self.kind == "potts":
-            return potts_g_second(self.param, h)
-        if self.kind == "cubic":
-            return cubic_g_second(self.param, h)
-        return nematic_g_second(self.param, h)
+        return self._spec.g_second(self.param, h)
 
     def entropy(self, m):
         """s(m) and the minimizing dual field h (g'(h) = m).
 
-        Takes a float or an ndarray of magnetizations and returns a pair of
-        the same kind, elementwise equal to the scalar results.  Potts and
-        cubic use their closed forms on the whole array; nematic solves one
-        Legendre problem per point.
+        A float gives a pair of floats; an ndarray gives a pair of arrays,
+        elementwise equal to the scalar results.
         """
-        if self.kind == "potts":
-            return _potts_entropy(self.param, m)
-        if self.kind == "cubic":
-            return _cubic_entropy(self.param, m)
-        if np.ndim(m) == 0:
-            return legendre_entropy(self.g, self.g_prime, m)
-        pairs = [legendre_entropy(self.g, self.g_prime, float(x))
-                 for x in np.asarray(m, dtype=float).flat]
-        s = np.array([p[0] for p in pairs]).reshape(np.shape(m))
-        h = np.array([p[1] for p in pairs]).reshape(np.shape(m))
-        return s, h
+        return self._spec.entropy(self.param, m)
 
     def __str__(self):
-        letter = {"potts": "q", "cubic": "r", "nematic": "N"}[self.kind]
-        return f"{self.kind}({letter}={self.param})"
+        return f"{self.kind}({self._spec.letter}={self.param})"
 
 
 def potts(q: int) -> ModelSpec:
@@ -222,7 +178,9 @@ def potts_phi(q: int, J: float, m):
         raise OutOfSimplex(f"occupation left the simplex for m={m}")
     x1 = np.clip(x1, 0.0, 1.0)
     xk = np.clip(xk, 0.0, 1.0)
-    val = (-J / 2.0 * (x1 ** 2 + (q - 1) * xk ** 2)
+    # squares by multiplication: a scalar ** 2 goes through libm pow, whose
+    # last bit can differ from the ndarray path's
+    val = (-J / 2.0 * (x1 * x1 + (q - 1) * (xk * xk))
            + _xlogx(x1) + (q - 1) * _xlogx(xk))
     return val if np.ndim(m) else float(val)
 
@@ -429,24 +387,51 @@ def _nematic_raw_moments(N: int, h: float):
     return np.log(z0) + M, z2 / z0, z4 / z0
 
 
-def nematic_g(N: int, h: float) -> float:
+def _nematic_moments(N: int, h):
+    """(log Z, <x^2>, <x^4>) at each h, from the cached per-point quadrature."""
+    if np.ndim(h) == 0:
+        return _nematic_raw_moments(N, float(h))
+    h = np.asarray(h, dtype=float)
+    vals = np.array([_nematic_raw_moments(N, float(x)) for x in h.flat],
+                    dtype=float).reshape(-1, 3)
+    return tuple(vals[:, k].reshape(h.shape) for k in range(3))
+
+
+def nematic_g(N: int, h):
     """(N-1)/N * log of the tilted/untilted partition ratio, g(0) = 0."""
-    logzt, _, _ = _nematic_raw_moments(N, float(h))
+    logzt, _, _ = _nematic_moments(N, h)
     logz0, _, _ = _nematic_raw_moments(N, 0.0)
-    a = h * N / (N - 1.0)
-    return (N - 1.0) / N * (logzt - logz0 - a / N)
+    a = np.asarray(h, dtype=float) * N / (N - 1.0)
+    val = (N - 1.0) / N * (logzt - logz0 - a / N)
+    return val if val.ndim else float(val)
 
 
-def nematic_g_prime(N: int, h: float) -> float:
+def nematic_g_prime(N: int, h):
     """<x^2>_h - 1/N: the right-hand side of the scalar mean-field equation."""
-    _, m2, _ = _nematic_raw_moments(N, float(h))
-    return m2 - 1.0 / N
+    _, m2, _ = _nematic_moments(N, h)
+    val = np.asarray(m2 - 1.0 / N)
+    return val if val.ndim else float(val)
 
 
-def nematic_g_second(N: int, h: float) -> float:
+def nematic_g_second(N: int, h):
     """N/(N-1) * Var_h(x^2), by differentiation under the integral."""
-    _, m2, m4 = _nematic_raw_moments(N, float(h))
-    return N / (N - 1.0) * (m4 - m2 * m2)
+    _, m2, m4 = _nematic_moments(N, h)
+    val = np.asarray(N / (N - 1.0) * (m4 - m2 * m2))
+    return val if val.ndim else float(val)
+
+
+def _nematic_entropy(N: int, m):
+    """Legendre data by one numerical dual solve g'(h) = m per point.
+
+    Elementwise on an ndarray m; a scalar m gives a pair of floats.
+    """
+    m = np.asarray(m, dtype=float)
+    g, g_prime = partial(nematic_g, N), partial(nematic_g_prime, N)
+    pairs = np.array([legendre_entropy(g, g_prime, float(x)) for x in m.flat],
+                     dtype=float).reshape(m.shape + (2,))
+    if m.ndim:
+        return pairs[..., 0], pairs[..., 1]
+    return float(pairs[0]), float(pairs[1])
 
 
 # ---------------------------------------------------------------------------
@@ -455,30 +440,25 @@ def nematic_g_second(N: int, h: float) -> float:
 
 def legendre_entropy(g: Callable[[float], float],
                      g_prime: Callable[[float], float],
-                     m: float,
-                     search_interval: Tuple[float, float] = (-1.0, 1.0),
-                     bracket_growth: float = 2.0,
-                     h_cap: float = 1e6) -> Tuple[float, float]:
+                     m: float) -> Tuple[float, float]:
     """s(m) = inf_h {g(h) - m h} by solving the convex dual equation g'(h) = m.
 
-    Returns (s, argmin_h).  The initial bracket is expanded geometrically up
-    to |h| = h_cap; BoundaryMagnetization is raised when m is outside the
+    Returns (s, argmin_h).  The initial bracket [-1, 1] is doubled outward up
+    to |h| = 1e6; BoundaryMagnetization is raised when m is outside the
     reachable range of g' (there s = -infinity).
     """
-    lo, hi = float(search_interval[0]), float(search_interval[1])
-    if lo >= hi:
-        lo, hi = -1.0, 1.0
+    lo, hi = -1.0, 1.0
     flo, fhi = g_prime(lo) - m, g_prime(hi) - m
     while flo > 0.0:  # need smaller h
-        lo = lo * bracket_growth if lo < -1e-3 else lo - 1.0
-        if lo < -h_cap:
+        lo = lo * 2.0 if lo < -1e-3 else lo - 1.0
+        if lo < -1e6:
             raise BoundaryMagnetization(f"m={m} below the range of g'")
         flo = g_prime(lo) - m
         if not np.isfinite(flo):
             raise BoundaryMagnetization(f"m={m} below the range of g'")
     while fhi < 0.0:
-        hi = hi * bracket_growth if hi > 1e-3 else hi + 1.0
-        if hi > h_cap:
+        hi = hi * 2.0 if hi > 1e-3 else hi + 1.0
+        if hi > 1e6:
             raise BoundaryMagnetization(f"m={m} above the range of g'")
         fhi = g_prime(hi) - m
         if not np.isfinite(fhi):
@@ -515,3 +495,49 @@ def phi_full_scale(model: ModelSpec, J: float, m):
     ndarray m, like `scalar_phi`.
     """
     return model.omega_norm_sq * scalar_phi(model, J, m)
+
+
+# ---------------------------------------------------------------------------
+# model table
+# ---------------------------------------------------------------------------
+
+class _Kind(NamedTuple):
+    """Everything that depends on the model kind, as functions of its parameter.
+
+    g, g_prime, g_second and entropy take (param, value) with value a float
+    or an ndarray.
+    """
+
+    letter: str                                   # parameter name in str()
+    least: int                                    # least allowed parameter
+    n: Callable[[int], int]
+    kappa: Callable[[int], float]
+    omega_norm_sq: Callable[[int], float]
+    m_bounds: Callable[[int], Tuple[float, float]]
+    g: Callable
+    g_prime: Callable
+    g_second: Callable
+    entropy: Callable
+
+
+# Potts and nematic share kappa, |omega|^2 and the m interval.  For nematic
+# the eigenvalues of a convex combination of the projector spins constrain
+# the on-axis coefficient to [-1/N, (N-1)/N], which is also the closure of
+# the range of g'.
+_SIMPLEX_CONSTANTS = dict(kappa=lambda p: (p - 1) / p,
+                          omega_norm_sq=lambda p: p / (p - 1),
+                          m_bounds=lambda p: (-1.0 / p, (p - 1.0) / p))
+
+_KINDS = {
+    "potts": _Kind(letter="q", least=2, n=lambda q: q - 1, **_SIMPLEX_CONSTANTS,
+                   g=potts_g, g_prime=potts_g_prime, g_second=potts_g_second,
+                   entropy=_potts_entropy),
+    "cubic": _Kind(letter="r", least=1, n=lambda r: r, kappa=lambda r: 1.0,
+                   omega_norm_sq=lambda r: 1.0, m_bounds=lambda r: (-1.0, 1.0),
+                   g=cubic_g, g_prime=cubic_g_prime, g_second=cubic_g_second,
+                   entropy=_cubic_entropy),
+    "nematic": _Kind(letter="N", least=3, n=lambda N: N * (N - 1) // 2,
+                     **_SIMPLEX_CONSTANTS,
+                     g=nematic_g, g_prime=nematic_g_prime, g_second=nematic_g_second,
+                     entropy=_nematic_entropy),
+}

@@ -78,8 +78,7 @@ def _n_compositions(total: int, parts: int) -> int:
 # Potts simplex
 # ---------------------------------------------------------------------------
 
-def potts_fullspace_min(q: int, J: float, resolution: int = 200,
-                        polish: bool = True) -> OracleResult:
+def potts_fullspace_min(q: int, J: float, resolution: int = 200) -> OracleResult:
     """Minimize sum_k(-J/2 x_k^2 + x_k log x_k) over the full q-simplex."""
     if q > 6:
         raise BudgetExceeded(f"exhaustive simplex search limited to q <= 6, got {q}")
@@ -98,17 +97,16 @@ def potts_fullspace_min(q: int, J: float, resolution: int = 200,
     x0 = comps[i0] / resolution
     grid_val = float(vals[i0])
 
+    def fun(x):
+        return float(np.sum(-J / 2.0 * x ** 2 + _xlogx(np.clip(x, 0, 1))))
+    res = optimize.minimize(
+        fun, x0, method="SLSQP",
+        bounds=[(0.0, 1.0)] * q,
+        constraints=[{"type": "eq", "fun": lambda x: np.sum(x) - 1.0}],
+        options={"ftol": 1e-14, "maxiter": 300})
     x_star, val = x0, grid_val
-    if polish:
-        def fun(x):
-            return float(np.sum(-J / 2.0 * x ** 2 + _xlogx(np.clip(x, 0, 1))))
-        res = optimize.minimize(
-            fun, x0, method="SLSQP",
-            bounds=[(0.0, 1.0)] * q,
-            constraints=[{"type": "eq", "fun": lambda x: np.sum(x) - 1.0}],
-            options={"ftol": 1e-14, "maxiter": 300})
-        if res.success and res.fun <= grid_val + 1e-12:
-            x_star, val = np.clip(res.x, 0.0, 1.0), float(res.fun)
+    if res.success and res.fun <= grid_val + 1e-12:
+        x_star, val = np.clip(res.x, 0.0, 1.0), float(res.fun)
     return OracleResult(minimizer=np.asarray(x_star), value=val,
                         grid_value=grid_val,
                         meta={"q": q, "J": J, "resolution": resolution})
@@ -118,9 +116,7 @@ def potts_fullspace_min(q: int, J: float, resolution: int = 200,
 # cubic (occupations, biases)
 # ---------------------------------------------------------------------------
 
-def cubic_fullspace_min(r: int, J: float, resolution: int = 200,
-                        mu_resolution: Optional[int] = None,
-                        polish: bool = True) -> OracleResult:
+def cubic_fullspace_min(r: int, J: float, resolution: int = 200) -> OracleResult:
     """Minimize K_J(y, mu) = sum_k (y_k log y_k + y_k Theta_{2J y_k}(mu_k)).
 
     The domain has no cross terms between the mu_k, so for each gridded
@@ -134,9 +130,7 @@ def cubic_fullspace_min(r: int, J: float, resolution: int = 200,
     if _n_compositions(resolution, r) > _MAX_GRID_POINTS:
         raise BudgetExceeded(
             f"occupation grid would have {_n_compositions(resolution, r)} points")
-    if mu_resolution is None:
-        mu_resolution = 2 * resolution + 1
-
+    mu_resolution = 2 * resolution + 1
     mus = np.linspace(-1.0, 1.0, mu_resolution)
     ys = np.arange(resolution + 1) / resolution
     # theta_table[c, j] = Theta_{2 J y_c}(mu_j)
@@ -152,24 +146,23 @@ def cubic_fullspace_min(r: int, J: float, resolution: int = 200,
     mu0 = mu_best[comps[i0]]
     grid_val = float(vals[i0])
 
+    def fun(z):
+        y = np.clip(z[:r], 0.0, 1.0)
+        mu = np.clip(z[r:], -1.0, 1.0)
+        return float(np.sum(_xlogx(y) + y * (
+            -(2.0 * J * y) / 4.0 * mu ** 2
+            + _xlogx((1.0 + mu) / 2.0) + _xlogx((1.0 - mu) / 2.0))))
+    z0 = np.concatenate([y0, mu0])
+    res = optimize.minimize(
+        fun, z0, method="SLSQP",
+        bounds=[(0.0, 1.0)] * r + [(-1.0, 1.0)] * r,
+        constraints=[{"type": "eq", "fun": lambda z: np.sum(z[:r]) - 1.0}],
+        options={"ftol": 1e-14, "maxiter": 300})
     y_star, mu_star, val = y0, mu0, grid_val
-    if polish:
-        def fun(z):
-            y = np.clip(z[:r], 0.0, 1.0)
-            mu = np.clip(z[r:], -1.0, 1.0)
-            return float(np.sum(_xlogx(y) + y * (
-                -(2.0 * J * y) / 4.0 * mu ** 2
-                + _xlogx((1.0 + mu) / 2.0) + _xlogx((1.0 - mu) / 2.0))))
-        z0 = np.concatenate([y0, mu0])
-        res = optimize.minimize(
-            fun, z0, method="SLSQP",
-            bounds=[(0.0, 1.0)] * r + [(-1.0, 1.0)] * r,
-            constraints=[{"type": "eq", "fun": lambda z: np.sum(z[:r]) - 1.0}],
-            options={"ftol": 1e-14, "maxiter": 300})
-        if res.success and res.fun <= grid_val + 1e-12:
-            y_star = np.clip(res.x[:r], 0.0, 1.0)
-            mu_star = np.clip(res.x[r:], -1.0, 1.0)
-            val = float(res.fun)
+    if res.success and res.fun <= grid_val + 1e-12:
+        y_star = np.clip(res.x[:r], 0.0, 1.0)
+        mu_star = np.clip(res.x[r:], -1.0, 1.0)
+        val = float(res.fun)
     m_induced = y_star * mu_star
     return OracleResult(
         minimizer=np.vstack([y_star, mu_star]), value=val, grid_value=grid_val,
@@ -220,8 +213,7 @@ def _g_diag(h: np.ndarray, X2: np.ndarray, W: np.ndarray) -> np.ndarray:
 
 
 def nematic_dual_min(N: int, J: float, resolution: int = 120,
-                     sphere_samples: int = 4096,
-                     polish: bool = True) -> OracleResult:
+                     sphere_samples: int = 4096) -> OracleResult:
     """Minimize Psi_J(h) = |h|^2/(2J) - G(h) over traceless diagonal h.
 
     The first N-1 diagonal entries run over a box covering the on-axis
@@ -263,17 +255,16 @@ def nematic_dual_min(N: int, J: float, resolution: int = 120,
                 f"G sampling stderr {noise:.2e} exceeds grid scale {cell:.2e}",
                 SamplingNoise)
 
+    def fun(hf):
+        h = np.concatenate([hf, [-np.sum(hf)]])
+        return float((h * h).sum() / (2.0 * J) - _g_diag(h[None, :], X2, W)[0])
+    res = optimize.minimize(fun, h0[:-1], method="Nelder-Mead",
+                            options={"xatol": 1e-10, "fatol": 1e-13,
+                                     "maxiter": 4000})
     h_star, val = h0, grid_val
-    if polish:
-        def fun(hf):
-            h = np.concatenate([hf, [-np.sum(hf)]])
-            return float((h * h).sum() / (2.0 * J) - _g_diag(h[None, :], X2, W)[0])
-        res = optimize.minimize(fun, h0[:-1], method="Nelder-Mead",
-                                options={"xatol": 1e-10, "fatol": 1e-13,
-                                         "maxiter": 4000})
-        if res.success and res.fun <= grid_val + 1e-12:
-            h_star = np.concatenate([res.x, [-np.sum(res.x)]])
-            val = float(res.fun)
+    if res.success and res.fun <= grid_val + 1e-12:
+        h_star = np.concatenate([res.x, [-np.sum(res.x)]])
+        val = float(res.fun)
     return OracleResult(minimizer=np.asarray(h_star), value=val,
                         grid_value=grid_val,
                         meta={"N": N, "J": J, "resolution": resolution,

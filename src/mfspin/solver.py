@@ -24,13 +24,13 @@ from typing import List, Optional, Tuple
 import numpy as np
 from scipy import optimize
 
-from .errors import BracketInvalid, NoAsymmetricBranch, ScanTooCoarse
+from .errors import BracketInvalid, MFSpinError, NoAsymmetricBranch, ScanTooCoarse
 from .models import ModelSpec
 
 __all__ = [
     "BranchPoint", "BranchSet", "TransitionPoint", "TraceResult",
     "solve_branches", "trace_max_branch", "trace_global_branch",
-    "find_transition", "barrier_height",
+    "auto_bracket", "find_transition", "barrier_height",
 ]
 
 STABLE = "stable"
@@ -102,7 +102,7 @@ class TraceResult:
 
     J1 is the first grid J at which a positive stable root exists; J2 the last
     grid J at which m = 0 is stable.  ``jumps`` lists grid indices where the
-    traced magnetization moved by more than ``jump_threshold`` between
+    traced magnetization moved by more than 0.1 between
     neighbouring J points (reported, never asserted away).
     """
 
@@ -137,10 +137,7 @@ def solve_branches(model: ModelSpec, J: float,
     lo, hi = model.m_bounds()
     eps = 1e-9 * (hi - lo)
     grid = np.linspace(lo + eps, hi - eps, int(scan_resolution))
-    if model.kind == "nematic":
-        f_vals = np.array([model.g_prime(J * m) - m for m in grid])
-    else:
-        f_vals = model.g_prime(J * grid) - grid
+    f_vals = model.g_prime(J * grid) - grid
 
     f = lambda m: model.g_prime(J * m) - m
     roots: List[float] = []
@@ -219,8 +216,7 @@ def max_stable_root(model: ModelSpec, J: float, seed: Optional[float] = None,
 
 
 def trace_max_branch(model: ModelSpec, J_range: Tuple[float, float],
-                     steps: int, scan_resolution: int = 400,
-                     jump_threshold: float = 0.1) -> TraceResult:
+                     steps: int, scan_resolution: int = 400) -> TraceResult:
     """Largest stable root m_MF(J) over a J grid, with continuation seeding.
 
     A seeded solve that lands further than 10x the previous step's |dm| from
@@ -254,7 +250,7 @@ def trace_max_branch(model: ModelSpec, J_range: Tuple[float, float],
             J2 = float(J)
         if i > 0:
             dm = abs(bp.m - pts[-2].m)
-            if dm > jump_threshold:
+            if dm > 0.1:
                 jumps.append(i)
             prev_dm = dm
         seed = bp.m if bp.m > _MERGE_TOL else None
@@ -262,8 +258,7 @@ def trace_max_branch(model: ModelSpec, J_range: Tuple[float, float],
 
 
 def trace_global_branch(model: ModelSpec, J_range: Tuple[float, float],
-                        steps: int, scan_resolution: int = 400,
-                        jump_threshold: float = 0.1) -> TraceResult:
+                        steps: int, scan_resolution: int = 400) -> TraceResult:
     """Magnetization of the global scalar minimizer over a J grid."""
     Js = np.linspace(J_range[0], J_range[1], int(steps))
     pts: List[BranchPoint] = []
@@ -275,7 +270,7 @@ def trace_global_branch(model: ModelSpec, J_range: Tuple[float, float],
             bp = BranchPoint(J=float(J), m=0.0, stability=UNSTABLE,
                              phi=_phi_on_branch(model, float(J), 0.0))
         pts.append(bp)
-        if i > 0 and abs(bp.m - pts[-2].m) > jump_threshold:
+        if i > 0 and abs(bp.m - pts[-2].m) > 0.1:
             jumps.append(i)
     return TraceResult(model=model, points=pts, jumps=jumps)
 
@@ -289,6 +284,22 @@ def _degeneracy_gap(model: ModelSpec, J: float,
     m = bp.m
     gap = (J / 2.0) * m * m - model.g(J * m) + model.g(0.0)
     return gap, m
+
+
+def auto_bracket(model: ModelSpec) -> Tuple[float, float]:
+    """Heuristic transition bracket: just below the m=0 spinodal J2 down to
+    the first coupling where the asymmetric branch still sits above phi(0)."""
+    J2 = 1.0 / model.g_second(0.0)
+    hi = 0.999 * J2
+    J = hi
+    for _ in range(400):
+        J *= 0.997
+        gap, _ = _degeneracy_gap(model, J, seed=None)
+        if gap is None:
+            break
+        if gap > 0:
+            return J, hi
+    raise MFSpinError("could not auto-bracket the transition; pass --Jlo/--Jhi")
 
 
 def find_transition(model: ModelSpec, bracket: Tuple[float, float],

@@ -5,7 +5,7 @@ Three assertions are implemented exactly as the acceptance checklist states
 them although the stated expected values are internally inconsistent with the
 rest of the checklist; they fail, and companion tests (marked `_corrected_`)
 demonstrate the verified property.  The analysis behind each is in
-notes/decisions.md next to the repository:
+docs/decisions.md:
 
 * criterion 4: at J=2.73 the 3-state asymmetric minimum does not exist yet
   (spinodal J1 = 2.74564), and at J=2.77 < J_MF = 2.77259 the minima have not
@@ -128,11 +128,11 @@ def test_criterion_04_fig1_reproduction_as_stated():
     ok = exists_all and sign_ok and t.elapsed < 5.0
     record_acceptance(4, "Fig.1 reproduction (as stated)", ok,
                       f"exists={ {J: v[0] for J, v in found.items()} } "
-                      f"signs={signs} -- see notes/decisions.md")
+                      f"signs={signs} -- see docs/decisions.md")
     assert exists_all, ("no asymmetric minimum at J=2.73: the q=3 spinodal "
-                        "is J1=2.74564 > 2.73 (see notes/decisions.md)")
+                        "is J1=2.74564 > 2.73 (see docs/decisions.md)")
     assert sign_ok, ("sign at J=2.77 is positive because J_MF=2.77259 > 2.77, "
-                     "as pinned by criterion 1 (see notes/decisions.md)")
+                     "as pinned by criterion 1 (see docs/decisions.md)")
     assert t.elapsed < 5.0
 
 
@@ -304,10 +304,10 @@ def test_criterion_09_nematic_large_N_as_stated(nematic_large_N):
     ok = abs(lam - target) < 0.01
     record_acceptance(9, "nematic large-N limit (as stated)", ok,
                       f"lam(3N)={lam:.5f} vs asserted {target:.5f} "
-                      "-- see notes/decisions.md")
+                      "-- see docs/decisions.md")
     assert abs(lam - target) < 0.01, (
         f"lambda(3N)={lam:.5f}: the asserted constant 0.87268 is not a fixed "
-        "point of the scaled mean-field equation (see notes/decisions.md)")
+        "point of the scaled mean-field equation (see docs/decisions.md)")
 
 
 def test_criterion_09_corrected_nematic_large_N(nematic_large_N):
@@ -399,12 +399,12 @@ def test_criterion_11_certificate_sweep_as_stated(q3_certificates):
     record_acceptance(11, "certificate sweep d=3..64 (as stated)", ok,
                       f"passed={passed} eps1 {eps1[0]:.3f}->{eps1[-1]:.3f} "
                       f"eps2 {eps2[0]:.1f}->{eps2[-1]:.2f} ({elapsed:.0f}s) "
-                      "-- pass requires d>=820, see notes/decisions.md")
+                      "-- pass requires d>=820, see docs/decisions.md")
     assert boundary_monotone
     assert eps_monotone
     assert pass_within_range, (
         "no d in 3..64 can pass: the q=3 barrier 0.0011293 needs "
-        "I_d < 6.11e-4, first reached at d=820 (see notes/decisions.md)")
+        "I_d < 6.11e-4, first reached at d=820 (see docs/decisions.md)")
 
 
 def test_criterion_11_corrected_pass_flip_at_large_d(q3_certificates):

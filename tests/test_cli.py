@@ -241,6 +241,26 @@ GOLDEN = [
      ("profile", "--model", "potts", "--param", "3", "--J", "2.76", "--grid", "50")),
     ("profile_cubic4.csv",
      ("profile", "--model", "cubic", "--param", "4", "--J", "3.785", "--grid", "50")),
+    ("branches_nematic3.csv",
+     ("branches", "--model", "nematic", "--param", "3", "--Jmin", "6", "--Jmax", "7.5",
+      "--steps", "4", "--scan-resolution", "100")),
+    ("transition_potts10.json",
+     ("transition", "--model", "potts", "--param", "10")),
+    ("barrier_nematic4.json",
+     ("barrier", "--model", "nematic", "--param", "4", "--J", "5.2")),
+    ("oracle_potts3.json",
+     ("oracle", "--model", "potts", "--param", "3", "--J", "2.7725887")),
+    ("oracle_cubic4.json",
+     ("oracle", "--model", "cubic", "--param", "4", "--J", "3.7852")),
+    ("mc_potts3.json",
+     ("mc", "--model", "potts", "--param", "3", "--J", "3.2", "--N", "30",
+      "--sweeps", "200", "--burn-in", "50", "--seed", "3", "--bins", "20")),
+    ("mc_cubic4.json",
+     ("mc", "--model", "cubic", "--param", "4", "--J", "4.0", "--N", "30",
+      "--sweeps", "200", "--burn-in", "50", "--seed", "3", "--bins", "20")),
+    ("mc_nematic3.json",
+     ("mc", "--model", "nematic", "--param", "3", "--J", "10", "--N", "20",
+      "--sweeps", "100", "--burn-in", "20", "--seed", "3", "--bins", "20")),
 ]
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -265,12 +285,22 @@ def test_oracle_without_stable_root_is_typed_error(capsys):
 @pytest.mark.parametrize("argv", [
     ("certify", "--m-grid", "1"), ("certify", "--m-grid", "3"),
     ("certify", "--J-grid", "0"), ("bands", "--grid", "1"),
+    ("profile", "--grid", "-1"), ("profile", "--grid", "0"),
+    ("reproduce-figures", "--grid", "0"), ("oracle", "--resolution", "5"),
+    ("mc", "--N", "1"), ("mc", "--bins", "0"), ("mc", "--burn-in", "-1"),
+    ("mc", "--burn-in", "300"), ("rate", "--Ns", "10,20"), ("rate", "--bins", "0"),
+    ("rate", "--sweeps", "2000"),
 ], ids=" ".join)
 def test_tiny_grids_are_usage_errors(capsys, argv):
-    base = {"certify": ["certify", "--model", "potts", "--param", "3", "--dim", "1024",
+    model = ["--model", "potts", "--param", "3"]
+    base = {"certify": ["certify", *model, "--dim", "1024",
                         "--Jlo", "2.7715", "--Jhi", "2.7735"],
-            "bands": ["bands", "--model", "potts", "--param", "3", "--J", "2.77",
-                      "--slack", "0.001"]}[argv[0]]
+            "bands": ["bands", *model, "--J", "2.77", "--slack", "0.001"],
+            "profile": ["profile", *model, "--J", "2.77"],
+            "reproduce-figures": ["reproduce-figures", "--outdir", "unused"],
+            "oracle": ["oracle", *model, "--J", "2.77"],
+            "mc": ["mc", *model, "--J", "2.0", "--N", "10", "--sweeps", "300"],
+            "rate": ["rate", *model, "--J", "2.0", "--Ns", "10,20,40"]}[argv[0]]
     with pytest.raises(SystemExit) as exc:
         dispatch(base + list(argv[1:]))
     assert exc.value.code == 2

@@ -383,3 +383,41 @@ def test_ndarray_out_of_range_raises_scalar_error(model):
             model.entropy(bad)
         with pytest.raises(BoundaryMagnetization):
             model.entropy(ms)
+
+
+# Indices into linspace(lo, hi, 50001) where squaring by libm pow and by
+# multiplication round differently (at J = 2.77 or 4.94).
+POTTS_POW_INDICES = {3: [677, 2426, 2596, 2615, 2706, 8451, 14787],
+                     4: [601, 909, 4998, 9799, 11735],
+                     10: [8751, 25299, 25510, 28424, 31791, 33803, 38177]}
+
+
+@pytest.mark.parametrize("q", sorted(POTTS_POW_INDICES))
+def test_potts_phi_ndarray_matches_scalar_bitwise(q):
+    lo, hi = M.potts(q).m_bounds()
+    fine = np.linspace(lo, hi, 50001)[POTTS_POW_INDICES[q]]
+    ms = np.concatenate([np.linspace(lo, hi, 401), fine])
+    for J in (0.0, 2.77, 4.94):
+        assert np.array_equal(M.potts_phi(q, J, ms),
+                              [M.potts_phi(q, J, m) for m in ms.tolist()])
+
+
+@pytest.mark.parametrize("model,n", NDARRAY_MODELS, ids=str)
+def test_g_family_ndarray_matches_scalar_bitwise(model, n):
+    hs = np.linspace(-3.0, 3.0, n)
+    for fn in (model.g, model.g_prime, model.g_second):
+        vals = fn(hs)
+        assert isinstance(vals, np.ndarray) and vals.shape == hs.shape
+        assert np.array_equal(vals, [fn(float(h)) for h in hs])
+        assert type(fn(float(hs[0]))) is float
+        assert np.array_equal(fn(hs.reshape(-1, 1))[:, 0], vals)
+        assert fn(np.array([])).shape == (0,)
+    s, h = model.entropy(np.array([]))
+    assert s.shape == h.shape == (0,)
+
+
+def test_model_records_keep_identity_and_names():
+    for kind, letter in (("potts", "q"), ("cubic", "r"), ("nematic", "N")):
+        model = M.ModelSpec(kind, 4)
+        assert model == M.ModelSpec(kind, 4) and hash(model) == hash(M.ModelSpec(kind, 4))
+        assert str(model) == f"{kind}({letter}=4)"

@@ -5,7 +5,7 @@ import pytest
 
 from mfspin import models as M
 from mfspin import solver as S
-from mfspin.errors import BracketInvalid, NoAsymmetricBranch
+from mfspin.errors import BracketInvalid, MFSpinError, NoAsymmetricBranch
 
 J_MF_Q3 = 4 * np.log(2)
 J_MF_Q10 = 2 * 9 / 8 * np.log(9)
@@ -215,3 +215,17 @@ def test_barrier_full_scale_matches_simplex_differences():
     J = J_MF_Q3
     expect = M.potts_phi(3, J, 1 / 6) - M.potts_phi(3, J, 0.0)
     assert S.barrier_height(M.potts(3), J) == pytest.approx(expect, abs=1e-9)
+
+
+def test_auto_bracket_contains_transition():
+    model = M.potts(3)
+    lo, hi = S.auto_bracket(model)
+    assert hi == 0.999 * (1.0 / model.g_second(0.0))
+    assert lo < J_MF_Q3 < hi
+    assert S.find_transition(model, (lo, hi)).J_MF == pytest.approx(J_MF_Q3, abs=1e-8)
+
+
+def test_auto_bracket_fails_typed_without_first_order_transition():
+    # the Ising-like cubic r = 2 chain has a continuous transition
+    with pytest.raises(MFSpinError, match="auto-bracket"):
+        S.auto_bracket(M.cubic(2))
