@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -32,39 +31,31 @@ _FIG2_STEPS = 121
 _FIG2_ID = 0.002
 
 
-@dataclass
-class RunConfig:
-    """Validated flag record; built in full before any computation starts."""
-
-    subcommand: str
-    output_path: Optional[str]
-    args: argparse.Namespace
-
-
 def _fmt(x) -> str:
     if isinstance(x, float):
         return f"{x:.12g}"
     return str(x)
 
 
-def _emit(cfg: RunConfig, text: str):
-    if cfg.output_path:
-        with open(cfg.output_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_json(cfg: RunConfig, payload: dict):
-    payload = {"schema_version": SCHEMA_VERSION, **payload}
-    _emit(cfg, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _emit_csv(cfg: RunConfig, header: Sequence[str], rows):
+def _csv(header: Sequence[str], rows) -> str:
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    _emit(cfg, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def _json(payload: dict) -> str:
+    payload = {"schema_version": SCHEMA_VERSION, **payload}
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _write(path: Optional[str], text: str):
+    """Write text to path, or to stdout when no path is given."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _model_from_args(args) -> models.ModelSpec:
@@ -72,17 +63,15 @@ def _model_from_args(args) -> models.ModelSpec:
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations
+# subcommand implementations: each takes the parsed arguments and returns the
+# text of its primary output
 # ---------------------------------------------------------------------------
 
-def _cmd_id(cfg: RunConfig):
-    a = cfg.args
-    est = lattice.compute_id(a.dim, a.method, a.tol)
-    _emit_json(cfg, est.as_dict())
+def _cmd_id(a) -> str:
+    return _json(lattice.compute_id(a.dim, a.method, a.tol).as_dict())
 
 
-def _cmd_profile(cfg: RunConfig):
-    a = cfg.args
+def _cmd_profile(a) -> str:
     model = _model_from_args(a)
     lo, hi = model.m_bounds()
     eps = 1e-9 * (hi - lo)
@@ -92,37 +81,41 @@ def _cmd_profile(cfg: RunConfig):
     # Potts prints the raw simplex free energy
     phi = models.potts_phi(model.param, a.J, ms) if model.kind == "potts" else phi1d
     full = model.omega_norm_sq * phi1d
-    _emit_csv(cfg, ("m", "phi", "phi_full_scale"),
-              zip(ms.tolist(), phi.tolist(), full.tolist()))
+    return _csv(("m", "phi", "phi_full_scale"),
+                zip(ms.tolist(), phi.tolist(), full.tolist()))
 
 
-def _cmd_branches(cfg: RunConfig):
-    a = cfg.args
-    model = _model_from_args(a)
+def _branches_csv(model, Js, scan_resolution) -> str:
     rows = []
-    for J in np.linspace(a.Jmin, a.Jmax, a.steps):
-        bs = solver.solve_branches(model, float(J), a.scan_resolution)
+    for J in Js:
+        bs = solver.solve_branches(model, float(J), scan_resolution)
         for p in bs.points:
             rows.append((p.J, p.m, p.stability, p.phi))
-    _emit_csv(cfg, ("J", "m", "stability", "phi"), rows)
+    return _csv(("J", "m", "stability", "phi"), rows)
 
 
-def _cmd_transition(cfg: RunConfig):
-    a = cfg.args
+def _cmd_branches(a) -> str:
+    return _branches_csv(_model_from_args(a), np.linspace(a.Jmin, a.Jmax, a.steps),
+                         a.scan_resolution)
+
+
+def _cmd_transition(a) -> str:
     model = _model_from_args(a)
-    if a.Jlo is not None and a.Jhi is not None:
+    if a.Jlo is not None:
         bracket = (a.Jlo, a.Jhi)
     else:
         bracket = solver.auto_bracket(model)
     tp = solver.find_transition(model, bracket)
-    _emit_json(cfg, {"model": str(model), **tp.as_dict()})
+    return _json({"model": str(model), **tp.as_dict()})
 
 
-def _cmd_barrier(cfg: RunConfig):
-    a = cfg.args
+def _cmd_barrier(a) -> str:
     model = _model_from_args(a)
     delta = solver.barrier_height(model, a.J)
-    _emit_json(cfg, {"model": str(model), "J": a.J, "barrier": delta})
+    return _json({"model": str(model), "J": a.J, "barrier": delta})
+
+
+_BANDS_HEADER = ("J", "band_index", "m_lo", "m_hi")
 
 
 def _bands_rows(model, J, slack, grid):
@@ -130,24 +123,20 @@ def _bands_rows(model, J, slack, grid):
     return [(J, i, b[0], b[1]) for i, b in enumerate(bands)]
 
 
-def _cmd_bands(cfg: RunConfig):
-    a = cfg.args
+def _cmd_bands(a) -> str:
     model = _model_from_args(a)
     slack = a.slack if a.slack is not None else a.J * model.delta_factor * a.id_value
-    rows = _bands_rows(model, a.J, slack, a.grid)
-    _emit_csv(cfg, ("J", "band_index", "m_lo", "m_hi"), rows)
+    return _csv(_BANDS_HEADER, _bands_rows(model, a.J, slack, a.grid))
 
 
-def _cmd_certify(cfg: RunConfig):
-    a = cfg.args
+def _cmd_certify(a) -> str:
     model = _model_from_args(a)
     cert = _certify(model, a.dim, (a.Jlo, a.Jhi),
                      J_grid=a.J_grid, m_grid=a.m_grid)
-    _emit_json(cfg, cert.as_dict())
+    return _json(cert.as_dict())
 
 
-def _cmd_oracle(cfg: RunConfig):
-    a = cfg.args
+def _cmd_oracle(a) -> str:
     model = _model_from_args(a)
     tol = 2.0 / a.resolution
     scan = {"scan_resolution": 200} if model.kind == "nematic" else {}
@@ -166,98 +155,84 @@ def _cmd_oracle(cfg: RunConfig):
                                       a.sphere_samples)
         scal = models.phi_full_scale(model, a.J, bp.m)
     matched = abs(res.value - scal) < tol
-    _emit_json(cfg, {"model": str(model), "J": a.J,
-                     **res.as_dict(), "scalar_min": float(scal),
-                     "matched_scalar": bool(matched)})
+    return _json({"model": str(model), "J": a.J,
+                  **res.as_dict(), "scalar_min": float(scal),
+                  "matched_scalar": bool(matched)})
 
 
-def _cmd_mc(cfg: RunConfig):
-    a = cfg.args
+def _cmd_mc(a) -> str:
     model = _model_from_args(a)
     conf = mc.MCConfig(model=model, J=a.J, N=a.N, sweeps=a.sweeps,
                        burn_in=a.burn_in, seed=a.seed,
                        histogram_bins=a.bins)
     res = mc.run_mc(conf)
     if a.hist_out:
-        edges = res.bin_edges
-        rows = [(0.5 * (edges[i] + edges[i + 1]), int(res.histogram[i]))
-                for i in range(len(res.histogram))]
-        lines = ["bin_center,count"] + [f"{_fmt(c)},{n}" for c, n in rows]
-        with open(a.hist_out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-    _emit_json(cfg, res.as_dict())
+        centers = 0.5 * (res.bin_edges[:-1] + res.bin_edges[1:])
+        _write(a.hist_out, _csv(("bin_center", "count"),
+                                zip(centers.tolist(), res.histogram.tolist())))
+    return _json(res.as_dict())
 
 
-def _cmd_rate(cfg: RunConfig):
-    a = cfg.args
+def _cmd_rate(a) -> str:
     model = _model_from_args(a)
-    Ns = [int(s) for s in a.Ns.split(",")]
-    est = mc.estimate_rate_function(model, a.J, Ns, a.sweeps, a.burn_in,
+    est = mc.estimate_rate_function(model, a.J, a.Ns, a.sweeps, a.burn_in,
                                     seed=a.seed, histogram_bins=a.bins)
     largest = est.results[-1]
     n_tot = largest.n_samples
     shifted = est.shifted_rate()
-    phis = np.array([models.phi_full_scale(model, a.J, float(m))
-                     if model.m_bounds()[0] < m < model.m_bounds()[1] else np.nan
-                     for m in est.bin_centers])
+    lo, hi = model.m_bounds()
+    centers = est.bin_centers
+    inside = (lo < centers) & (centers < hi)
+    phis = np.full(len(centers), np.nan)
+    phis[inside] = models.phi_full_scale(model, a.J, centers[inside])
     phis_shift = phis - np.nanmin(phis[est.adequate]) if est.adequate.any() else phis
     rows = []
-    for b in range(len(est.bin_centers)):
+    for b in range(len(centers)):
         if not est.adequate[b]:
             continue
         f = largest.histogram[b] / n_tot
-        stderr = np.sqrt(max(1.0 - f, 0.0) / (n_tot * f)) / Ns[-1]
-        rows.append((float(est.bin_centers[b]), float(shifted[b]),
+        stderr = np.sqrt(max(1.0 - f, 0.0) / (n_tot * f)) / largest.config.N
+        rows.append((float(centers[b]), float(shifted[b]),
                      float(stderr), float(phis_shift[b])))
-    _emit_csv(cfg, ("bin_center", "rate", "stderr", "phi_shifted"), rows)
+    return _csv(("bin_center", "rate", "stderr", "phi_shifted"), rows)
 
 
-def _cmd_reproduce_figures(cfg: RunConfig):
-    a = cfg.args
+def _cmd_reproduce_figures(a) -> str:
     outdir = a.outdir
     os.makedirs(outdir, exist_ok=True)
-    manifest = {"schema_version": SCHEMA_VERSION, "files": {}}
+    files = {}
 
     # free-energy profiles of the 3-state model around its transition
     q3 = models.potts(3)
     lo, hi = q3.m_bounds()
     ms = np.linspace(0.0, hi - 1e-9, a.grid)
-    lines = ["J,m,phi,phi_full_scale"]
+    rows = []
     for J in _FIG1_JS:
         phis = models.potts_phi(3, J, ms).tolist()
         fulls = q3.omega_norm_sq * models.scalar_phi(q3, J, ms)
-        for m, phi, full in zip(ms.tolist(), phis, fulls.tolist()):
-            lines.append(f"{_fmt(J)},{_fmt(m)},{_fmt(phi)},{_fmt(full)}")
-    with open(os.path.join(outdir, "fig1_q3.csv"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    manifest["files"]["fig1_q3.csv"] = {"model": "potts(q=3)", "J": list(_FIG1_JS),
-                                        "grid": a.grid, "m_range": [0.0, hi]}
+        rows.extend((J, m, phi, full)
+                    for m, phi, full in zip(ms.tolist(), phis, fulls.tolist()))
+    _write(os.path.join(outdir, "fig1_q3.csv"),
+           _csv(("J", "m", "phi", "phi_full_scale"), rows))
+    files["fig1_q3.csv"] = {"model": "potts(q=3)", "J": list(_FIG1_JS),
+                            "grid": a.grid, "m_range": [0.0, hi]}
 
     # branch structure and allowed bands of the 10-state model
     q10 = models.potts(_FIG2_Q)
-    lines = ["J,m,stability,phi"]
-    band_lines = ["J,band_index,m_lo,m_hi"]
-    for J in np.linspace(*_FIG2_JRANGE, _FIG2_STEPS):
-        bs = solver.solve_branches(q10, float(J), 600)
-        for p in bs.points:
-            lines.append(f"{_fmt(p.J)},{_fmt(p.m)},{p.stability},{_fmt(p.phi)}")
-        slack = float(J) * q10.delta_factor * _FIG2_ID
-        for i, b in enumerate(_allowed_bands(q10, float(J), slack, 2000)):
-            band_lines.append(f"{_fmt(float(J))},{i},{_fmt(b[0])},{_fmt(b[1])}")
-    with open(os.path.join(outdir, "fig2_q10_branches.csv"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    with open(os.path.join(outdir, "fig2_q10_bands.csv"), "w", encoding="utf-8") as fh:
-        fh.write("\n".join(band_lines) + "\n")
-    manifest["files"]["fig2_q10_branches.csv"] = {
+    Js = [float(J) for J in np.linspace(*_FIG2_JRANGE, _FIG2_STEPS)]
+    _write(os.path.join(outdir, "fig2_q10_branches.csv"), _branches_csv(q10, Js, 600))
+    band_rows = []
+    for J in Js:
+        band_rows.extend(_bands_rows(q10, J, J * q10.delta_factor * _FIG2_ID, 2000))
+    _write(os.path.join(outdir, "fig2_q10_bands.csv"), _csv(_BANDS_HEADER, band_rows))
+    files["fig2_q10_branches.csv"] = {
         "model": f"potts(q={_FIG2_Q})", "J_range": list(_FIG2_JRANGE),
         "steps": _FIG2_STEPS, "scan_resolution": 600}
-    manifest["files"]["fig2_q10_bands.csv"] = {
+    files["fig2_q10_bands.csv"] = {
         "model": f"potts(q={_FIG2_Q})", "J_range": list(_FIG2_JRANGE),
         "steps": _FIG2_STEPS, "I_d": _FIG2_ID, "m_grid": 2000}
-    with open(os.path.join(outdir, "manifest.json"), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    _emit_json(cfg, {"outdir": outdir, "written": sorted(manifest["files"]) + ["manifest.json"]})
+    _write(os.path.join(outdir, "manifest.json"), _json({"files": files}))
+    return _json({"outdir": outdir, "written": sorted(files) + ["manifest.json"]})
 
 
 # ---------------------------------------------------------------------------
@@ -270,15 +245,37 @@ def _add_model_flags(p):
                    help="q (potts), r (cubic) or N (nematic)")
 
 
-def _int_at_least(lo: int):
-    """argparse type: an integer no smaller than lo (usage error otherwise)."""
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < lo:
-            raise argparse.ArgumentTypeError(f"must be at least {lo}, got {value}")
+def _bounded(convert, lo, strict: bool = False):
+    """argparse type: a number no smaller than lo, or above lo when strict
+    (usage error otherwise, NaN included)."""
+    def parse(text: str):
+        value = convert(text)
+        if not (value > lo if strict else value >= lo):
+            raise argparse.ArgumentTypeError(
+                f"must be {'above' if strict else 'at least'} {lo}, got {value}")
         return value
-    parse.__name__ = "int"
+    parse.__name__ = convert.__name__
     return parse
+
+
+def _int_at_least(lo: int):
+    return _bounded(int, lo)
+
+
+_nonnegative = _bounded(float, 0.0)
+_positive = _bounded(float, 0.0, strict=True)
+
+
+def _vertex_counts(text: str) -> List[int]:
+    """argparse type for --Ns: three or more distinct integers, each >= 2."""
+    Ns = [_int_at_least(2)(s) for s in text.split(",")]
+    if len(Ns) < 3 or len(set(Ns)) < len(Ns):
+        raise argparse.ArgumentTypeError(
+            f"need at least three distinct comma-separated values, got {text!r}")
+    return Ns
+
+
+_vertex_counts.__name__ = "int list"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -290,7 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("id", help="infrared integrals W_d and I_d")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--method", choices=lattice.METHODS, default="bessel")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_positive, default=1e-8)
 
     p = sub.add_parser("profile", help="scalar free-energy profile at fixed J")
     _add_model_flags(p)
@@ -301,10 +298,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("branches", help="mean-field-equation roots over a J grid")
     _add_model_flags(p)
-    p.add_argument("--Jmin", type=float, required=True)
-    p.add_argument("--Jmax", type=float, required=True)
-    p.add_argument("--steps", type=int, default=101)
-    p.add_argument("--scan-resolution", dest="scan_resolution", type=int, default=400)
+    p.add_argument("--Jmin", type=_nonnegative, required=True)
+    p.add_argument("--Jmax", type=_nonnegative, required=True)
+    p.add_argument("--steps", type=_int_at_least(1), default=101)
+    p.add_argument("--scan-resolution", dest="scan_resolution", type=_int_at_least(2),
+                   default=400)
 
     p = sub.add_parser("transition", help="locate J_MF and m_c")
     _add_model_flags(p)
@@ -313,14 +311,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("barrier", help="barrier height Delta(J) (full-Phi scale)")
     _add_model_flags(p)
-    p.add_argument("--J", type=float, required=True)
+    p.add_argument("--J", type=_nonnegative, required=True)
 
     p = sub.add_parser("bands", help="allowed magnetization bands at fixed J")
     _add_model_flags(p)
-    p.add_argument("--J", type=float, required=True)
-    p.add_argument("--id-value", dest="id_value", type=float, default=None,
+    p.add_argument("--J", type=_nonnegative, required=True)
+    p.add_argument("--id-value", dest="id_value", type=_nonnegative, default=None,
                    help="I_d to convert into slack J*n*(kappa/2)*I_d")
-    p.add_argument("--slack", type=float, default=None,
+    p.add_argument("--slack", type=_nonnegative, default=None,
                    help="explicit slack (overrides --id-value)")
     p.add_argument("--grid", type=_int_at_least(2), default=2000)
 
@@ -334,13 +332,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="full-space brute-force minimization")
     _add_model_flags(p)
-    p.add_argument("--J", type=float, required=True)
+    p.add_argument("--J", type=_nonnegative, required=True)
     p.add_argument("--resolution", type=_int_at_least(20), default=200)
     p.add_argument("--sphere-samples", dest="sphere_samples", type=int, default=4096)
 
     p = sub.add_parser("mc", help="complete-graph Monte Carlo")
     _add_model_flags(p)
-    p.add_argument("--J", type=float, required=True)
+    p.add_argument("--J", type=_nonnegative, required=True)
     p.add_argument("--N", type=_int_at_least(2), required=True)
     p.add_argument("--sweeps", type=int, required=True)
     p.add_argument("--burn-in", dest="burn_in", type=_int_at_least(0), default=0)
@@ -350,8 +348,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rate", help="rate-function estimate over several N")
     _add_model_flags(p)
-    p.add_argument("--J", type=float, required=True)
-    p.add_argument("--Ns", required=True, help="comma-separated, e.g. 50,100,200")
+    p.add_argument("--J", type=_nonnegative, required=True)
+    p.add_argument("--Ns", type=_vertex_counts, required=True,
+                   help="comma-separated, e.g. 50,100,200")
     p.add_argument("--sweeps", type=int, default=30000)
     p.add_argument("--burn-in", dest="burn_in", type=_int_at_least(0), default=2000)
     p.add_argument("--seed", type=int, default=0)
@@ -386,16 +385,18 @@ def dispatch(argv: Optional[List[str]] = None) -> int:
         ap.error("bands requires --id-value or --slack")
     if args.subcommand in ("mc", "rate") and args.sweeps <= args.burn_in:
         ap.error(f"{args.subcommand} requires --sweeps > --burn-in")
-    if args.subcommand == "rate" and len(args.Ns.split(",")) < 3:
-        ap.error("rate requires at least three comma-separated values in --Ns")
-    cfg = RunConfig(subcommand=args.subcommand, output_path=args.out, args=args)
+    if args.subcommand == "certify" and not 0 < args.Jlo < args.Jhi:
+        ap.error("certify requires 0 < --Jlo < --Jhi")
+    if args.subcommand == "transition" and (args.Jlo is None) != (args.Jhi is None):
+        ap.error("transition takes both --Jlo and --Jhi, or neither")
     try:
-        _DISPATCH[args.subcommand](cfg)
+        text = _DISPATCH[args.subcommand](args)
     except MFSpinError as exc:
         sys.stderr.write(json.dumps(
             {"schema_version": SCHEMA_VERSION,
              "error": type(exc).__name__, "message": str(exc)}) + "\n")
         return 1
+    _write(args.out, text)
     return 0
 
 

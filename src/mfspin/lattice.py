@@ -246,20 +246,14 @@ def compute_wd(d: int, method: str = "bessel", tol: float = 1e-8) -> IdEstimate:
                       abs_error_estimate=float(err))
 
 
-def compute_id(d: int, method: str = "bessel", tol: float = 1e-8,
-               via_identity: bool = False) -> IdEstimate:
+def compute_id(d: int, method: str = "bessel", tol: float = 1e-8) -> IdEstimate:
     """Infrared integral I_d = int (1-Dhat)^2/Dhat over the Brillouin zone.
 
-    By default the integrand is evaluated directly (three-Bessel product
-    formula, or nested quadrature of (1-Dhat)^2/Dhat); with
-    ``via_identity=True`` the value is obtained as W_d - 1 instead.  Both
-    paths are exposed so they can cross-check each other.
+    The integrand is evaluated directly (three-Bessel product formula, or
+    nested quadrature of (1-Dhat)^2/Dhat); `compute_wd` gives I_d as
+    W_d - 1 instead, so the two cross-check each other.
     """
     _check_args(d, method, tol)
-    if via_identity:
-        w = compute_wd(d, method, tol)
-        return IdEstimate(d=d, value=w.wd_value - 1.0, wd_value=w.wd_value,
-                          method=w.method, abs_error_estimate=w.abs_error_estimate)
     if method == "bessel":
         v, err = _id_bessel(d, tol)
         wd, werr = _wd_bessel(d, tol)

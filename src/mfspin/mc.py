@@ -20,7 +20,7 @@ deterministic functions of the configuration, including the seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -90,21 +90,19 @@ def _batch_stderr(x: np.ndarray, n_batches: int = 50) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Potts heat bath
+# per-model chains: each generator owns its state, its random stream and its
+# site update, and yields (scalar m, |m_N|^2, field vector) once per measured
+# sweep; run_mc does the bookkeeping common to all of them
 # ---------------------------------------------------------------------------
 
-def _run_potts(cfg: MCConfig, record_joint: bool):
+def _potts_sweeps(cfg: MCConfig, extras: Dict, record_joint: bool):
+    """Heat bath; the field vector is the state fractions."""
     q, J, N = cfg.model.param, cfg.J, cfg.N
     rng = np.random.default_rng(cfg.seed)
     sigma = rng.integers(0, q, size=N).tolist()
     counts = [sigma.count(k) for k in range(q)]
     table = np.exp((J / N) * np.arange(N, dtype=np.float64)).tolist()
-
-    n_meas = cfg.sweeps - cfg.burn_in
-    scalar = np.empty(n_meas)
-    sumsq = np.empty(n_meas)
-    mean_frac = np.zeros(q)
-    joint: Dict[int, int] = {} if record_joint else None
+    joint = extras.setdefault("joint_counts", {}) if record_joint else None
 
     inv_q = 1.0 / q
     for sweep in range(cfg.sweeps):
@@ -129,28 +127,15 @@ def _run_potts(cfg: MCConfig, record_joint: bool):
                     code = code * q + s
                 joint[code] = joint.get(code, 0) + 1
         if sweep >= cfg.burn_in:
-            i = sweep - cfg.burn_in
             fr = [c / N for c in counts]
-            scalar[i] = max(fr) - inv_q
-            sumsq[i] = sum(f * f for f in fr)
-            for k in range(q):
-                mean_frac[k] += fr[k]
-    mean_frac /= n_meas
-    kappa = (q - 1.0) / q
-    msq_samples = sumsq - inv_q                   # |m_N|^2 per sample
-    pair = (N * N * msq_samples - N * kappa) / (N * (N - 1.0))
-    mean_vec_sq = float(np.sum(mean_frac ** 2) - inv_q)
-    extras = {}
-    if joint is not None:
-        extras["joint_counts"] = joint
-    return scalar, pair, mean_vec_sq, extras
+            yield max(fr) - inv_q, sum(f * f for f in fr) - inv_q, fr
 
 
-# ---------------------------------------------------------------------------
-# cubic heat bath
-# ---------------------------------------------------------------------------
+def _cubic_sweeps(cfg: MCConfig, extras: Dict, record_joint: bool):
+    """Heat bath; the field vector is the per-axis magnetization.
 
-def _run_cubic(cfg: MCConfig):
+    Joint states are recorded for Potts only.
+    """
     r, J, N = cfg.model.param, cfg.J, cfg.N
     rng = np.random.default_rng(cfg.seed)
     axis = rng.integers(0, r, size=N).tolist()
@@ -160,11 +145,6 @@ def _run_cubic(cfg: MCConfig):
         M[k] += s
     # weight for candidate state s*e_k given field F_k: exp((J/N) s F_k)
     table = np.exp((J / N) * np.arange(-N, N + 1, dtype=np.float64)).tolist()
-
-    n_meas = cfg.sweeps - cfg.burn_in
-    scalar = np.empty(n_meas)
-    sumsq = np.empty(n_meas)
-    mean_vec = np.zeros(r)
 
     for sweep in range(cfg.sweeps):
         us = rng.random(N)
@@ -191,23 +171,15 @@ def _run_cubic(cfg: MCConfig):
             M[k_new] += s_new
             axis[x], sign[x] = k_new, s_new
         if sweep >= cfg.burn_in:
-            i = sweep - cfg.burn_in
             mhat = [m / N for m in M]
             k_star = max(range(r), key=lambda k: abs(mhat[k]))
-            scalar[i] = mhat[k_star]
-            sumsq[i] = sum(m * m for m in mhat)
-            for k in range(r):
-                mean_vec[k] += mhat[k]
-    mean_vec /= n_meas
-    pair = (N * N * sumsq - N * 1.0) / (N * (N - 1.0))
-    return scalar, pair, float(np.sum(mean_vec ** 2)), {}
+            yield mhat[k_star], sum(m * m for m in mhat), mhat
 
 
-# ---------------------------------------------------------------------------
-# nematic Metropolis
-# ---------------------------------------------------------------------------
-
-def _run_nematic(cfg: MCConfig):
+def _nematic_sweeps(cfg: MCConfig, extras: Dict, record_joint: bool):
+    """Metropolis with its step tuned during burn-in; the field vector is the
+    traceless order-parameter matrix.  Joint states are recorded for Potts only.
+    """
     Ns, J, N = cfg.model.param, cfg.J, cfg.N
     rng = np.random.default_rng(cfg.seed)
     v = rng.normal(size=(N, Ns))
@@ -216,11 +188,6 @@ def _run_nematic(cfg: MCConfig):
     step = 0.5
     accepted = 0
     proposed = 0
-
-    n_meas = cfg.sweeps - cfg.burn_in
-    scalar = np.empty(n_meas)
-    sumsq = np.empty(n_meas)
-    mean_Q = np.zeros((Ns, Ns))
     eye = np.eye(Ns)
 
     for sweep in range(cfg.sweeps):
@@ -250,16 +217,23 @@ def _run_nematic(cfg: MCConfig):
                 step = max(step * 0.8, 1e-3)
             accepted = proposed = 0
         if sweep >= cfg.burn_in:
-            i = sweep - cfg.burn_in
             Qbar = T / N - eye / Ns
-            scalar[i] = float(np.linalg.eigvalsh(Qbar)[-1])
-            sumsq[i] = float(np.sum(Qbar * Qbar))
-            mean_Q += Qbar
-    mean_Q /= n_meas
-    kappa = (Ns - 1.0) / Ns
-    pair = (N * N * sumsq - N * kappa) / (N * (N - 1.0))
-    extras = {"acceptance_rate": accepted / max(proposed, 1), "step": step}
-    return scalar, pair, float(np.sum(mean_Q ** 2)), extras
+            yield float(np.linalg.eigvalsh(Qbar)[-1]), float(np.sum(Qbar * Qbar)), Qbar
+    extras["acceptance_rate"] = accepted / max(proposed, 1)
+    extras["step"] = step
+
+
+class _Chain(NamedTuple):
+    sweeps: Callable        # generator (cfg, extras, record_joint) -> samples
+    # subtracted from |mean field vector|^2 to give |<S>|^2
+    vector_offset: Callable[[int], float]
+
+
+_CHAINS = {
+    "potts": _Chain(_potts_sweeps, lambda q: 1.0 / q),
+    "cubic": _Chain(_cubic_sweeps, lambda r: 0.0),
+    "nematic": _Chain(_nematic_sweeps, lambda Ns: 0.0),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -268,18 +242,26 @@ def _run_nematic(cfg: MCConfig):
 
 def run_mc(config: MCConfig, record_joint_states: bool = False) -> MCResult:
     """Run one chain and collect the scalar-magnetization statistics."""
-    if config.model.kind == "potts":
-        scalar, pair, vecsq, extras = _run_potts(config, record_joint_states)
-    elif config.model.kind == "cubic":
-        scalar, pair, vecsq, extras = _run_cubic(config)
-    else:
-        scalar, pair, vecsq, extras = _run_nematic(config)
-    lo, hi = config.model.m_bounds()
+    model, N = config.model, config.N
+    chain = _CHAINS[model.kind]
+    n_meas = config.sweeps - config.burn_in
+    scalar = np.empty(n_meas)
+    msq = np.empty(n_meas)            # |m_N|^2 per sample
+    vec_sum = 0.0
+    extras: Dict = {}
+    samples = chain.sweeps(config, extras, record_joint_states)
+    for i, (m, m_sq, vec) in enumerate(samples):
+        scalar[i] = m
+        msq[i] = m_sq
+        vec_sum = vec_sum + np.asarray(vec)
+    mean_vec = vec_sum / n_meas
+    pair = (N * N * msq - N * model.kappa) / (N * (N - 1.0))
+    lo, hi = model.m_bounds()
     hist, edges = np.histogram(scalar, bins=config.histogram_bins,
                                range=(lo, hi))
     with np.errstate(divide="ignore"):
         freq = hist / len(scalar)
-        rate = np.where(hist > 0, -np.log(np.maximum(freq, 1e-300)) / config.N,
+        rate = np.where(hist > 0, -np.log(np.maximum(freq, 1e-300)) / N,
                         np.nan)
     return MCResult(
         config=config,
@@ -287,7 +269,8 @@ def run_mc(config: MCConfig, record_joint_states: bool = False) -> MCResult:
         histogram=hist, bin_edges=edges,
         pair_correlation=float(pair.mean()),
         pair_correlation_stderr=_batch_stderr(pair),
-        mean_vector_norm_sq=vecsq,
+        mean_vector_norm_sq=float(np.sum(mean_vec ** 2)
+                                  - chain.vector_offset(model.param)),
         n_samples=len(scalar),
         rate_estimates=rate,
         extras=extras,

@@ -219,17 +219,17 @@ def test_fig2_bands_split_near_transition(figures_dir):
     assert len(per_J[J_near]) == 2
 
 
-def test_reproduce_figures_deterministic(figures_dir, tmp_path_factory):
-    other = tmp_path_factory.mktemp("figs2")
-    assert dispatch(["reproduce-figures", "--outdir", str(other),
-                     "--grid", "300"]) == 0
+def test_reproduce_figures_deterministic(figures_dir):
+    golden = os.path.join(DATA, "figures")
     for name in ("fig1_q3.csv", "fig2_q10_branches.csv", "fig2_q10_bands.csv",
                  "manifest.json"):
-        assert (figures_dir / name).read_bytes() == (other / name).read_bytes()
+        with open(os.path.join(golden, name), "rb") as fh:
+            assert (figures_dir / name).read_bytes() == fh.read()
 
 
 # Outputs pinned byte for byte; regenerate a fixture only when an output is
-# meant to change, and say so in CHANGES.md.
+# meant to change, and say so in CHANGES.md.  An argument "FILE" is replaced
+# by a temporary path, and the file written there is compared, not stdout.
 GOLDEN = [
     ("certify_potts3_d1024.json",
      ("certify", "--model", "potts", "--param", "3", "--dim", "1024",
@@ -261,14 +261,27 @@ GOLDEN = [
     ("mc_nematic3.json",
      ("mc", "--model", "nematic", "--param", "3", "--J", "10", "--N", "20",
       "--sweeps", "100", "--burn-in", "20", "--seed", "3", "--bins", "20")),
+    ("mc_nematic4.json",
+     ("mc", "--model", "nematic", "--param", "4", "--J", "6", "--N", "20",
+      "--sweeps", "100", "--burn-in", "20", "--seed", "3", "--bins", "20")),
+    ("mc_cubic3_hist.csv",
+     ("mc", "--model", "cubic", "--param", "3", "--J", "3.5", "--N", "30",
+      "--sweeps", "200", "--burn-in", "50", "--seed", "4", "--bins", "20",
+      "--hist-out", "FILE")),
+    ("rate_potts3.csv",
+     ("rate", "--model", "potts", "--param", "3", "--J", "2.5", "--Ns", "20,40,80",
+      "--sweeps", "400", "--burn-in", "50", "--seed", "2", "--bins", "30")),
 ]
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 @pytest.mark.parametrize("fixture,argv", GOLDEN, ids=[g[0] for g in GOLDEN])
-def test_outputs_match_golden_bytes(capsys, fixture, argv):
-    code, out, _ = run_cli(capsys, *argv)
+def test_outputs_match_golden_bytes(capsys, tmp_path, fixture, argv):
+    target = tmp_path / "out"
+    code, out, _ = run_cli(capsys, *(str(target) if a == "FILE" else a for a in argv))
     assert code == 0
+    if "FILE" in argv:
+        out = target.read_text(encoding="utf-8")
     with open(os.path.join(DATA, fixture), "rb") as fh:
         assert out.encode("utf-8") == fh.read()
 
@@ -289,12 +302,24 @@ def test_oracle_without_stable_root_is_typed_error(capsys):
     ("reproduce-figures", "--grid", "0"), ("oracle", "--resolution", "5"),
     ("mc", "--N", "1"), ("mc", "--bins", "0"), ("mc", "--burn-in", "-1"),
     ("mc", "--burn-in", "300"), ("rate", "--Ns", "10,20"), ("rate", "--bins", "0"),
-    ("rate", "--sweeps", "2000"),
+    ("rate", "--sweeps", "2000"), ("rate", "--Ns", "1,2,3"), ("rate", "--Ns", "a,b,c"),
+    ("rate", "--Ns", "20,20,40"), ("mc", "--J", "-1"), ("rate", "--J", "-1"),
+    ("barrier", "--J", "-1"), ("oracle", "--J", "-1"), ("bands", "--J", "-1"),
+    ("branches", "--Jmin", "-1"), ("branches", "--Jmax", "-1"),
+    ("bands", "--slack", "-1"), ("bands", "--id-value", "-1"),
+    ("certify", "--Jlo", "2.8", "--Jhi", "2.7"), ("certify", "--Jlo", "0"),
+    ("id", "--tol", "0"), ("branches", "--steps", "-1"), ("branches", "--steps", "0"),
+    ("branches", "--scan-resolution", "0"), ("transition", "--Jlo", "2.7"),
+    ("transition", "--Jhi", "2.9"),
 ], ids=" ".join)
 def test_tiny_grids_are_usage_errors(capsys, argv):
     model = ["--model", "potts", "--param", "3"]
     base = {"certify": ["certify", *model, "--dim", "1024",
                         "--Jlo", "2.7715", "--Jhi", "2.7735"],
+            "id": ["id", "--dim", "3"],
+            "branches": ["branches", *model, "--Jmin", "2", "--Jmax", "3"],
+            "transition": ["transition", *model],
+            "barrier": ["barrier", *model, "--J", "2.77"],
             "bands": ["bands", *model, "--J", "2.77", "--slack", "0.001"],
             "profile": ["profile", *model, "--J", "2.77"],
             "reproduce-figures": ["reproduce-figures", "--outdir", "unused"],

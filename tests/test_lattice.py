@@ -59,7 +59,7 @@ def test_identity_quad_method():
 
 def test_via_identity_path_matches_direct():
     direct = compute_id(5, "bessel", tol=1e-10)
-    via = compute_id(5, "bessel", tol=1e-10, via_identity=True)
+    via = compute_wd(5, "bessel", tol=1e-10)
     assert abs(direct.value - via.value) < 2e-10
 
 
