@@ -139,8 +139,7 @@ def _cmd_certify(a) -> str:
 def _cmd_oracle(a) -> str:
     model = _model_from_args(a)
     tol = 2.0 / a.resolution
-    scan = {"scan_resolution": 200} if model.kind == "nematic" else {}
-    bp = solver.solve_branches(model, a.J, **scan).global_minimum()
+    bp = solver.solve_branches(model, a.J).global_minimum()
     if bp is None:
         raise NoStableRoot(f"no stable root m >= 0 of the mean-field equation "
                            f"for {model} at J={a.J}")

@@ -31,13 +31,13 @@ they cancel in every difference the solvers and certificates take.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
 from typing import Callable, NamedTuple, Tuple
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import optimize
+from scipy.special import gammaln, hyp1f1
 
-from .errors import BoundaryMagnetization, OutOfSimplex, QuadratureFailure
+from .errors import BoundaryMagnetization, OutOfSimplex
 
 __all__ = [
     "ModelSpec", "potts", "cubic", "nematic",
@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 _XLOGX_FLOOR = 1e-300
+_EPS = 2.0 ** -53              # unit roundoff
 
 
 def _xlogx(x):
@@ -352,124 +353,136 @@ def ising_rho(J: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# nematic: quadrature-backed g
+# nematic: Kummer-function moments
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=200000)
-def _nematic_raw_moments(N: int, h: float):
-    """(log of shifted Z, shift, <x^2>, <x^4>) under the tilted sphere marginal.
+def _nematic_moments(N: int, end: int, h):
+    """(g - e h, g' - e, g'') at each h; e is the top (end=1) or bottom (end=0) of m's range.
 
-    Weight (1-x^2)^((N-3)/2) exp(a x^2) on [0,1], a = h N/(N-1).  The whole
-    integrand is rescaled by its maximum so the quadrature stays in range even
-    for a ~ thousands (large-N scaling runs).
+    x^2 (x a coordinate of a uniform unit vector in R^N) is Beta(1/2, c) with
+    c = (N-1)/2; tilted by e^{a x^2}, a = h N/(N-1), its Z is 1F1(1/2; N/2; a)
+    = e^a 1F1(c; N/2; -a).  mu and var are the mean and variance of v, the
+    one of x^2 (h <= 0) and 1 - x^2 (h > 0) that goes to 0 as |h| grows, and
+    ell = log Z - a [h > 0]; g = (N-1)/N ell + e_h h, e_h the end on h's
+    side, so no digit is lost at either end.  Regimes: docs/decisions.md.
     """
-    ex = (N - 3.0) / 2.0
-    a = h * N / (N - 1.0)
-
-    if ex > 0.0:
-        def logw(x):
-            return ex * np.log1p(-(x * x)) + a * x * x
-        xm = np.sqrt(1.0 - ex / a) if a > ex else 0.0
-    else:  # N == 3: flat weight
-        def logw(x):
-            return a * x * x
-        xm = 1.0 - 1e-13 if a > 0 else 0.0
-
-    M = logw(min(xm, 1.0 - 1e-13))
-    pts = [min(max(xm, 1e-12), 1.0 - 1e-12)]
-    kw = dict(epsabs=1e-13, epsrel=1e-12, limit=500, points=pts)
-    with np.errstate(over="ignore", under="ignore"):
-        z0, e0 = integrate.quad(lambda x: np.exp(logw(x) - M), 0.0, 1.0, **kw)
-        z2, e2 = integrate.quad(lambda x: x * x * np.exp(logw(x) - M), 0.0, 1.0, **kw)
-        z4, e4 = integrate.quad(lambda x: x ** 4 * np.exp(logw(x) - M), 0.0, 1.0, **kw)
-    if z0 <= 0.0 or e0 > 1e-7 * z0 + 1e-13:
-        raise QuadratureFailure(f"nematic moment quadrature failed at N={N}, h={h}")
-    return np.log(z0) + M, z2 / z0, z4 / z0
-
-
-def _nematic_moments(N: int, h):
-    """(log Z, <x^2>, <x^4>) at each h, from the cached per-point quadrature."""
-    if np.ndim(h) == 0:
-        return _nematic_raw_moments(N, float(h))
     h = np.asarray(h, dtype=float)
-    vals = np.array([_nematic_raw_moments(N, float(x)) for x in h.flat],
-                    dtype=float).reshape(-1, 3)
-    return tuple(vals[:, k].reshape(h.shape) for k in range(3))
+    a, c = h.ravel() * (N / (N - 1.0)), 0.5 * (N - 1.0)
+    ell, mu, var = np.empty_like(a), np.empty_like(a), np.empty_like(a)
+    # v is Beta(p, q) tilted by e^{-|a| v}, and for large |a|
+    # 1F1(p+j; N/2+j; -|a|) = Gamma(N/2+j)/Gamma(q) |a|^-(p+j) S_j + O(e^-|a|)
+    # with S_j = sum_k (p+j)_k (1-q)_k / (k! |a|^k), used where exact to rounding
+    ser = np.flatnonzero(a != 0.0)
+    x, p, q = np.abs(a[ser]), np.where(a[ser] > 0.0, c, 0.5), np.where(a[ser] > 0.0, 0.5, c)
+    term, S = np.ones((3, ser.size)), np.ones((3, ser.size))
+    idx, k = np.arange(ser.size), 0
+    while idx.size:                     # each point stops at its smallest term
+        ratio = (p[idx] + np.arange(3.0)[:, None] + k) * (1.0 - q[idx] + k) / ((k + 1.0) * x[idx])
+        keep = np.all(np.abs(ratio) < 1.0, axis=0)
+        idx = idx[keep]
+        term[:, idx] *= ratio[:, keep]
+        S[:, idx] += term[:, idx]
+        idx, k = idx[np.any(np.abs(term[:, idx]) > _EPS * S[:, idx], axis=0)], k + 1
+    # exact: converged before the smallest term, and the O(e^-|a|) part, of
+    # relative size e^-|a| |a|^(p-q) Gamma(q)/Gamma(p), is below rounding
+    exact = (np.all(np.abs(term) <= _EPS * S, axis=0)
+             & (gammaln(q) - gammaln(p) + (p - q) * np.log(x) - x < np.log(_EPS)))
+    big, x, p, q, S = ser[exact], x[exact], p[exact], q[exact], S[:, exact]
+    r1, r2 = S[1] / S[0], S[2] / S[0]
+    ell[big] = gammaln(0.5 * N) - gammaln(q) - p * np.log(x) + np.log(S[0])
+    mu[big] = p * r1 / x
+    var[big] = p * ((p + 1.0) * r2 - p * r1 * r1) / x / x  # not <v^2> - <v>^2: no cancellation
+    rest = np.setdiff1d(np.arange(a.size), big)
+    ar = a[rest]
+    F0 = hyp1f1(0.5, 0.5 * N, ar)
+    x2 = hyp1f1(1.5, 0.5 * N + 1.0, ar) / (N * F0)
+    var[rest] = 3.0 * hyp1f1(2.5, 0.5 * N + 2.0, ar) / (N * (N + 2.0) * F0) - x2 * x2
+    ell[rest] = np.log(F0) - np.maximum(ar, 0.0)
+    mu[rest] = np.where(ar > 0.0, 1.0 - x2, x2)
+    shift = (a > 0.0) - float(end)
+    return tuple(v.reshape(h.shape) for v in ((N - 1.0) / N * ell + shift * h.ravel(),
+                                              shift + np.where(a > 0.0, -mu, mu),
+                                              N / (N - 1.0) * var))
 
 
 def nematic_g(N: int, h):
     """(N-1)/N * log of the tilted/untilted partition ratio, g(0) = 0."""
-    logzt, _, _ = _nematic_moments(N, h)
-    logz0, _, _ = _nematic_raw_moments(N, 0.0)
-    a = np.asarray(h, dtype=float) * N / (N - 1.0)
-    val = (N - 1.0) / N * (logzt - logz0 - a / N)
+    val = np.asarray(_nematic_moments(N, 0, h)[0] - h / N)
     return val if val.ndim else float(val)
 
 
 def nematic_g_prime(N: int, h):
     """<x^2>_h - 1/N: the right-hand side of the scalar mean-field equation."""
-    _, m2, _ = _nematic_moments(N, h)
-    val = np.asarray(m2 - 1.0 / N)
+    val = np.asarray(_nematic_moments(N, 0, h)[1] - 1.0 / N)
     return val if val.ndim else float(val)
 
 
 def nematic_g_second(N: int, h):
-    """N/(N-1) * Var_h(x^2), by differentiation under the integral."""
-    _, m2, m4 = _nematic_moments(N, h)
-    val = np.asarray(N / (N - 1.0) * (m4 - m2 * m2))
+    """N/(N-1) * Var_h(x^2)."""
+    val = _nematic_moments(N, 0, h)[2]
     return val if val.ndim else float(val)
 
 
 def _nematic_entropy(N: int, m):
-    """Legendre data by one numerical dual solve g'(h) = m per point.
+    """Legendre data by one dual solve per end e of m's range, top for m >= 0.
 
-    Elementwise on an ndarray m; a scalar m gives a pair of floats.
+    Each solve takes g tilted by its end and the exact m - e, so that
+    s = (g - e h) - (m - e) h keeps its digits at |h| ~ 1e9.  The ends
+    themselves raise BoundaryMagnetization.  A scalar m gives two floats.
     """
     m = np.asarray(m, dtype=float)
-    g, g_prime = partial(nematic_g, N), partial(nematic_g_prime, N)
-    pairs = np.array([legendre_entropy(g, g_prime, float(x)) for x in m.flat],
-                     dtype=float).reshape(m.shape + (2,))
-    if m.ndim:
-        return pairs[..., 0], pairs[..., 1]
-    return float(pairs[0]), float(pairs[1])
+    top = m >= 0.0
+    m_hi = m * 134217729.0 - (m * 134217729.0 - m)   # Veltkamp: N m splits exactly
+    d = ((np.where(top, N - 1.0, -1.0) - N * m_hi) - N * (m - m_hi)) / N
+    bad = ~(np.where(top, d, -d) > 0.0)
+    if np.any(bad):
+        raise BoundaryMagnetization(f"m={m[bad].flat[0]} not inside (-1/{N}, {N - 1}/{N})")
+    s, h = np.empty_like(m), np.empty_like(m)
+    for end in (1, 0):
+        sel = top == end
+        s[sel], h[sel] = legendre_entropy(lambda x: _nematic_moments(N, end, x)[0],
+                                          lambda x: _nematic_moments(N, end, x)[1], -d[sel])
+    return (s, h) if m.ndim else (float(s), float(h))
 
 
 # ---------------------------------------------------------------------------
 # Legendre machinery and the scalar free energy
 # ---------------------------------------------------------------------------
 
-def legendre_entropy(g: Callable[[float], float],
-                     g_prime: Callable[[float], float],
-                     m: float) -> Tuple[float, float]:
+def legendre_entropy(g: Callable, g_prime: Callable, m):
     """s(m) = inf_h {g(h) - m h} by solving the convex dual equation g'(h) = m.
 
-    Returns (s, argmin_h).  The initial bracket [-1, 1] is doubled outward up
-    to |h| = 1e6; BoundaryMagnetization is raised when m is outside the
-    reachable range of g' (there s = -infinity).
+    Returns (s, argmin_h): floats for a float m, arrays for an ndarray m.
+    g and g_prime act elementwise; each point keeps its own bracket (from
+    [-1, 1], doubled outward) and stops on its own, so an ndarray gives the
+    bits of the scalar calls.  BoundaryMagnetization (s = -infinity) when g'
+    stops changing in floating point, or turns non-finite, before reaching m.
     """
-    lo, hi = -1.0, 1.0
-    flo, fhi = g_prime(lo) - m, g_prime(hi) - m
-    while flo > 0.0:  # need smaller h
-        lo = lo * 2.0 if lo < -1e-3 else lo - 1.0
-        if lo < -1e6:
-            raise BoundaryMagnetization(f"m={m} below the range of g'")
-        flo = g_prime(lo) - m
-        if not np.isfinite(flo):
-            raise BoundaryMagnetization(f"m={m} below the range of g'")
-    while fhi < 0.0:
-        hi = hi * 2.0 if hi > 1e-3 else hi + 1.0
-        if hi > 1e6:
-            raise BoundaryMagnetization(f"m={m} above the range of g'")
-        fhi = g_prime(hi) - m
-        if not np.isfinite(fhi):
-            raise BoundaryMagnetization(f"m={m} above the range of g'")
-    if flo == 0.0:
-        h = lo
-    elif fhi == 0.0:
-        h = hi
-    else:
-        h = optimize.brentq(lambda x: g_prime(x) - m, lo, hi, xtol=1e-13, rtol=8.9e-16)
-    return float(g(h) - m * h), float(h)
+    m_arr = np.asarray(m, dtype=float)
+    target = np.atleast_1d(m_arr)
+    lo, hi = np.full(target.shape, -1.0), np.full(target.shape, 1.0)
+    glo, ghi = g_prime(lo), g_prime(hi)
+    for x, gx, sign in ((lo, glo, -1.0), (hi, ghi, 1.0)):
+        todo = sign * (gx - target) < 0.0
+        while np.any(todo):
+            new = 2.0 * x[todo]
+            gnew = g_prime(new)
+            stuck = ~np.isfinite(gnew) | (gnew == gx[todo])
+            if np.any(stuck):
+                raise BoundaryMagnetization(f"m={target[todo][stuck][0]} "
+                                            f"{'above' if sign > 0 else 'below'} the range of g'")
+            x[todo], gx[todo] = new, gnew
+            todo[todo] = sign * (gnew - target[todo]) < 0.0
+    h = np.where(glo == target, lo, hi)
+    act = (glo < target) & (ghi > target)
+    while np.any(act):                      # bisection
+        x = lo[act] + 0.5 * (hi[act] - lo[act])
+        fx = g_prime(x) - target[act]
+        h[act] = x
+        lo[act], hi[act] = np.where(fx < 0.0, x, lo[act]), np.where(fx > 0.0, x, hi[act])
+        act[act] = (np.abs(fx) > 0.0) & (hi[act] - lo[act] > 1e-13 + 8.9e-16 * np.abs(x))
+    s = g(h) - target * h
+    return (s, h) if m_arr.ndim else (float(s[0]), float(h[0]))
 
 
 def scalar_phi(model: ModelSpec, J: float, m):

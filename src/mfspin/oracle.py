@@ -20,7 +20,6 @@ from typing import Optional, Tuple
 import numpy as np
 from scipy import optimize
 from scipy.special import logsumexp
-from scipy.stats import qmc
 import warnings
 
 from .errors import BudgetExceeded, SamplingNoise
@@ -194,6 +193,7 @@ def _sphere_x2_nodes(N: int, sphere_samples: int, seed: int = 20240913
         X2 = np.stack([v1 ** 2, v2 ** 2, v3 ** 2], axis=-1).reshape(-1, 3)
         W = (np.outer(wu, np.full(n_th, 1.0 / n_th)) / 2.0).reshape(-1)
         return X2, W, None
+    from scipy.stats import qmc     # scipy.stats takes ~0.5 s to import
     sob = qmc.Sobol(d=N, scramble=True, seed=seed)
     m = int(np.ceil(np.log2(max(sphere_samples, 64))))
     pts = sob.random_base2(m)
@@ -234,7 +234,7 @@ def nematic_dual_min(N: int, J: float, resolution: int = 120,
     h_all = np.hstack([hfree, -hfree.sum(axis=1, keepdims=True)])
 
     vals = np.empty(h_all.shape[0])
-    chunk = 4000
+    chunk = 500
     for i in range(0, h_all.shape[0], chunk):
         H = h_all[i:i + chunk]
         vals[i:i + chunk] = (H * H).sum(axis=1) / (2.0 * J) - _g_diag(H, X2, W)

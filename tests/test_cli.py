@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mfspin
 from mfspin.cli import dispatch
 
 J_MF_Q3 = 4 * np.log(2)
@@ -284,6 +287,26 @@ def test_outputs_match_golden_bytes(capsys, tmp_path, fixture, argv):
         out = target.read_text(encoding="utf-8")
     with open(os.path.join(DATA, fixture), "rb") as fh:
         assert out.encode("utf-8") == fh.read()
+
+
+def test_nematic_profile_reaches_the_bottom_of_the_interval(capsys):
+    # the first grid point, -1/3 + 1e-9, needs a dual field of about -3e8
+    code, out, err = run_cli(capsys, "profile", "--model", "nematic", "--param", "3",
+                             "--J", "6.8", "--grid", "5")
+    assert code == 0 and err == ""
+    header, rows = parse_csv(out)
+    assert header == ["m", "phi", "phi_full_scale"] and len(rows) == 5
+    assert np.all(np.isfinite(np.array(rows, dtype=float)))
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    src = os.path.dirname(os.path.dirname(mfspin.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    probe = "import sys, mfspin.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_oracle_without_stable_root_is_typed_error(capsys):

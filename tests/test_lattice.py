@@ -1,23 +1,25 @@
 """Infrared integrals: two independent methods, identities, asymptotics."""
 
+import math
+
 import numpy as np
 import pytest
 
 from mfspin.errors import DimensionTooSmall, MethodInfeasible
 from mfspin.lattice import compute_id, compute_wd
 
-# Classical simple-cubic Watson integral, recomputed here by two independent
-# methods (nested momentum quadrature and the Bessel product formula); the
-# digits below were frozen from those runs, not assumed.
-W3_REFERENCE = 1.5163860591
+# Classical simple-cubic Watson integral in closed form (Watson 1939;
+# Glasser and Zucker 1977): sqrt(6)/(32 pi^3) G(1/24) G(5/24) G(7/24) G(11/24).
+W3_REFERENCE = (math.sqrt(6.0) / (32.0 * math.pi ** 3) * math.gamma(1 / 24)
+                * math.gamma(5 / 24) * math.gamma(7 / 24) * math.gamma(11 / 24))
 
 
 def test_w3_two_methods_agree_and_match_reference():
     quad = compute_wd(3, "quad", tol=1e-7)
-    bessel = compute_wd(3, "bessel", tol=1e-9)
+    bessel = compute_wd(3, "bessel", tol=1e-12)
     assert abs(quad.wd_value - bessel.wd_value) < 1e-5
     assert abs(quad.wd_value - W3_REFERENCE) < 2e-6
-    assert abs(bessel.wd_value - W3_REFERENCE) < 2e-6
+    assert abs(bessel.wd_value - W3_REFERENCE) < 1e-12
 
 
 def test_w3_method_agreement_within_tolerances():
@@ -39,8 +41,8 @@ def test_w12_band():
 
 
 def test_i3_equals_w3_minus_one():
-    est = compute_id(3, "bessel", tol=1e-9)
-    assert abs(est.value - 0.5163860591) < 2e-6
+    est = compute_id(3, "bessel", tol=1e-12)
+    assert abs(est.value - (W3_REFERENCE - 1.0)) < 1e-12
 
 
 @pytest.mark.parametrize("d", range(3, 17))

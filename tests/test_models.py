@@ -1,5 +1,6 @@
 """Model thermodynamics: closed forms, convexity, Legendre duality."""
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import optimize
@@ -170,8 +171,76 @@ def test_ising_rho_subcritical():
 
 
 # ---------------------------------------------------------------------------
-# nematic quadrature g
+# nematic Kummer-function g
 # ---------------------------------------------------------------------------
+
+def _nematic_reference(N, h):
+    """g, g', g'' from 30-digit mpmath Kummer functions, straight from the definition."""
+    with mpmath.workdps(30):
+        N, h = mpmath.mpf(N), mpmath.mpf(h)
+        a, b = h * N / (N - 1), N / 2
+        F0, F1, F2 = (mpmath.hyp1f1(j + 0.5, b + j, a) for j in range(3))
+        x2, x4 = F1 / (N * F0), 3 * F2 / (N * (N + 2) * F0)
+        return [float(v) for v in ((N - 1) / N * (mpmath.log(F0) - a / N),
+                                   x2 - 1 / N, N / (N - 1) * (x4 - x2 * x2))]
+
+
+# h = 0 and +-10^k over the whole range the solvers reach; scipy's hyp1f1 is
+# good to about 2e-13 at b = N/2 = 500, hence the looser bound at large N
+@pytest.mark.parametrize("N,tol", [(3, 1e-13), (4, 1e-13), (10, 1e-13),
+                                   (200, 1e-12), (1000, 1e-12)])
+def test_nematic_g_family_matches_mpmath(N, tol):
+    hs = np.array([0.0] + [s * 10.0 ** k for k in range(-3, 10) for s in (1, -1)])
+    got = [M.nematic_g(N, hs), M.nematic_g_prime(N, hs), M.nematic_g_second(N, hs)]
+    for i, h in enumerate(hs):
+        for name, vals, want in zip(("g", "g'", "g''"), got, _nematic_reference(N, h)):
+            # relative, or absolute where |value| < 1
+            assert abs(vals[i] - want) <= tol * max(abs(want), 1.0), (name, N, h, vals[i], want)
+
+
+def _nematic_dual_reference(N, m, h0):
+    """(s, h*) with g'(h*) = m, from a 40-digit mpmath root of the Kummer ratio."""
+    with mpmath.workdps(40):
+        N, m = mpmath.mpf(N), mpmath.mpf(m)
+        b = N / 2
+
+        def g_prime(h):
+            a = h * N / (N - 1)
+            return mpmath.hyp1f1(1.5, b + 1, a) / (N * mpmath.hyp1f1(0.5, b, a)) - 1 / N
+        h = mpmath.findroot(lambda x: g_prime(x) - m, mpmath.mpf(h0))
+        a = h * N / (N - 1)
+        s = (N - 1) / N * (mpmath.log(mpmath.hyp1f1(0.5, b, a)) - a / N) - m * h
+        return float(s), float(h)
+
+
+def test_nematic_entropy_at_the_ends_of_the_certify_and_profile_grids():
+    model = M.nematic(3)
+    # top point of the certify grid, hi * (1 - 1e-9): the dual field is ~1e9
+    s, h = model.entropy(0.6666666659999999)
+    assert s == pytest.approx(-13.8812519914, abs=1e-9)
+    s_ref, h_ref = _nematic_dual_reference(3, 0.6666666659999999, 1e9)
+    assert s == pytest.approx(s_ref, abs=1e-12) and h == pytest.approx(h_ref, rel=1e-9)
+    # first point of `profile`, lo + 1e-9: the dual field is ~ -3e8
+    m = -1 / 3 + 1e-9
+    s, h = model.entropy(m)
+    s_ref, h_ref = _nematic_dual_reference(3, m, -3e8)
+    assert s == pytest.approx(s_ref, abs=1e-12) and h == pytest.approx(h_ref, rel=1e-9)
+
+
+def test_nematic_entropy_reaches_within_an_ulp_of_the_ends():
+    model = M.nematic(4)       # ends -1/4 and 3/4 are exact doubles
+    lo, hi = model.m_bounds()
+    inside = np.array([np.nextafter(lo, 0.0), np.nextafter(hi, 0.0)])
+    s, h = model.entropy(inside)
+    assert h[0] < -1e15 and h[1] > 1e15
+    for i, m in enumerate(inside):
+        assert model.entropy(float(m)) == (s[i], h[i])
+        s_ref, h_ref = _nematic_dual_reference(4, m, h[i])
+        assert s[i] == pytest.approx(s_ref, abs=1e-12) and h[i] == pytest.approx(h_ref, rel=1e-9)
+    for end in (lo, hi):
+        with pytest.raises(BoundaryMagnetization):
+            model.entropy(end)
+
 
 @pytest.mark.parametrize("N", [3, 4, 7])
 def test_nematic_g_normalization(N):
@@ -329,8 +398,7 @@ NDARRAY_MODELS = [(M.potts(3), 41), (M.potts(10), 41), (M.cubic(3), 41),
 
 def _interior_grid(model, n):
     lo, hi = model.m_bounds()
-    # the nematic g' reaches its ends only like 1/|h|, so stay off them
-    eps = (1e-3 if model.kind == "nematic" else 1e-9) * (hi - lo)
+    eps = 1e-9 * (hi - lo)     # the nematic dual field is ~1e9 at both ends
     return np.linspace(lo + eps, hi - eps, n)
 
 
