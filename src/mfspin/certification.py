@@ -95,19 +95,10 @@ def allowed_bands(model: ModelSpec, J: float, slack: float,
     ms, phis = _phi_grid(model, J, grid)
     level = phis.min() + slack
     ok = phis <= level + 1e-15
-    bands: List[Tuple[float, float]] = []
-    i = 0
-    n = len(ms)
-    while i < n:
-        if ok[i]:
-            j = i
-            while j + 1 < n and ok[j + 1]:
-                j += 1
-            bands.append((float(ms[i]), float(ms[j])))
-            i = j + 1
-        else:
-            i += 1
-    return bands
+    # +1 where a run of allowed points starts, -1 just past where one ends
+    edges = np.diff(ok.astype(np.int8), prepend=0, append=0)
+    starts, stops = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+    return [(float(ms[i]), float(ms[j - 1])) for i, j in zip(starts, stops)]
 
 
 def compute_DJ(model: ModelSpec, J: float, theta: float,

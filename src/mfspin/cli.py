@@ -20,7 +20,7 @@ import numpy as np
 
 from . import lattice, mc, models, oracle, solver
 from .certification import allowed_bands as _allowed_bands, certify as _certify
-from .errors import MFSpinError, NoStableRoot
+from .errors import MFSpinError
 
 SCHEMA_VERSION = 1
 
@@ -138,25 +138,9 @@ def _cmd_certify(a) -> str:
 
 def _cmd_oracle(a) -> str:
     model = _model_from_args(a)
-    tol = 2.0 / a.resolution
-    bp = solver.solve_branches(model, a.J).global_minimum()
-    if bp is None:
-        raise NoStableRoot(f"no stable root m >= 0 of the mean-field equation "
-                           f"for {model} at J={a.J}")
-    if model.kind == "potts":
-        res = oracle.potts_fullspace_min(model.param, a.J, a.resolution)
-        scal = models.potts_phi(model.param, a.J, bp.m)
-    elif model.kind == "cubic":
-        res = oracle.cubic_fullspace_min(model.param, a.J, a.resolution)
-        scal = models.scalar_phi(model, a.J, bp.m) - np.log(4.0 * model.param)
-    else:
-        res = oracle.nematic_dual_min(model.param, a.J, a.resolution,
-                                      a.sphere_samples)
-        scal = models.phi_full_scale(model, a.J, bp.m)
-    matched = abs(res.value - scal) < tol
-    return _json({"model": str(model), "J": a.J,
-                  **res.as_dict(), "scalar_min": float(scal),
-                  "matched_scalar": bool(matched)})
+    res, scal = oracle.check_reduction(model, a.J, a.resolution, a.sphere_samples)
+    return _json({"model": str(model), "J": a.J, **res.as_dict(), "scalar_min": scal,
+                  "matched_scalar": abs(res.value - scal) < 2.0 / a.resolution})
 
 
 def _cmd_mc(a) -> str:
@@ -245,29 +229,27 @@ def _add_model_flags(p):
 
 
 def _bounded(convert, lo, strict: bool = False):
-    """argparse type: a number no smaller than lo, or above lo when strict
-    (usage error otherwise, NaN included)."""
+    """argparse type: a finite number no smaller than lo, or above lo when
+    strict (usage error otherwise, NaN and +-inf included)."""
     def parse(text: str):
         value = convert(text)
-        if not (value > lo if strict else value >= lo):
+        if not (lo < value < np.inf if strict else lo <= value < np.inf):
             raise argparse.ArgumentTypeError(
-                f"must be {'above' if strict else 'at least'} {lo}, got {value}")
+                f"must be finite and {'above' if strict else 'at least'} {lo}, "
+                f"got {value}")
         return value
     parse.__name__ = convert.__name__
     return parse
 
 
-def _int_at_least(lo: int):
-    return _bounded(int, lo)
-
-
+_finite = _bounded(float, -np.inf, strict=True)
 _nonnegative = _bounded(float, 0.0)
 _positive = _bounded(float, 0.0, strict=True)
 
 
 def _vertex_counts(text: str) -> List[int]:
     """argparse type for --Ns: three or more distinct integers, each >= 2."""
-    Ns = [_int_at_least(2)(s) for s in text.split(",")]
+    Ns = [_bounded(int, 2)(s) for s in text.split(",")]
     if len(Ns) < 3 or len(set(Ns)) < len(Ns):
         raise argparse.ArgumentTypeError(
             f"need at least three distinct comma-separated values, got {text!r}")
@@ -290,8 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("profile", help="scalar free-energy profile at fixed J")
     _add_model_flags(p)
-    p.add_argument("--J", type=float, required=True)
-    p.add_argument("--grid", type=_int_at_least(1), default=400)
+    p.add_argument("--J", type=_finite, required=True)
+    p.add_argument("--grid", type=_bounded(int, 1), default=400)
     p.add_argument("--nonnegative", action="store_true",
                    help="restrict the grid to m >= 0")
 
@@ -299,14 +281,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p)
     p.add_argument("--Jmin", type=_nonnegative, required=True)
     p.add_argument("--Jmax", type=_nonnegative, required=True)
-    p.add_argument("--steps", type=_int_at_least(1), default=101)
-    p.add_argument("--scan-resolution", dest="scan_resolution", type=_int_at_least(2),
+    p.add_argument("--steps", type=_bounded(int, 1), default=101)
+    p.add_argument("--scan-resolution", dest="scan_resolution", type=_bounded(int, 2),
                    default=400)
 
     p = sub.add_parser("transition", help="locate J_MF and m_c")
     _add_model_flags(p)
-    p.add_argument("--Jlo", type=float, default=None)
-    p.add_argument("--Jhi", type=float, default=None)
+    p.add_argument("--Jlo", type=_finite, default=None)
+    p.add_argument("--Jhi", type=_finite, default=None)
 
     p = sub.add_parser("barrier", help="barrier height Delta(J) (full-Phi scale)")
     _add_model_flags(p)
@@ -319,30 +301,30 @@ def build_parser() -> argparse.ArgumentParser:
                    help="I_d to convert into slack J*n*(kappa/2)*I_d")
     p.add_argument("--slack", type=_nonnegative, default=None,
                    help="explicit slack (overrides --id-value)")
-    p.add_argument("--grid", type=_int_at_least(2), default=2000)
+    p.add_argument("--grid", type=_bounded(int, 2), default=2000)
 
     p = sub.add_parser("certify", help="first-order certificate on a J window")
     _add_model_flags(p)
     p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--Jlo", type=float, required=True)
-    p.add_argument("--Jhi", type=float, required=True)
-    p.add_argument("--J-grid", dest="J_grid", type=_int_at_least(1), default=21)
-    p.add_argument("--m-grid", dest="m_grid", type=_int_at_least(4), default=2000)
+    p.add_argument("--Jlo", type=_finite, required=True)
+    p.add_argument("--Jhi", type=_finite, required=True)
+    p.add_argument("--J-grid", dest="J_grid", type=_bounded(int, 1), default=21)
+    p.add_argument("--m-grid", dest="m_grid", type=_bounded(int, 4), default=2000)
 
     p = sub.add_parser("oracle", help="full-space brute-force minimization")
     _add_model_flags(p)
     p.add_argument("--J", type=_nonnegative, required=True)
-    p.add_argument("--resolution", type=_int_at_least(20), default=200)
+    p.add_argument("--resolution", type=_bounded(int, 20), default=200)
     p.add_argument("--sphere-samples", dest="sphere_samples", type=int, default=4096)
 
     p = sub.add_parser("mc", help="complete-graph Monte Carlo")
     _add_model_flags(p)
     p.add_argument("--J", type=_nonnegative, required=True)
-    p.add_argument("--N", type=_int_at_least(2), required=True)
+    p.add_argument("--N", type=_bounded(int, 2), required=True)
     p.add_argument("--sweeps", type=int, required=True)
-    p.add_argument("--burn-in", dest="burn_in", type=_int_at_least(0), default=0)
+    p.add_argument("--burn-in", dest="burn_in", type=_bounded(int, 0), default=0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bins", type=_int_at_least(1), default=100)
+    p.add_argument("--bins", type=_bounded(int, 1), default=100)
     p.add_argument("--hist-out", dest="hist_out", default=None)
 
     p = sub.add_parser("rate", help="rate-function estimate over several N")
@@ -351,13 +333,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--Ns", type=_vertex_counts, required=True,
                    help="comma-separated, e.g. 50,100,200")
     p.add_argument("--sweeps", type=int, default=30000)
-    p.add_argument("--burn-in", dest="burn_in", type=_int_at_least(0), default=2000)
+    p.add_argument("--burn-in", dest="burn_in", type=_bounded(int, 0), default=2000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bins", type=_int_at_least(1), default=100)
+    p.add_argument("--bins", type=_bounded(int, 1), default=100)
 
     p = sub.add_parser("reproduce-figures", help="emit figure-reproduction data")
     p.add_argument("--outdir", required=True)
-    p.add_argument("--grid", type=_int_at_least(1), default=400)
+    p.add_argument("--grid", type=_bounded(int, 1), default=400)
 
     return ap
 

@@ -21,9 +21,10 @@ Two independent methods:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 from scipy.special import gamma as _gamma, roots_legendre
 
 from .errors import DimensionTooSmall, MethodInfeasible, QuadratureFailure
@@ -66,6 +67,7 @@ def _check_args(d: int, method: str, tol: float):
 
 def _bessel_integral(d: int, integrand, tol: float):
     """integrate integrand(t) over [0, inf); integrand ~ C t^{-d/2} at infinity."""
+    from scipy import integrate     # on first use: commands without I_d skip it
     T = max(400.0, 60.0 * d)
     kw = dict(epsabs=tol / 8.0, epsrel=1e-13, limit=500)
     v1, e1 = integrate.quad(integrand, 0.0, 40.0, **kw)
@@ -105,8 +107,10 @@ def _id_bessel(d: int, tol: float):
 # nested quadrature with ball exclusion
 # ---------------------------------------------------------------------------
 
-_GL_ORDER = 40
-_GL_X, _GL_W = roots_legendre(_GL_ORDER)
+@lru_cache(maxsize=1)
+def _gauss_legendre():
+    """Order-40 Gauss-Legendre nodes and weights on [-1, 1]; read only."""
+    return roots_legendre(40)
 
 
 def _panels(lo: float, hi: float, edges):
@@ -117,10 +121,11 @@ def _panels(lo: float, hi: float, edges):
 
 def _gl_nodes(a, b):
     """Affine-mapped Gauss-Legendre nodes/weights; a may be an array."""
+    x, w = _gauss_legendre()
     a = np.asarray(a, dtype=float)
     half = (b - a) / 2.0
-    nodes = a + half * (_GL_X[:, None] + 1.0) if a.ndim else a + half * (_GL_X + 1.0)
-    weights = half * (_GL_W[:, None] if a.ndim else _GL_W)
+    nodes = a + half * (x[:, None] + 1.0) if a.ndim else a + half * (x + 1.0)
+    weights = half * (w[:, None] if a.ndim else w)
     return nodes, weights
 
 
@@ -195,6 +200,7 @@ def _ball_series(d: int, r0: float, want_id: bool):
 
 
 def _quad_value(d: int, tol: float, want_id: bool, r0: float = 0.2):
+    from scipy import integrate
     ball, ball_err = _ball_series(d, r0, want_id)
 
     if d == 3:

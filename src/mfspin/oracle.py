@@ -15,18 +15,21 @@ sequence, so outputs are reproducible bit-for-bit for fixed inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Optional, Tuple
 
 import numpy as np
 from scipy import optimize
-from scipy.special import logsumexp
+from scipy.special import logsumexp, ndtri
 import warnings
 
-from .errors import BudgetExceeded, SamplingNoise
-from .models import _xlogx, ising_theta
+from .errors import BudgetExceeded, NoStableRoot, SamplingNoise
+from .models import (ModelSpec, _xlogx, ising_theta, phi_full_scale, potts_phi,
+                     scalar_phi)
+from .solver import solve_branches
 
 __all__ = ["potts_fullspace_min", "cubic_fullspace_min", "nematic_dual_min",
-           "OracleResult"]
+           "check_reduction", "OracleResult"]
 
 _MAX_GRID_POINTS = 3_000_000
 
@@ -48,29 +51,41 @@ class OracleResult:
 
 def _compositions(total: int, parts: int) -> np.ndarray:
     """All nonnegative integer vectors of length `parts` summing to `total`,
-    in lexicographic order; shape (n, parts)."""
-    if parts == 1:
-        return np.array([[total]], dtype=np.int64)
-    if parts == 2:
-        a = np.arange(total + 1, dtype=np.int64)
-        return np.stack([a, total - a], axis=1)
-    if parts == 3:
-        sizes = np.arange(total + 1, 0, -1, dtype=np.int64)
-        a = np.repeat(np.arange(total + 1, dtype=np.int64), sizes)
-        b = np.concatenate([np.arange(total - l + 1, dtype=np.int64)
-                            for l in range(total + 1)])
-        return np.stack([a, b, total - a - b], axis=1)
-    blocks = []
-    for lead in range(total + 1):
-        rest = _compositions(total - lead, parts - 1)
-        lead_col = np.full((rest.shape[0], 1), lead, dtype=np.int64)
-        blocks.append(np.hstack([lead_col, rest]))
-    return np.vstack(blocks)
+    in lexicographic order; shape (n, parts), int32.  Each row with `rest`
+    left to place gets the children 0..rest, one column at a time."""
+    lead = np.zeros((1, 0), dtype=np.int32)
+    rest = np.array([total], dtype=np.int32)
+    for _ in range(parts - 1):
+        counts = rest + 1
+        parent = np.repeat(np.arange(len(rest)), counts)
+        child = (np.arange(len(parent), dtype=np.int32)
+                 - np.repeat(np.cumsum(counts, dtype=np.int32) - counts, counts))
+        lead = np.column_stack([lead[parent], child])
+        rest = rest[parent] - child
+    return np.column_stack([lead, rest])
 
 
-def _n_compositions(total: int, parts: int) -> int:
-    from math import comb
-    return comb(total + parts - 1, parts - 1)
+def _simplex_grid_min(t: np.ndarray, parts: int, resolution: int
+                      ) -> Tuple[np.ndarray, float]:
+    """Lexicographically first composition c of `resolution` into `parts`
+    minimizing sum_k t[c_k], and that sum, added left to right (see
+    docs/decisions.md: the order and the tie-break are part of the output)."""
+    comps = _compositions(resolution, parts)
+    vals = t[comps[:, 0]]
+    for k in range(1, parts):
+        vals += t[comps[:, k]]
+    i0 = int(np.argmin(vals))
+    return comps[i0], float(vals[i0])
+
+
+def _polish(fun, z0: np.ndarray, grid_val: float, **minimize_kw
+            ) -> Tuple[np.ndarray, float]:
+    """Local minimization from the grid point z0, kept only if it succeeds
+    and does not end above the grid value; else (z0, grid_val)."""
+    res = optimize.minimize(fun, z0, **minimize_kw)
+    if res.success and res.fun <= grid_val + 1e-12:
+        return res.x, float(res.fun)
+    return z0, grid_val
 
 
 # ---------------------------------------------------------------------------
@@ -83,30 +98,21 @@ def potts_fullspace_min(q: int, J: float, resolution: int = 200) -> OracleResult
         raise BudgetExceeded(f"exhaustive simplex search limited to q <= 6, got {q}")
     if resolution < 20:
         raise ValueError("resolution must be at least 20")
-    if _n_compositions(resolution, q) > _MAX_GRID_POINTS:
+    if comb(resolution + q - 1, q - 1) > _MAX_GRID_POINTS:
         raise BudgetExceeded(
-            f"simplex grid would have {_n_compositions(resolution, q)} points")
+            f"simplex grid would have {comb(resolution + q - 1, q - 1)} points")
 
-    comps = _compositions(resolution, q)
     xs = np.arange(resolution + 1) / resolution
-    t_energy = -J / 2.0 * xs ** 2
-    t_entropy = _xlogx(xs)
-    vals = (t_energy[comps] + t_entropy[comps]).sum(axis=1)
-    i0 = int(np.argmin(vals))
-    x0 = comps[i0] / resolution
-    grid_val = float(vals[i0])
+    comp, grid_val = _simplex_grid_min(-J / 2.0 * xs ** 2 + _xlogx(xs), q, resolution)
 
     def fun(x):
         return float(np.sum(-J / 2.0 * x ** 2 + _xlogx(np.clip(x, 0, 1))))
-    res = optimize.minimize(
-        fun, x0, method="SLSQP",
+    x, val = _polish(
+        fun, comp / resolution, grid_val, method="SLSQP",
         bounds=[(0.0, 1.0)] * q,
         constraints=[{"type": "eq", "fun": lambda x: np.sum(x) - 1.0}],
         options={"ftol": 1e-14, "maxiter": 300})
-    x_star, val = x0, grid_val
-    if res.success and res.fun <= grid_val + 1e-12:
-        x_star, val = np.clip(res.x, 0.0, 1.0), float(res.fun)
-    return OracleResult(minimizer=np.asarray(x_star), value=val,
+    return OracleResult(minimizer=np.clip(x, 0.0, 1.0), value=val,
                         grid_value=grid_val,
                         meta={"q": q, "J": J, "resolution": resolution})
 
@@ -126,24 +132,16 @@ def cubic_fullspace_min(r: int, J: float, resolution: int = 200) -> OracleResult
         raise BudgetExceeded(f"exhaustive cubic search limited to r <= 4, got {r}")
     if resolution < 20:
         raise ValueError("resolution must be at least 20")
-    if _n_compositions(resolution, r) > _MAX_GRID_POINTS:
+    if comb(resolution + r - 1, r - 1) > _MAX_GRID_POINTS:
         raise BudgetExceeded(
-            f"occupation grid would have {_n_compositions(resolution, r)} points")
+            f"occupation grid would have {comb(resolution + r - 1, r - 1)} points")
     mu_resolution = 2 * resolution + 1
     mus = np.linspace(-1.0, 1.0, mu_resolution)
     ys = np.arange(resolution + 1) / resolution
-    # theta_table[c, j] = Theta_{2 J y_c}(mu_j)
-    theta = np.vstack([ising_theta(2.0 * J * y, mus) for y in ys])
+    # theta[c, j] = Theta_{2 J y_c}(mu_j)
+    theta = ising_theta(2.0 * J * ys[:, None], mus)
     j_best = np.argmin(theta, axis=1)
-    theta_min = theta[np.arange(resolution + 1), j_best]
-    mu_best = mus[j_best]
-
-    comps = _compositions(resolution, r)
-    vals = (_xlogx(ys)[comps] + ys[comps] * theta_min[comps]).sum(axis=1)
-    i0 = int(np.argmin(vals))
-    y0 = comps[i0] / resolution
-    mu0 = mu_best[comps[i0]]
-    grid_val = float(vals[i0])
+    comp, grid_val = _simplex_grid_min(_xlogx(ys) + ys * theta.min(axis=1), r, resolution)
 
     def fun(z):
         y = np.clip(z[:r], 0.0, 1.0)
@@ -151,23 +149,19 @@ def cubic_fullspace_min(r: int, J: float, resolution: int = 200) -> OracleResult
         return float(np.sum(_xlogx(y) + y * (
             -(2.0 * J * y) / 4.0 * mu ** 2
             + _xlogx((1.0 + mu) / 2.0) + _xlogx((1.0 - mu) / 2.0))))
-    z0 = np.concatenate([y0, mu0])
-    res = optimize.minimize(
-        fun, z0, method="SLSQP",
+    z, val = _polish(
+        fun, np.concatenate([comp / resolution, mus[j_best[comp]]]), grid_val,
+        method="SLSQP",
         bounds=[(0.0, 1.0)] * r + [(-1.0, 1.0)] * r,
         constraints=[{"type": "eq", "fun": lambda z: np.sum(z[:r]) - 1.0}],
         options={"ftol": 1e-14, "maxiter": 300})
-    y_star, mu_star, val = y0, mu0, grid_val
-    if res.success and res.fun <= grid_val + 1e-12:
-        y_star = np.clip(res.x[:r], 0.0, 1.0)
-        mu_star = np.clip(res.x[r:], -1.0, 1.0)
-        val = float(res.fun)
-    m_induced = y_star * mu_star
+    y_star = np.clip(z[:r], 0.0, 1.0)
+    mu_star = np.clip(z[r:], -1.0, 1.0)
     return OracleResult(
         minimizer=np.vstack([y_star, mu_star]), value=val, grid_value=grid_val,
         meta={"r": r, "J": J, "resolution": resolution,
               "mu_resolution": mu_resolution,
-              "m_induced": np.asarray(m_induced).tolist()})
+              "m_induced": (y_star * mu_star).tolist()})
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +191,6 @@ def _sphere_x2_nodes(N: int, sphere_samples: int, seed: int = 20240913
     sob = qmc.Sobol(d=N, scramble=True, seed=seed)
     m = int(np.ceil(np.log2(max(sphere_samples, 64))))
     pts = sob.random_base2(m)
-    from scipy.special import ndtri
     g = ndtri(np.clip(pts, 1e-12, 1 - 1e-12))
     g /= np.linalg.norm(g, axis=1, keepdims=True)
     X2 = g ** 2
@@ -258,15 +251,42 @@ def nematic_dual_min(N: int, J: float, resolution: int = 120,
     def fun(hf):
         h = np.concatenate([hf, [-np.sum(hf)]])
         return float((h * h).sum() / (2.0 * J) - _g_diag(h[None, :], X2, W)[0])
-    res = optimize.minimize(fun, h0[:-1], method="Nelder-Mead",
-                            options={"xatol": 1e-10, "fatol": 1e-13,
-                                     "maxiter": 4000})
-    h_star, val = h0, grid_val
-    if res.success and res.fun <= grid_val + 1e-12:
-        h_star = np.concatenate([res.x, [-np.sum(res.x)]])
-        val = float(res.fun)
-    return OracleResult(minimizer=np.asarray(h_star), value=val,
+    hf, val = _polish(fun, h0[:-1], grid_val, method="Nelder-Mead",
+                      options={"xatol": 1e-10, "fatol": 1e-13, "maxiter": 4000})
+    return OracleResult(minimizer=np.concatenate([hf, [-np.sum(hf)]]), value=val,
                         grid_value=grid_val,
                         meta={"N": N, "J": J, "resolution": resolution,
                               "sphere_samples": int(X2.shape[0]),
                               "sampling_stderr": noise})
+
+
+# ---------------------------------------------------------------------------
+# one check per model: the full-space search against the scalar reduction
+# ---------------------------------------------------------------------------
+
+# per kind: the search, called as (param, J, resolution, sphere_samples), and
+# the scalar reduction's value at m in that search's own convention; each
+# looks its function up by module name at call time (perfbench's tracer rebinds it)
+_ORACLES = {
+    "potts": (lambda q, J, res, _: potts_fullspace_min(q, J, res),
+              lambda model, J, m: potts_phi(model.param, J, m)),
+    "cubic": (lambda r, J, res, _: cubic_fullspace_min(r, J, res),
+              lambda model, J, m: scalar_phi(model, J, m) - np.log(4.0 * model.param)),
+    "nematic": (lambda N, J, res, samples: nematic_dual_min(N, J, res, samples),
+                lambda model, J, m: phi_full_scale(model, J, m)),
+}
+
+
+def check_reduction(model: ModelSpec, J: float, resolution: int = 200,
+                    sphere_samples: int = 4096) -> Tuple[OracleResult, float]:
+    """Full-space minimum of `model` at coupling J, and the scalar reduction's
+    value at its global minimum m >= 0 in the same convention.  Raises
+    NoStableRoot, before any search, when no root m >= 0 is stable;
+    `sphere_samples` is read by the nematic search only."""
+    bp = solve_branches(model, J).global_minimum()
+    if bp is None:
+        raise NoStableRoot(f"no stable root m >= 0 of the mean-field equation "
+                           f"for {model} at J={J}")
+    search, scalar = _ORACLES[model.kind]
+    return (search(model.param, J, resolution, sphere_samples),
+            float(scalar(model, J, bp.m)))

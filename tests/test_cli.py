@@ -299,14 +299,30 @@ def test_nematic_profile_reaches_the_bottom_of_the_interval(capsys):
     assert np.all(np.isfinite(np.array(rows, dtype=float)))
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
+def run_python(probe):
+    """Run probe in a fresh interpreter that imports this package; its stdout."""
     src = os.path.dirname(os.path.dirname(mfspin.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    probe = "import sys, mfspin.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    return subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats and scipy.integrate are imported where they are first used
+    probe = ("import sys, mfspin.cli; "
+             "print([m in sys.modules for m in ('scipy.stats', 'scipy.integrate')])")
+    assert run_python(probe).strip() == "[False, False]"
+
+
+def test_cubic_oracle_peak_memory():
+    # r = 4 at resolution 200 searches C(203, 3) = 1 373 701 compositions
+    probe = ("import resource, sys; from mfspin.cli import dispatch; "
+             "dispatch(['oracle', '--model', 'cubic', '--param', '4', '--J', '3.7852']); "
+             "rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; "
+             "print(rss / (2 ** 20 if sys.platform == 'darwin' else 2 ** 10))")
+    peak_mib = float(run_python(probe).splitlines()[-1])
+    assert peak_mib < 200.0
 
 
 def test_oracle_without_stable_root_is_typed_error(capsys):
@@ -333,7 +349,11 @@ def test_oracle_without_stable_root_is_typed_error(capsys):
     ("certify", "--Jlo", "2.8", "--Jhi", "2.7"), ("certify", "--Jlo", "0"),
     ("id", "--tol", "0"), ("branches", "--steps", "-1"), ("branches", "--steps", "0"),
     ("branches", "--scan-resolution", "0"), ("transition", "--Jlo", "2.7"),
-    ("transition", "--Jhi", "2.9"),
+    ("transition", "--Jhi", "2.9"), ("profile", "--J", "nan"), ("profile", "--J", "inf"),
+    ("branches", "--Jmax", "inf"), ("barrier", "--J", "inf"), ("mc", "--J", "inf"),
+    ("rate", "--J", "inf"), ("oracle", "--J", "inf"), ("bands", "--J", "inf"),
+    ("transition", "--Jlo", "nan", "--Jhi", "2.9"), ("certify", "--Jhi", "inf"),
+    ("id", "--tol", "inf"),
 ], ids=" ".join)
 def test_tiny_grids_are_usage_errors(capsys, argv):
     model = ["--model", "potts", "--param", "3"]

@@ -1,5 +1,7 @@
 """Full-space brute-force oracles vs the scalar reductions."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from mfspin import models as M
 from mfspin import oracle as O
 from mfspin import solver as S
 from mfspin.errors import BudgetExceeded
+from mfspin.models import _xlogx
 
 J_MF_Q3 = 4 * np.log(2)
 
@@ -14,6 +17,59 @@ J_MF_Q3 = 4 * np.log(2)
 def scalar_min(model, J):
     bp = S.solve_branches(model, J, 600).global_minimum()
     return bp.m
+
+
+# ---------------------------------------------------------------------------
+# composition-grid search
+# ---------------------------------------------------------------------------
+
+def lex_compositions(total, parts):
+    """Compositions of total into parts, lexicographic, by plain enumeration."""
+    return [c + (total - sum(c),)
+            for c in itertools.product(range(total + 1), repeat=parts - 1)
+            if sum(c) <= total]
+
+
+def potts_table(J, resolution):
+    xs = np.arange(resolution + 1) / resolution
+    return -J / 2.0 * xs ** 2 + _xlogx(xs)
+
+
+def cubic_table(J, resolution):
+    ys = np.arange(resolution + 1) / resolution
+    mus = np.linspace(-1.0, 1.0, 2 * resolution + 1)
+    return _xlogx(ys) + ys * M.ising_theta(2.0 * J * ys[:, None], mus).min(axis=1)
+
+
+@pytest.mark.parametrize("parts,resolution",
+                         [(1, 9), (2, 30), (3, 20), (4, 12), (5, 9), (6, 7)])
+def test_compositions_match_plain_enumeration(parts, resolution):
+    comps = O._compositions(resolution, parts)
+    assert comps.dtype == np.int32
+    assert comps.tolist() == [list(c) for c in lex_compositions(resolution, parts)]
+
+
+@pytest.mark.parametrize("table,J,parts,resolution,tied", [
+    (potts_table, 2.0, 1, 9, False), (potts_table, 2.0, 2, 30, False),
+    (potts_table, 2.0, 3, 10, True), (potts_table, 4.0, 3, 20, False),
+    (potts_table, 2.0, 4, 12, False), (potts_table, 3.0, 5, 9, False),
+    (potts_table, 3.0, 6, 7, False), (cubic_table, 1.0, 4, 10, True),
+    (cubic_table, 5.0, 3, 20, False), (cubic_table, 1.0, 2, 15, False)])
+def test_simplex_grid_min_matches_plain_enumeration(table, J, parts, resolution, tied):
+    # Potts q=3 below J_MF and cubic r=4 at J=1 have exactly tied permutations
+    t = table(J, resolution)
+    values = []
+    for c in lex_compositions(resolution, parts):
+        v = float(t[c[0]])
+        for k in c[1:]:
+            v = v + float(t[k])
+        values.append((v, c))
+    best = min(values)[0]
+    first = next(c for v, c in values if v == best)
+    comp, value = O._simplex_grid_min(t, parts, resolution)
+    assert tuple(comp.tolist()) == first and value == best
+    if tied:
+        assert sum(v == best for v, _ in values) > 1
 
 
 # ---------------------------------------------------------------------------
