@@ -228,15 +228,19 @@ def _add_model_flags(p):
                    help="q (potts), r (cubic) or N (nematic)")
 
 
-def _bounded(convert, lo, strict: bool = False):
+def _bounded(convert, lo, strict: bool = False, hi=np.inf):
     """argparse type: a finite number no smaller than lo, or above lo when
-    strict (usage error otherwise, NaN and +-inf included)."""
+    strict, and no larger than hi (usage error otherwise, NaN and +-inf
+    included)."""
+    bound = f"{'above' if strict else 'at least'} {lo}"
+    if hi < np.inf:
+        bound += f" and at most {hi}"
+
     def parse(text: str):
         value = convert(text)
-        if not (lo < value < np.inf if strict else lo <= value < np.inf):
-            raise argparse.ArgumentTypeError(
-                f"must be finite and {'above' if strict else 'at least'} {lo}, "
-                f"got {value}")
+        if not ((lo < value if strict else lo <= value) and value <= hi
+                and value < np.inf):
+            raise argparse.ArgumentTypeError(f"must be finite and {bound}, got {value}")
         return value
     parse.__name__ = convert.__name__
     return parse
@@ -246,10 +250,19 @@ _finite = _bounded(float, -np.inf, strict=True)
 _nonnegative = _bounded(float, 0.0)
 _positive = _bounded(float, 0.0, strict=True)
 
+# the largest integer accepted by an option that sets an array size: far above
+# any run this package is meant for, far below what numpy can allocate
+_MAX_SIZE = 10 ** 7
+
+
+def _size(lo: int):
+    """argparse type: an array size from lo to _MAX_SIZE."""
+    return _bounded(int, lo, hi=_MAX_SIZE)
+
 
 def _vertex_counts(text: str) -> List[int]:
-    """argparse type for --Ns: three or more distinct integers, each >= 2."""
-    Ns = [_bounded(int, 2)(s) for s in text.split(",")]
+    """argparse type for --Ns: three or more distinct vertex counts."""
+    Ns = [_size(2)(s) for s in text.split(",")]
     if len(Ns) < 3 or len(set(Ns)) < len(Ns):
         raise argparse.ArgumentTypeError(
             f"need at least three distinct comma-separated values, got {text!r}")
@@ -273,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("profile", help="scalar free-energy profile at fixed J")
     _add_model_flags(p)
     p.add_argument("--J", type=_finite, required=True)
-    p.add_argument("--grid", type=_bounded(int, 1), default=400)
+    p.add_argument("--grid", type=_size(1), default=400)
     p.add_argument("--nonnegative", action="store_true",
                    help="restrict the grid to m >= 0")
 
@@ -281,8 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p)
     p.add_argument("--Jmin", type=_nonnegative, required=True)
     p.add_argument("--Jmax", type=_nonnegative, required=True)
-    p.add_argument("--steps", type=_bounded(int, 1), default=101)
-    p.add_argument("--scan-resolution", dest="scan_resolution", type=_bounded(int, 2),
+    p.add_argument("--steps", type=_size(1), default=101)
+    p.add_argument("--scan-resolution", dest="scan_resolution", type=_size(2),
                    default=400)
 
     p = sub.add_parser("transition", help="locate J_MF and m_c")
@@ -301,30 +314,30 @@ def build_parser() -> argparse.ArgumentParser:
                    help="I_d to convert into slack J*n*(kappa/2)*I_d")
     p.add_argument("--slack", type=_nonnegative, default=None,
                    help="explicit slack (overrides --id-value)")
-    p.add_argument("--grid", type=_bounded(int, 2), default=2000)
+    p.add_argument("--grid", type=_size(2), default=2000)
 
     p = sub.add_parser("certify", help="first-order certificate on a J window")
     _add_model_flags(p)
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--Jlo", type=_finite, required=True)
     p.add_argument("--Jhi", type=_finite, required=True)
-    p.add_argument("--J-grid", dest="J_grid", type=_bounded(int, 1), default=21)
-    p.add_argument("--m-grid", dest="m_grid", type=_bounded(int, 4), default=2000)
+    p.add_argument("--J-grid", dest="J_grid", type=_size(1), default=21)
+    p.add_argument("--m-grid", dest="m_grid", type=_size(4), default=2000)
 
     p = sub.add_parser("oracle", help="full-space brute-force minimization")
     _add_model_flags(p)
     p.add_argument("--J", type=_nonnegative, required=True)
     p.add_argument("--resolution", type=_bounded(int, 20), default=200)
-    p.add_argument("--sphere-samples", dest="sphere_samples", type=int, default=4096)
+    p.add_argument("--sphere-samples", dest="sphere_samples", type=_size(1), default=4096)
 
     p = sub.add_parser("mc", help="complete-graph Monte Carlo")
     _add_model_flags(p)
     p.add_argument("--J", type=_nonnegative, required=True)
-    p.add_argument("--N", type=_bounded(int, 2), required=True)
-    p.add_argument("--sweeps", type=int, required=True)
+    p.add_argument("--N", type=_size(2), required=True)
+    p.add_argument("--sweeps", type=_size(1), required=True)
     p.add_argument("--burn-in", dest="burn_in", type=_bounded(int, 0), default=0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bins", type=_bounded(int, 1), default=100)
+    p.add_argument("--seed", type=_bounded(int, 0), default=0)
+    p.add_argument("--bins", type=_size(1), default=100)
     p.add_argument("--hist-out", dest="hist_out", default=None)
 
     p = sub.add_parser("rate", help="rate-function estimate over several N")
@@ -332,14 +345,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--J", type=_nonnegative, required=True)
     p.add_argument("--Ns", type=_vertex_counts, required=True,
                    help="comma-separated, e.g. 50,100,200")
-    p.add_argument("--sweeps", type=int, default=30000)
+    p.add_argument("--sweeps", type=_size(1), default=30000)
     p.add_argument("--burn-in", dest="burn_in", type=_bounded(int, 0), default=2000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bins", type=_bounded(int, 1), default=100)
+    p.add_argument("--seed", type=_bounded(int, 0), default=0)
+    p.add_argument("--bins", type=_size(1), default=100)
 
     p = sub.add_parser("reproduce-figures", help="emit figure-reproduction data")
     p.add_argument("--outdir", required=True)
-    p.add_argument("--grid", type=_bounded(int, 1), default=400)
+    p.add_argument("--grid", type=_size(1), default=400)
 
     return ap
 

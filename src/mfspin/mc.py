@@ -4,11 +4,15 @@ Hamiltonian (inverse temperature absorbed into J, external field zero):
 
     beta H_N(S) = -(J/N) * sum_{1 <= x < y <= N} (S_x, S_y)
 
-For Potts and cubic spins the single-site conditional is sampled exactly
-(heat bath); nematic spins are unit vectors updated by Metropolis proposals
-with a step size auto-tuned to 30-50% acceptance during burn-in.  Every
-sweep costs O(N) thanks to maintained field sums (state counts for Potts,
-per-axis magnetizations for cubic, the second-moment matrix for nematic).
+For Potts and cubic spins one heat bath samples the single-site conditional
+exactly.  Their states are numbered (Potts k is k; cubic +e_k is 2k, -e_k is
+2k+1), and one integer list keeps field[s] = N + sum_y (S_y, s), less a
+constant common to every s, so that state s weighs exp((J/N) (field[s] - N)).
+A spin entering or leaving s moves field[s] and field[pair[s]]: for cubic the
+opposite sign s ^ 1, for Potts a spare slot that is never read.  Nematic spins
+are unit vectors updated by Metropolis proposals with a step size auto-tuned
+to 30-50% acceptance during burn-in.  Every sweep costs O(N) thanks to these
+maintained field sums (the second-moment matrix for nematic).
 
 The empirical magnetization is projected onto a scalar per model: Potts uses
 the fraction of the most-populated state minus 1/q (matching the x_1 = 1/q+m
@@ -20,6 +24,7 @@ deterministic functions of the configuration, including the seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -95,90 +100,84 @@ def _batch_stderr(x: np.ndarray, n_batches: int = 50) -> float:
 # sweep; run_mc does the bookkeeping common to all of them
 # ---------------------------------------------------------------------------
 
-def _potts_sweeps(cfg: MCConfig, extras: Dict, record_joint: bool):
-    """Heat bath; the field vector is the state fractions."""
-    q, J, N = cfg.model.param, cfg.J, cfg.N
-    rng = np.random.default_rng(cfg.seed)
-    sigma = rng.integers(0, q, size=N).tolist()
-    counts = [sigma.count(k) for k in range(q)]
-    table = np.exp((J / N) * np.arange(N, dtype=np.float64)).tolist()
-    joint = extras.setdefault("joint_counts", {}) if record_joint else None
+class _SpinSet(NamedTuple):
+    """A finite spin set for the heat bath, as functions of the model param."""
+    pair: Callable[[int], List[int]]   # per state, the state whose field moves against it
+    initial: Callable                  # (rng, param, N) -> start-up states
+    project: Callable                  # (field, param, N) -> sample
 
-    inv_q = 1.0 / q
+
+def _cubic_initial(rng, r: int, N: int) -> List[int]:
+    """Axes, then signs: sign bit 1 (+e_k) gives 2k, bit 0 (-e_k) 2k+1."""
+    axis = rng.integers(0, r, size=N)
+    return (2 * axis + 1 - rng.integers(0, 2, size=N)).tolist()
+
+
+def _potts_project(field: List[int], q: int, N: int):
+    """Max state fraction - 1/q; the field vector is the state fractions."""
+    fr = [(f - N) / N for f in field[:q]]
+    return max(fr) - 1.0 / q, sum(f * f for f in fr) - 1.0 / q, fr
+
+
+def _cubic_project(field: List[int], r: int, N: int):
+    """Signed largest component; the field vector is the magnetization."""
+    mhat = [(f - N) / N for f in field[0:2 * r:2]]
+    return max(mhat, key=abs), sum(m * m for m in mhat), mhat
+
+
+_POTTS = _SpinSet(lambda q: [q] * q,
+                  lambda rng, q, N: rng.integers(0, q, size=N).tolist(),
+                  _potts_project)
+_CUBIC = _SpinSet(lambda r: [s ^ 1 for s in range(2 * r)], _cubic_initial,
+                  _cubic_project)
+
+
+def _heat_bath_sweeps(spins: _SpinSet, cfg: MCConfig, extras: Dict, record_joint: bool):
+    """Exact heat bath over a finite spin set; joint states are recorded as
+    base-n codes of the configuration, n the number of states."""
+    param, J, N = cfg.model.param, cfg.J, cfg.N
+    pair = spins.pair(param)
+    n = len(pair)
+    rng = np.random.default_rng(cfg.seed)
+    sigma = spins.initial(rng, param, N)
+    field = [N] * (n + 1)
+    for s in sigma:
+        field[s] += 1
+        field[pair[s]] -= 1
+    table = np.exp((J / N) * np.arange(-N, N + 1, dtype=np.float64)).tolist()
+    joint = extras.setdefault("joint_counts", {}) if record_joint else None
+    states = range(n)
+    cum = [0.0] * n
+
     for sweep in range(cfg.sweeps):
-        us = rng.random(N)
+        us = rng.random(N).tolist()
         for x in range(N):
-            a = sigma[x]
-            counts[a] -= 1
+            s = sigma[x]
+            field[s] -= 1
+            field[pair[s]] += 1
             tot = 0.0
-            cum = [0.0] * q
-            for k in range(q):
-                tot += table[counts[k]]
+            for k in states:
+                tot += table[field[k]]
                 cum[k] = tot
-            r = us[x] * tot
-            k = 0
-            while cum[k] < r:
-                k += 1
-            counts[k] += 1
-            sigma[x] = k
+            u = us[x] * tot
+            s = 0
+            while cum[s] < u:
+                s += 1
+            field[s] += 1
+            field[pair[s]] -= 1
+            sigma[x] = s
             if joint is not None:
                 code = 0
-                for s in sigma:
-                    code = code * q + s
+                for t in sigma:
+                    code = code * n + t
                 joint[code] = joint.get(code, 0) + 1
         if sweep >= cfg.burn_in:
-            fr = [c / N for c in counts]
-            yield max(fr) - inv_q, sum(f * f for f in fr) - inv_q, fr
-
-
-def _cubic_sweeps(cfg: MCConfig, extras: Dict, record_joint: bool):
-    """Heat bath; the field vector is the per-axis magnetization.
-
-    Joint states are recorded for Potts only.
-    """
-    r, J, N = cfg.model.param, cfg.J, cfg.N
-    rng = np.random.default_rng(cfg.seed)
-    axis = rng.integers(0, r, size=N).tolist()
-    sign = (2 * rng.integers(0, 2, size=N) - 1).tolist()
-    M = [0] * r
-    for k, s in zip(axis, sign):
-        M[k] += s
-    # weight for candidate state s*e_k given field F_k: exp((J/N) s F_k)
-    table = np.exp((J / N) * np.arange(-N, N + 1, dtype=np.float64)).tolist()
-
-    for sweep in range(cfg.sweeps):
-        us = rng.random(N)
-        for x in range(N):
-            k0, s0 = axis[x], sign[x]
-            M[k0] -= s0
-            tot = 0.0
-            cum = [0.0] * (2 * r)
-            i = 0
-            for k in range(r):
-                f = M[k]
-                tot += table[N + f]
-                cum[i] = tot
-                i += 1
-                tot += table[N - f]
-                cum[i] = tot
-                i += 1
-            rr = us[x] * tot
-            i = 0
-            while cum[i] < rr:
-                i += 1
-            k_new, s_new = divmod(i, 2)
-            s_new = 1 if s_new == 0 else -1
-            M[k_new] += s_new
-            axis[x], sign[x] = k_new, s_new
-        if sweep >= cfg.burn_in:
-            mhat = [m / N for m in M]
-            k_star = max(range(r), key=lambda k: abs(mhat[k]))
-            yield mhat[k_star], sum(m * m for m in mhat), mhat
+            yield spins.project(field, param, N)
 
 
 def _nematic_sweeps(cfg: MCConfig, extras: Dict, record_joint: bool):
     """Metropolis with its step tuned during burn-in; the field vector is the
-    traceless order-parameter matrix.  Joint states are recorded for Potts only.
+    traceless order-parameter matrix.  Joint states are not recorded.
     """
     Ns, J, N = cfg.model.param, cfg.J, cfg.N
     rng = np.random.default_rng(cfg.seed)
@@ -230,8 +229,8 @@ class _Chain(NamedTuple):
 
 
 _CHAINS = {
-    "potts": _Chain(_potts_sweeps, lambda q: 1.0 / q),
-    "cubic": _Chain(_cubic_sweeps, lambda r: 0.0),
+    "potts": _Chain(partial(_heat_bath_sweeps, _POTTS), lambda q: 1.0 / q),
+    "cubic": _Chain(partial(_heat_bath_sweeps, _CUBIC), lambda r: 0.0),
     "nematic": _Chain(_nematic_sweeps, lambda Ns: 0.0),
 }
 

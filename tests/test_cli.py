@@ -261,6 +261,12 @@ GOLDEN = [
     ("mc_cubic4.json",
      ("mc", "--model", "cubic", "--param", "4", "--J", "4.0", "--N", "30",
       "--sweeps", "200", "--burn-in", "50", "--seed", "3", "--bins", "20")),
+    ("mc_potts2.json",
+     ("mc", "--model", "potts", "--param", "2", "--J", "2.5", "--N", "30",
+      "--sweeps", "200", "--burn-in", "50", "--seed", "3", "--bins", "20")),
+    ("mc_cubic1.json",
+     ("mc", "--model", "cubic", "--param", "1", "--J", "1.2", "--N", "30",
+      "--sweeps", "200", "--burn-in", "50", "--seed", "3", "--bins", "20")),
     ("mc_nematic3.json",
      ("mc", "--model", "nematic", "--param", "3", "--J", "10", "--N", "20",
       "--sweeps", "100", "--burn-in", "20", "--seed", "3", "--bins", "20")),
@@ -353,7 +359,15 @@ def test_oracle_without_stable_root_is_typed_error(capsys):
     ("branches", "--Jmax", "inf"), ("barrier", "--J", "inf"), ("mc", "--J", "inf"),
     ("rate", "--J", "inf"), ("oracle", "--J", "inf"), ("bands", "--J", "inf"),
     ("transition", "--Jlo", "nan", "--Jhi", "2.9"), ("certify", "--Jhi", "inf"),
-    ("id", "--tol", "inf"),
+    ("id", "--tol", "inf"), ("mc", "--seed", "-1"), ("rate", "--seed", "-2"),
+    ("oracle", "--sphere-samples", "-5"), ("oracle", "--sphere-samples", "0"),
+    *((cmd, opt, str(10 ** 30)) for cmd, opt in (
+        ("profile", "--grid"), ("bands", "--grid"), ("reproduce-figures", "--grid"),
+        ("branches", "--steps"), ("branches", "--scan-resolution"),
+        ("certify", "--m-grid"), ("certify", "--J-grid"), ("oracle", "--sphere-samples"),
+        ("mc", "--N"), ("mc", "--sweeps"), ("mc", "--bins"), ("rate", "--sweeps"),
+        ("rate", "--bins"))),
+    ("rate", "--Ns", f"10,20,{10 ** 30}"),
 ], ids=" ".join)
 def test_tiny_grids_are_usage_errors(capsys, argv):
     model = ["--model", "potts", "--param", "3"]

@@ -20,28 +20,39 @@ def test_config_validation():
         mc.MCConfig(model=M.potts(3), J=-1.0, N=10, sweeps=10)
 
 
-def test_detailed_balance_three_spin_potts():
-    """Empirical joint distribution vs the exact Gibbs weights, 1e5 steps."""
-    q, J, N = 3, 1.0, 3
-    cfg = mc.MCConfig(model=M.potts(q), J=J, N=N, sweeps=33400, burn_in=67,
-                      seed=7)
-    res = mc.run_mc(cfg, record_joint_states=True)
-    joint = res.extras["joint_counts"]
+def _joint_tv(model, vectors, J, sweeps, seed):
+    """TV distance between the recorded joint states of three spins and the
+    exact Gibbs law exp((J/N) sum_{x<y} (S_x, S_y)); state s is vectors[s]."""
+    N, n = 3, len(vectors)
+    cfg = mc.MCConfig(model=model, J=J, N=N, sweeps=sweeps, burn_in=67, seed=seed)
+    joint = mc.run_mc(cfg, record_joint_states=True).extras["joint_counts"]
     total = sum(joint.values())
     assert total >= 100000
-    states = list(itertools.product(range(q), repeat=N))
+    states = list(itertools.product(range(n), repeat=N))
     weights = np.array([
-        np.exp(J / N * sum(1 for x in range(N) for y in range(x + 1, N)
-                           if s[x] == s[y])) for s in states])
+        np.exp(J / N * sum(vectors[s[x]] @ vectors[s[y]]
+                           for x in range(N) for y in range(x + 1, N)))
+        for s in states])
     weights /= weights.sum()
     emp = np.zeros(len(states))
     for i, s in enumerate(states):
         code = 0
         for c in s:
-            code = code * q + c
+            code = code * n + c
         emp[i] = joint.get(code, 0) / total
-    tv = 0.5 * float(np.abs(emp - weights).sum())
-    assert tv < 1e-2
+    return 0.5 * float(np.abs(emp - weights).sum())
+
+
+def test_detailed_balance_three_spin_potts():
+    """Empirical joint distribution vs the exact Gibbs weights, 1e5 steps."""
+    assert _joint_tv(M.potts(3), np.eye(3), J=1.0, sweeps=33400, seed=7) < 1e-2
+
+
+def test_detailed_balance_three_spin_cubic():
+    """The same for cubic r = 2 (state 2k is +e_k, 2k+1 is -e_k): 64 joint
+    states, so 9e5 steps keep the sampling TV near 4e-3."""
+    vectors = np.repeat(np.eye(2), 2, axis=0) * [[1], [-1], [1], [-1]]
+    assert _joint_tv(M.cubic(2), vectors, J=1.0, sweeps=300000, seed=7) < 1e-2
 
 
 def test_noninteracting_potts_uniform():
