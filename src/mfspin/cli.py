@@ -224,7 +224,7 @@ def _cmd_reproduce_figures(a) -> str:
 
 def _add_model_flags(p):
     p.add_argument("--model", required=True, choices=("potts", "cubic", "nematic"))
-    p.add_argument("--param", required=True, type=int,
+    p.add_argument("--param", required=True, type=_size(1),
                    help="q (potts), r (cubic) or N (nematic)")
 
 
@@ -232,7 +232,9 @@ def _bounded(convert, lo, strict: bool = False, hi=np.inf):
     """argparse type: a finite number no smaller than lo, or above lo when
     strict, and no larger than hi (usage error otherwise, NaN and +-inf
     included)."""
-    bound = f"{'above' if strict else 'at least'} {lo}"
+    bound = "finite"
+    if lo > -np.inf:
+        bound += f" and {'above' if strict else 'at least'} {lo}"
     if hi < np.inf:
         bound += f" and at most {hi}"
 
@@ -240,7 +242,7 @@ def _bounded(convert, lo, strict: bool = False, hi=np.inf):
         value = convert(text)
         if not ((lo < value if strict else lo <= value) and value <= hi
                 and value < np.inf):
-            raise argparse.ArgumentTypeError(f"must be finite and {bound}, got {value}")
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
         return value
     parse.__name__ = convert.__name__
     return parse
@@ -258,6 +260,11 @@ _MAX_SIZE = 10 ** 7
 def _size(lo: int):
     """argparse type: an array size from lo to _MAX_SIZE."""
     return _bounded(int, lo, hi=_MAX_SIZE)
+
+
+# d < 3 is left to lattice's typed DimensionTooSmall; above _MAX_SIZE the
+# Bessel route loses I_d ~ 1/(2d) to rounding
+_dimension = _bounded(int, -np.inf, hi=_MAX_SIZE)
 
 
 def _vertex_counts(text: str) -> List[int]:
@@ -279,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("id", help="infrared integrals W_d and I_d")
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", type=_dimension, required=True)
     p.add_argument("--method", choices=lattice.METHODS, default="bessel")
     p.add_argument("--tol", type=_positive, default=1e-8)
 
@@ -318,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="first-order certificate on a J window")
     _add_model_flags(p)
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", type=_dimension, required=True)
     p.add_argument("--Jlo", type=_finite, required=True)
     p.add_argument("--Jhi", type=_finite, required=True)
     p.add_argument("--J-grid", dest="J_grid", type=_size(1), default=21)
@@ -375,6 +382,11 @@ _DISPATCH = {
 def dispatch(argv: Optional[List[str]] = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    if getattr(args, "model", None) is not None:
+        try:
+            models.ModelSpec(args.model, args.param)
+        except ValueError as exc:       # --param below the model's least value
+            ap.error(f"argument --param: {exc}")
     if args.subcommand == "bands" and args.id_value is None and args.slack is None:
         ap.error("bands requires --id-value or --slack")
     if args.subcommand in ("mc", "rate") and args.sweeps <= args.burn_in:

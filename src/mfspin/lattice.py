@@ -11,11 +11,17 @@ Two independent methods:
   (and an analogous three-Bessel formula for I_d directly), valid for every
   d >= 3.  The integrand decays like t^{-d/2}; the slow tail is integrated
   exactly after the substitution t -> T/s.
-* ``quad``  -- nested quadrature of the momentum integral itself, feasible for
-  d <= 4.  The integrable 1/|k|^2 singularity at k = 0 is removed by excluding
-  a ball of radius r0 and adding its analytic small-k expansion; the curved
-  exclusion boundary is handled exactly by a trigonometric substitution so the
-  inner Gauss-Legendre panels see a smooth integrand.
+* ``quad``  -- fixed-panel Gauss-Legendre quadrature of the momentum integral
+  itself, feasible for d <= 4.  The integrable 1/|k|^2 singularity at k = 0 is
+  removed by excluding a ball of radius r0 and adding its analytic small-k
+  expansion; on every axis the ball's slice [0, c] is mapped by k = c sin(psi),
+  so each panel sees a smooth integrand.  W_d and I_d are summed from the same
+  nodes in one pass.  The outer axes (k3, and k4 for d = 4) step through
+  orders 4, 6, 8, ... until two successive orders agree within tol/4; the
+  error estimate is the ball expansion's plus that last difference.
+
+Within ``quad`` the identity I_d = W_d - 1 is not an independent check, since
+both integrals share their nodes; the check is ``quad`` against ``bessel``.
 """
 
 from __future__ import annotations
@@ -104,85 +110,103 @@ def _id_bessel(d: int, tol: float):
 
 
 # ---------------------------------------------------------------------------
-# nested quadrature with ball exclusion
+# fixed-panel quadrature with ball exclusion
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=1)
-def _gauss_legendre():
-    """Order-40 Gauss-Legendre nodes and weights on [-1, 1]; read only."""
-    return roots_legendre(40)
+_R0 = 0.2                          # radius of the excluded ball around k = 0
+_INNER_ORDER = 40                  # Gauss-Legendre order per (k1, k2) panel
+_OUTER_ORDERS = range(4, 17, 2)    # outer orders tried in turn, up to the cap
+_CHUNK = 16                        # outer nodes per vectorized (k1, k2) block
 
 
-def _panels(lo: float, hi: float, edges):
-    """Panel boundaries [lo, *interior edges in (lo,hi)*, hi]."""
-    pts = [lo] + [e for e in edges if lo < e < hi] + [hi]
-    return list(zip(pts[:-1], pts[1:]))
+@lru_cache(maxsize=None)
+def _gauss_legendre(order: int):
+    """Gauss-Legendre nodes and weights of one order, mapped to [0, 1]; read only."""
+    x, w = roots_legendre(order)
+    return (x + 1.0) / 2.0, w / 2.0
 
 
-def _gl_nodes(a, b):
-    """Affine-mapped Gauss-Legendre nodes/weights; a may be an array."""
-    x, w = _gauss_legendre()
-    a = np.asarray(a, dtype=float)
-    half = (b - a) / 2.0
-    nodes = a + half * (x[:, None] + 1.0) if a.ndim else a + half * (x + 1.0)
-    weights = half * (w[:, None] if a.ndim else w)
-    return nodes, weights
+def _panels(c, order: int, slice_panel: bool = True):
+    """Gauss-Legendre panels of one axis of [0, pi], one at a time, as
+    (nodes, weights, the ball radius left to the next axis); each broadcasts
+    to c.shape + (order,).
 
-
-def _inner2d(cos_rest: float, d: int, s2: float, r0: float, want_id: bool):
-    """Integral over (k1,k2) in [0,pi]^2 minus the ball slice of radius s.
-
-    cos_rest = sum of cos(k_j) over the outer dimensions.  The integrand is
-    1/Dhat (or additionally -2+Dhat for the I_d variant).  The circular
-    exclusion boundary k1^2 + k2^2 = s^2 is parametrized as k2 = s sin(theta)
-    so every Gauss-Legendre panel sees a smooth function.
+    c (an array) is the radius of the ball's slice on this axis, 0 where the
+    slice is empty.  The panel [0, c] uses k = c sin(psi), so a node leaves a
+    slice of radius c cos(psi) to the next axis and the curved boundary costs
+    no accuracy; the panels [c, 2 r0], [2 r0, 1.5] and [1.5, pi] resolve the
+    sharp-but-smooth peak left near the origin.  slice_panel=False leaves
+    [0, c] out (the last axis, whose slice is inside the ball).
     """
-    s = np.sqrt(s2) if s2 > 0.0 else 0.0
-
-    def eval_block(k2_vec, k2_wts, k1_lo_vec):
-        """Sum over GL nodes of the k1-integral for each k2 node.
-
-        Panel edges at ~2*r0 and 1.5 resolve the sharp-but-smooth peak left
-        near the origin after the ball exclusion.
-        """
-        acc = np.zeros_like(k2_vec)
-        prev = np.asarray(k1_lo_vec, dtype=float)
-        for e in (2.0 * r0, 1.5, np.pi):
-            hi = np.minimum(np.maximum(prev, e), np.pi)
-            nodes, wts = _gl_nodes(prev, hi)  # (order, n_k2)
-            c = np.cos(nodes) + np.cos(k2_vec)[None, :] + cos_rest
-            dhat = 1.0 - c / d
-            f = 1.0 / dhat
-            if want_id:
-                f = f - 2.0 + dhat
-            acc += np.sum(wts * f, axis=0)
-            prev = hi
-        return float(np.sum(acc * k2_wts))
-
-    total = 0.0
-    if s > 0.0:
-        # k2 in [0, s]: k1 from sqrt(s^2-k2^2); substitute k2 = s sin(theta)
-        th, thw = _gl_nodes(0.0, np.pi / 2.0)
-        k2 = s * np.sin(th)
-        wts = s * np.cos(th) * thw
-        total += eval_block(k2, wts, s * np.cos(th))
-        lo2 = s
-    else:
-        lo2 = 0.0
-    # k2 in [lo2, pi]: full k1 range
-    for a, b in _panels(lo2, np.pi, (2.0 * r0, 1.5)):
-        k2, wts = _gl_nodes(a, b)
-        total += eval_block(k2, wts, np.zeros_like(k2))
-    return total
+    t, w = _gauss_legendre(order)
+    c = np.asarray(c, dtype=float)[..., None]
+    if slice_panel:
+        psi = (np.pi / 2.0) * t
+        rest = c * np.cos(psi)
+        yield c * np.sin(psi), rest * (np.pi / 2.0) * w, rest
+    lo = c
+    for hi in (2.0 * _R0, 1.5, np.pi):
+        yield lo + (hi - lo) * t, (hi - lo) * w, 0.0
+        lo = hi
 
 
-def _ball_series(d: int, r0: float, want_id: bool):
-    """Analytic small-k contribution of the excluded ball, with error guess.
+def _outer_nodes(d: int, order: int):
+    """(sum of cos k_j, ball radius left to (k1, k2), weight) of every node of
+    the outer axes k3..kd, flattened."""
+    cos_rest, s, weight = np.zeros(1), np.full(1, _R0), np.ones(1)
+    for _ in range(d - 2):
+        shape = s.shape + (order,)
+        k, w, s = (np.concatenate([np.broadcast_to(x, shape) for x in xs], axis=-1)
+                   for xs in zip(*_panels(s, order)))
+        cos_rest = (np.cos(k) + cos_rest[:, None]).ravel()
+        weight = (w * weight[:, None]).ravel()
+        s = s.ravel()
+    return cos_rest, s, weight
+
+
+def _inner_sums(cos_rest, s, weight, d: int):
+    """Sums of w/Dhat, w*Dhat and w over a chunk of outer nodes (arrays) and
+    their (k1, k2) nodes in [0, pi]^2 outside the disk of radius s, w being
+    the product of the outer and inner weights."""
+    sums = np.zeros(3)
+    for k2, w2, s1 in _panels(s, _INNER_ORDER, slice_panel=bool(s.any())):
+        dhat2 = 1.0 - (np.cos(k2) + cos_rest[:, None]) / d
+        w2 = w2 * weight[:, None]
+        for k1, w1, _ in _panels(s1, _INNER_ORDER, slice_panel=False):
+            dhat = dhat2[..., None] - np.cos(k1) / d
+            w1 = np.broadcast_to(w1, dhat.shape)
+            sums += (np.einsum("ijk,ijk,ij->", w1, 1.0 / dhat, w2),
+                     np.einsum("ijk,ijk,ij->", w1, dhat, w2),
+                     np.einsum("ijk,ij->", w1, w2))
+    return sums
+
+
+def _outside_ball(d: int, order: int):
+    """int 1/Dhat and int (1-Dhat)^2/Dhat over [0, pi]^d outside the ball,
+    divided by pi^d, with outer Gauss-Legendre order `order`.
+
+    Both integrands are summed from the same nodes, _CHUNK outer nodes at a
+    time; the nodes with a slice of the ball come first, so the chunks
+    after them share their (k1, k2) nodes.
+    """
+    cos_rest, s, weight = _outer_nodes(d, order)
+    first = np.argsort(s == 0.0, kind="stable")
+    cos_rest, s, weight = cos_rest[first], s[first], weight[first]
+    inv, dhat, vol = sum(_inner_sums(cos_rest[lo:lo + _CHUNK], s[lo:lo + _CHUNK],
+                                     weight[lo:lo + _CHUNK], d)
+                         for lo in range(0, len(s), _CHUNK))
+    return inv / np.pi ** d, (inv - 2.0 * vol + dhat) / np.pi ** d
+
+
+def _ball_series(d: int):
+    """Analytic small-k contributions of the excluded ball to W_d and I_d,
+    with an error guess.
 
     1/Dhat = (2d/rho^2)(1 + S4/(12 rho^2) + [S4^2/144 - S6/360]/rho^2 + ...)
-    averaged over angles; S_p = sum k_j^p.  For the I_d variant the exact
-    -2 + Dhat ball integrals are added.
+    averaged over angles; S_p = sum k_j^p.  I_d adds the exact -2 + Dhat
+    ball integrals.
     """
+    r0 = _R0
     A_d = 2.0 * np.pi ** (d / 2.0) / _gamma(d / 2.0)
     norm = A_d / (2.0 * np.pi) ** d
     c2 = d * (d + 20.0) / (24.0 * (d + 2.0) * (d + 4.0) * (d + 6.0))
@@ -190,44 +214,32 @@ def _ball_series(d: int, r0: float, want_id: bool):
                   + r0 ** d / (2.0 * (d + 2.0))
                   + c2 * r0 ** (d + 2) / (d + 2.0))
     err = 3.0 * r0 * r0 * norm * c2 * r0 ** (d + 2) / (d + 2.0)
-    if want_id:
-        vol = norm * r0 ** d / d
-        # int_B Dhat = (1/d)[int rho^2/2 - int S4/24 + ...]
-        int_rho2 = norm * r0 ** (d + 2) / (d + 2.0)
-        int_s4 = norm * (3.0 / (d + 2.0)) * r0 ** (d + 4) / (d + 4.0)
-        val += -2.0 * vol + (int_rho2 / 2.0 - int_s4 / 24.0) / d
-    return val, err
+    vol = norm * r0 ** d / d
+    # int_B Dhat = (1/d)[int rho^2/2 - int S4/24 + ...]
+    int_rho2 = norm * r0 ** (d + 2) / (d + 2.0)
+    int_s4 = norm * (3.0 / (d + 2.0)) * r0 ** (d + 4) / (d + 4.0)
+    return val, val - 2.0 * vol + (int_rho2 / 2.0 - int_s4 / 24.0) / d, err
 
 
-def _quad_value(d: int, tol: float, want_id: bool, r0: float = 0.2):
-    from scipy import integrate
-    ball, ball_err = _ball_series(d, r0, want_id)
+def _quad_value(d: int, tol: float):
+    """(W_d, I_d, error estimate) by fixed-panel quadrature.
 
-    if d == 3:
-        def outer(k3):
-            return _inner2d(np.cos(k3), 3, r0 * r0 - k3 * k3, r0, want_id)
-        v, e = integrate.quad(outer, 0.0, np.pi, epsabs=tol / 4.0, epsrel=1e-12,
-                              limit=300, points=[r0, 2 * r0])
-        total = v / np.pi ** 3 + ball
-        err = e / np.pi ** 3 + ball_err
-    else:  # d == 4
-        def mid(k3, k4, c4):
-            return _inner2d(np.cos(k3) + c4, 4,
-                            r0 * r0 - k3 * k3 - k4 * k4, r0, want_id)
-
-        def outer(k4):
-            c4 = np.cos(k4)
-            s = r0 * r0 - k4 * k4
-            pts = [np.sqrt(s)] if s > 0 else []
-            v, _ = integrate.quad(lambda k3: mid(k3, k4, c4), 0.0, np.pi,
-                                  epsabs=tol / (4.0 * np.pi), epsrel=1e-10,
-                                  limit=200, points=pts + [2 * r0])
-            return v
-        v, e = integrate.quad(outer, 0.0, np.pi, epsabs=tol / 4.0, epsrel=1e-10,
-                              limit=200, points=[r0, 2 * r0])
-        total = v / np.pi ** 4 + ball
-        err = e / np.pi ** 4 + ball_err + tol / 4.0
-    return total, err
+    The outer order steps through _OUTER_ORDERS until two successive orders
+    agree within tol/4 on both integrals; the higher order's values are
+    returned and the error estimate is the ball's plus their last difference.
+    """
+    ball_w, ball_i, ball_err = _ball_series(d)
+    prev = diff = None
+    for order in _OUTER_ORDERS:
+        w, i = _outside_ball(d, order)
+        if prev is not None:
+            diff = max(abs(w - prev[0]), abs(i - prev[1]))
+            if diff <= tol / 4.0:
+                return w + ball_w, i + ball_i, ball_err + diff
+        prev = w, i
+    raise QuadratureFailure(
+        f"d={d} (quad): orders {order - 2} and {order} differ by {diff:.2e}, "
+        f"more than tol/4 = {tol / 4.0:.2e}")
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +256,7 @@ def compute_wd(d: int, method: str = "bessel", tol: float = 1e-8) -> IdEstimate:
     if method == "bessel":
         w, err = _wd_bessel(d, tol)
     else:
-        w, err = _quad_value(d, tol, want_id=False)
+        w, _, err = _quad_value(d, tol)
     if err > max(tol, 1e-14):
         raise QuadratureFailure(
             f"W_{d} ({method}): error estimate {err:.2e} exceeds tol {tol:.2e}")
@@ -255,9 +267,10 @@ def compute_wd(d: int, method: str = "bessel", tol: float = 1e-8) -> IdEstimate:
 def compute_id(d: int, method: str = "bessel", tol: float = 1e-8) -> IdEstimate:
     """Infrared integral I_d = int (1-Dhat)^2/Dhat over the Brillouin zone.
 
-    The integrand is evaluated directly (three-Bessel product formula, or
-    nested quadrature of (1-Dhat)^2/Dhat); `compute_wd` gives I_d as
-    W_d - 1 instead, so the two cross-check each other.
+    The integrand is evaluated directly: the three-Bessel product formula,
+    checked against `compute_wd`'s W_d - 1, or fixed-panel quadrature of
+    (1-Dhat)^2/Dhat from the nodes that also give W_d, checked against the
+    Bessel route.
     """
     _check_args(d, method, tol)
     if method == "bessel":
@@ -265,9 +278,7 @@ def compute_id(d: int, method: str = "bessel", tol: float = 1e-8) -> IdEstimate:
         wd, werr = _wd_bessel(d, tol)
         err = max(err, werr)
     else:
-        v, err = _quad_value(d, tol, want_id=True)
-        wd, werr = _quad_value(d, tol, want_id=False)
-        err = max(err, werr)
+        wd, v, err = _quad_value(d, tol)
     if err > max(tol, 1e-14):
         raise QuadratureFailure(
             f"I_{d} ({method}): error estimate {err:.2e} exceeds tol {tol:.2e}")

@@ -1,6 +1,12 @@
-"""Shared fixtures and the acceptance-criteria summary reporter."""
+"""Shared fixtures and helpers, and the acceptance-criteria summary reporter."""
+
+import os
+import subprocess
+import sys
 
 import pytest
+
+import mfspin
 
 # populated by tests/test_acceptance.py: (number, name, passed, detail)
 ACCEPTANCE_RESULTS = []
@@ -26,3 +32,12 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 @pytest.fixture(scope="session")
 def tmp_outdir(tmp_path_factory):
     return tmp_path_factory.mktemp("cli_out")
+
+
+def run_python(probe):
+    """Run probe in a fresh interpreter that imports this package; its stdout."""
+    src = os.path.dirname(os.path.dirname(mfspin.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    return subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                          capture_output=True, text=True).stdout

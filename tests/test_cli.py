@@ -2,13 +2,11 @@
 
 import json
 import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-import mfspin
+from conftest import run_python
 from mfspin.cli import dispatch
 
 J_MF_Q3 = 4 * np.log(2)
@@ -305,15 +303,6 @@ def test_nematic_profile_reaches_the_bottom_of_the_interval(capsys):
     assert np.all(np.isfinite(np.array(rows, dtype=float)))
 
 
-def run_python(probe):
-    """Run probe in a fresh interpreter that imports this package; its stdout."""
-    src = os.path.dirname(os.path.dirname(mfspin.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    return subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                          capture_output=True, text=True).stdout
-
-
 def test_cli_import_leaves_scipy_stats_unloaded():
     # scipy.stats and scipy.integrate are imported where they are first used
     probe = ("import sys, mfspin.cli; "
@@ -368,6 +357,11 @@ def test_oracle_without_stable_root_is_typed_error(capsys):
         ("mc", "--N"), ("mc", "--sweeps"), ("mc", "--bins"), ("rate", "--sweeps"),
         ("rate", "--bins"))),
     ("rate", "--Ns", f"10,20,{10 ** 30}"),
+    ("id", "--dim", str(10 ** 30)), ("id", "--dim", str(10 ** 7 + 1)),
+    ("certify", "--dim", str(10 ** 30)), ("mc", "--param", "1"),
+    ("barrier", "--model", "cubic", "--param", "0"),
+    ("oracle", "--model", "nematic", "--param", "2"),
+    ("profile", "--param", str(10 ** 21)),
 ], ids=" ".join)
 def test_tiny_grids_are_usage_errors(capsys, argv):
     model = ["--model", "potts", "--param", "3"]

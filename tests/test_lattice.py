@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from mfspin.errors import DimensionTooSmall, MethodInfeasible
+from conftest import run_python
+from mfspin.errors import DimensionTooSmall, MethodInfeasible, QuadratureFailure
 from mfspin.lattice import compute_id, compute_wd
 
 # Classical simple-cubic Watson integral in closed form (Watson 1939;
@@ -106,3 +107,38 @@ def test_determinism():
     a = compute_wd(6, "bessel", 1e-9)
     b = compute_wd(6, "bessel", 1e-9)
     assert a == b
+
+
+@pytest.mark.parametrize("tol", [1e-7, 1e-8])
+def test_quad_w3_and_i3_within_their_error_of_closed_form(tol):
+    est = compute_id(3, "quad", tol=tol)
+    assert abs(est.wd_value - W3_REFERENCE) <= est.abs_error_estimate
+    assert abs(est.value - (W3_REFERENCE - 1.0)) <= est.abs_error_estimate
+    wd = compute_wd(3, "quad", tol=tol)
+    assert abs(wd.wd_value - W3_REFERENCE) <= wd.abs_error_estimate
+
+
+def test_quad_w4_and_i4_within_their_error_of_bessel():
+    bessel = compute_id(4, "bessel", tol=1e-12)
+    quad = compute_id(4, "quad", tol=1e-6)
+    assert abs(quad.value - bessel.value) <= quad.abs_error_estimate
+    assert abs(quad.wd_value - 1.0 - bessel.value) <= quad.abs_error_estimate
+    wd = compute_wd(4, "quad", tol=1e-6)
+    assert abs(wd.value - bessel.value) <= wd.abs_error_estimate
+
+
+@pytest.mark.parametrize("d, tol", [(3, 1e-8), (4, 1e-6)])
+def test_quad_error_estimate_within_tol(d, tol):
+    assert compute_id(d, "quad", tol=tol).abs_error_estimate <= tol
+
+
+def test_quad_below_the_ball_error_fails():
+    # the excluded ball's expansion is good to about 3.6e-9 at d = 3
+    with pytest.raises(QuadratureFailure):
+        compute_id(3, "quad", 1e-10)
+
+
+def test_quad_route_leaves_scipy_integrate_unloaded():
+    probe = ("import sys; from mfspin.lattice import compute_id; "
+             "compute_id(4, 'quad', 1e-6); print('scipy.integrate' in sys.modules)")
+    assert run_python(probe).strip() == "False"
