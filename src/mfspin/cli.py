@@ -389,8 +389,8 @@ def dispatch(argv: Optional[List[str]] = None) -> int:
             ap.error(f"argument --param: {exc}")
     if args.subcommand == "bands" and args.id_value is None and args.slack is None:
         ap.error("bands requires --id-value or --slack")
-    if args.subcommand in ("mc", "rate") and args.sweeps <= args.burn_in:
-        ap.error(f"{args.subcommand} requires --sweeps > --burn-in")
+    if args.subcommand in ("mc", "rate") and args.sweeps < args.burn_in + 2:
+        ap.error(f"{args.subcommand} requires --sweeps >= --burn-in + 2")
     if args.subcommand == "certify" and not 0 < args.Jlo < args.Jhi:
         ap.error("certify requires 0 < --Jlo < --Jhi")
     if args.subcommand == "transition" and (args.Jlo is None) != (args.Jhi is None):

@@ -30,8 +30,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
-from scipy.special import gamma as _gamma, roots_legendre
 
 from .errors import DimensionTooSmall, MethodInfeasible, QuadratureFailure
 
@@ -85,6 +83,7 @@ def _bessel_integral(d: int, integrand, tol: float):
 
 
 def _wd_bessel(d: int, tol: float):
+    from scipy import special       # on first use, as scipy.integrate
     f = lambda t: special.ive(0, t / d) ** d
     return _bessel_integral(d, f, tol)
 
@@ -99,6 +98,8 @@ def _id_bessel(d: int, tol: float):
         I_d = int_0^inf [ (ive0+ive2)(x)/2 * ive0(x)^{d-1} / d
                           + (d-1)/d * ive1(x)^2 * ive0(x)^{d-2} ] dt.
     """
+    from scipy import special
+
     def f(t):
         x = t / d
         i0 = special.ive(0, x)
@@ -122,7 +123,8 @@ _CHUNK = 16                        # outer nodes per vectorized (k1, k2) block
 @lru_cache(maxsize=None)
 def _gauss_legendre(order: int):
     """Gauss-Legendre nodes and weights of one order, mapped to [0, 1]; read only."""
-    x, w = roots_legendre(order)
+    from scipy import special
+    x, w = special.roots_legendre(order)
     return (x + 1.0) / 2.0, w / 2.0
 
 
@@ -206,8 +208,9 @@ def _ball_series(d: int):
     averaged over angles; S_p = sum k_j^p.  I_d adds the exact -2 + Dhat
     ball integrals.
     """
+    from scipy import special
     r0 = _R0
-    A_d = 2.0 * np.pi ** (d / 2.0) / _gamma(d / 2.0)
+    A_d = 2.0 * np.pi ** (d / 2.0) / special.gamma(d / 2.0)
     norm = A_d / (2.0 * np.pi) ** d
     c2 = d * (d + 20.0) / (24.0 * (d + 2.0) * (d + 4.0) * (d + 6.0))
     val = norm * (2.0 * d * r0 ** (d - 2) / (d - 2.0)

@@ -48,8 +48,8 @@ class MCConfig:
     def __post_init__(self):
         if self.N < 2:
             raise ValueError("N must be at least 2")
-        if not (self.sweeps > self.burn_in >= 0):
-            raise ValueError("need sweeps > burn_in >= 0")
+        if not (self.burn_in >= 0 and self.sweeps >= self.burn_in + 2):
+            raise ValueError("need burn_in >= 0 and sweeps >= burn_in + 2 (two measured sweeps)")
         if self.J < 0:
             raise ValueError("J must be non-negative")
 

@@ -34,10 +34,9 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Tuple
 
 import numpy as np
-from scipy import optimize
-from scipy.special import gammaln, hyp1f1
 
 from .errors import BoundaryMagnetization, OutOfSimplex
+from .roots import brentq
 
 __all__ = [
     "ModelSpec", "potts", "cubic", "nematic",
@@ -349,7 +348,7 @@ def ising_rho(J: float) -> float:
     if J <= 2.0:
         return 0.0
     f = lambda rho: np.tanh(J * rho / 2.0) - rho
-    return float(optimize.brentq(f, 1e-12, 1.0 - 1e-15, xtol=1e-14))
+    return brentq(f, 1e-12, 1.0 - 1e-15, xtol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +365,7 @@ def _nematic_moments(N: int, end: int, h):
     ell = log Z - a [h > 0]; g = (N-1)/N ell + e_h h, e_h the end on h's
     side, so no digit is lost at either end.  Regimes: docs/decisions.md.
     """
+    from scipy import special       # on first use: only nematic commands need it
     h = np.asarray(h, dtype=float)
     a, c = h.ravel() * (N / (N - 1.0)), 0.5 * (N - 1.0)
     ell, mu, var = np.empty_like(a), np.empty_like(a), np.empty_like(a)
@@ -386,17 +386,17 @@ def _nematic_moments(N: int, end: int, h):
     # exact: converged before the smallest term, and the O(e^-|a|) part, of
     # relative size e^-|a| |a|^(p-q) Gamma(q)/Gamma(p), is below rounding
     exact = (np.all(np.abs(term) <= _EPS * S, axis=0)
-             & (gammaln(q) - gammaln(p) + (p - q) * np.log(x) - x < np.log(_EPS)))
+             & (special.gammaln(q) - special.gammaln(p) + (p - q) * np.log(x) - x < np.log(_EPS)))
     big, x, p, q, S = ser[exact], x[exact], p[exact], q[exact], S[:, exact]
     r1, r2 = S[1] / S[0], S[2] / S[0]
-    ell[big] = gammaln(0.5 * N) - gammaln(q) - p * np.log(x) + np.log(S[0])
+    ell[big] = special.gammaln(0.5 * N) - special.gammaln(q) - p * np.log(x) + np.log(S[0])
     mu[big] = p * r1 / x
     var[big] = p * ((p + 1.0) * r2 - p * r1 * r1) / x / x  # not <v^2> - <v>^2: no cancellation
     rest = np.setdiff1d(np.arange(a.size), big)
     ar = a[rest]
-    F0 = hyp1f1(0.5, 0.5 * N, ar)
-    x2 = hyp1f1(1.5, 0.5 * N + 1.0, ar) / (N * F0)
-    var[rest] = 3.0 * hyp1f1(2.5, 0.5 * N + 2.0, ar) / (N * (N + 2.0) * F0) - x2 * x2
+    F0 = special.hyp1f1(0.5, 0.5 * N, ar)
+    x2 = special.hyp1f1(1.5, 0.5 * N + 1.0, ar) / (N * F0)
+    var[rest] = 3.0 * special.hyp1f1(2.5, 0.5 * N + 2.0, ar) / (N * (N + 2.0) * F0) - x2 * x2
     ell[rest] = np.log(F0) - np.maximum(ar, 0.0)
     mu[rest] = np.where(ar > 0.0, 1.0 - x2, x2)
     shift = (a > 0.0) - float(end)

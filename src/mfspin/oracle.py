@@ -19,8 +19,6 @@ from math import comb
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import optimize
-from scipy.special import logsumexp, ndtri
 import warnings
 
 from .errors import BudgetExceeded, NoStableRoot, SamplingNoise
@@ -82,6 +80,7 @@ def _polish(fun, z0: np.ndarray, grid_val: float, **minimize_kw
             ) -> Tuple[np.ndarray, float]:
     """Local minimization from the grid point z0, kept only if it succeeds
     and does not end above the grid value; else (z0, grid_val)."""
+    from scipy import optimize      # on first use: scipy.optimize takes ~0.45 s to import
     res = optimize.minimize(fun, z0, **minimize_kw)
     if res.success and res.fun <= grid_val + 1e-12:
         return res.x, float(res.fun)
@@ -187,11 +186,12 @@ def _sphere_x2_nodes(N: int, sphere_samples: int, seed: int = 20240913
         X2 = np.stack([v1 ** 2, v2 ** 2, v3 ** 2], axis=-1).reshape(-1, 3)
         W = (np.outer(wu, np.full(n_th, 1.0 / n_th)) / 2.0).reshape(-1)
         return X2, W, None
+    from scipy import special
     from scipy.stats import qmc     # scipy.stats takes ~0.5 s to import
     sob = qmc.Sobol(d=N, scramble=True, seed=seed)
     m = int(np.ceil(np.log2(max(sphere_samples, 64))))
     pts = sob.random_base2(m)
-    g = ndtri(np.clip(pts, 1e-12, 1 - 1e-12))
+    g = special.ndtri(np.clip(pts, 1e-12, 1 - 1e-12))
     g /= np.linalg.norm(g, axis=1, keepdims=True)
     X2 = g ** 2
     W = np.full(X2.shape[0], 1.0 / X2.shape[0])
@@ -201,8 +201,9 @@ def _sphere_x2_nodes(N: int, sphere_samples: int, seed: int = 20240913
 
 def _g_diag(h: np.ndarray, X2: np.ndarray, W: np.ndarray) -> np.ndarray:
     """G(diag h) = log E[exp(sum_a h_a v_a^2)] for a batch of h rows."""
+    from scipy import special
     expo = h @ X2.T  # (n_h, n_nodes)
-    return logsumexp(expo, axis=1, b=W[None, :])
+    return special.logsumexp(expo, axis=1, b=W[None, :])
 
 
 def nematic_dual_min(N: int, J: float, resolution: int = 120,

@@ -22,10 +22,10 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy import optimize
 
 from .errors import BracketInvalid, MFSpinError, NoAsymmetricBranch, ScanTooCoarse
 from .models import ModelSpec
+from .roots import brentq
 
 __all__ = [
     "BranchPoint", "BranchSet", "TransitionPoint", "TraceResult",
@@ -147,8 +147,7 @@ def solve_branches(model: ModelSpec, J: float,
         if fa == 0.0:
             roots.append(float(a))
         elif fa * fb < 0.0:
-            roots.append(float(optimize.brentq(f, a, b, xtol=_ROOT_XTOL,
-                                               rtol=8.9e-16)))
+            roots.append(brentq(f, a, b, xtol=_ROOT_XTOL, rtol=8.9e-16))
     if f_vals[-1] == 0.0:
         roots.append(float(grid[-1]))
 
@@ -194,7 +193,7 @@ def _refine_near(model: ModelSpec, J: float, seed: float,
         if fb == 0.0:
             return b
         if fa * fb < 0.0:
-            return float(optimize.brentq(f, a, b, xtol=_ROOT_XTOL, rtol=8.9e-16))
+            return brentq(f, a, b, xtol=_ROOT_XTOL, rtol=8.9e-16)
         w *= 2.0
         if a <= lo_b + 1e-12 and b >= hi_b - 1e-12:
             break

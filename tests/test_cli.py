@@ -304,10 +304,29 @@ def test_nematic_profile_reaches_the_bottom_of_the_interval(capsys):
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats and scipy.integrate are imported where they are first used
+    # every scipy module is imported where it is first used, so importing the
+    # CLI loads numpy and no scipy at all
     probe = ("import sys, mfspin.cli; "
-             "print([m in sys.modules for m in ('scipy.stats', 'scipy.integrate')])")
-    assert run_python(probe).strip() == "[False, False]"
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert run_python(probe).strip() == "[]"
+
+
+def test_commands_load_only_the_scipy_they_compute_with():
+    # Monte Carlo needs no scipy; a Potts transition needs no scipy.optimize
+    # (roots come from mfspin.roots) and no scipy.integrate
+    probe = """
+import contextlib, io, sys
+from mfspin.cli import dispatch
+for argv in (['mc', '--model', 'potts', '--param', '3', '--J', '2', '--N', '10', '--sweeps', '20'],
+             ['mc', '--model', 'nematic', '--param', '3', '--J', '2', '--N', '10', '--sweeps', '20'],
+             ['transition', '--model', 'potts', '--param', '3']):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert dispatch(argv) == 0
+    print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))
+"""
+    potts_mc, nematic_mc, transition = run_python(probe).split("\n")[:3]
+    assert potts_mc == nematic_mc == ""
+    assert not {"scipy.optimize", "scipy.integrate"} & set(transition.split())
 
 
 def test_cubic_oracle_peak_memory():
@@ -335,7 +354,8 @@ def test_oracle_without_stable_root_is_typed_error(capsys):
     ("profile", "--grid", "-1"), ("profile", "--grid", "0"),
     ("reproduce-figures", "--grid", "0"), ("oracle", "--resolution", "5"),
     ("mc", "--N", "1"), ("mc", "--bins", "0"), ("mc", "--burn-in", "-1"),
-    ("mc", "--burn-in", "300"), ("rate", "--Ns", "10,20"), ("rate", "--bins", "0"),
+    ("mc", "--burn-in", "300"), ("mc", "--sweeps", "2", "--burn-in", "1"),
+    ("rate", "--sweeps", "2", "--burn-in", "1"), ("rate", "--Ns", "10,20"), ("rate", "--bins", "0"),
     ("rate", "--sweeps", "2000"), ("rate", "--Ns", "1,2,3"), ("rate", "--Ns", "a,b,c"),
     ("rate", "--Ns", "20,20,40"), ("mc", "--J", "-1"), ("rate", "--J", "-1"),
     ("barrier", "--J", "-1"), ("oracle", "--J", "-1"), ("bands", "--J", "-1"),

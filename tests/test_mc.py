@@ -16,6 +16,8 @@ def test_config_validation():
         mc.MCConfig(model=M.potts(3), J=1.0, N=1, sweeps=10)
     with pytest.raises(ValueError):
         mc.MCConfig(model=M.potts(3), J=1.0, N=10, sweeps=10, burn_in=10)
+    with pytest.raises(ValueError):     # one measured sweep has no standard error
+        mc.MCConfig(model=M.potts(3), J=1.0, N=10, sweeps=11, burn_in=10)
     with pytest.raises(ValueError):
         mc.MCConfig(model=M.potts(3), J=-1.0, N=10, sweeps=10)
 
