@@ -9,8 +9,8 @@ from scipy import optimize
 
 from mfspin.roots import brentq
 
-# (xtol, rtol) as the package calls it: models.ising_rho, solver, the defaults
-SETTINGS = [dict(xtol=1e-14), dict(xtol=1e-12, rtol=8.9e-16), {}]
+# (xtol, rtol) as the package calls it: models.ising_rho, then solver
+SETTINGS = [dict(xtol=1e-14), dict(xtol=1e-12, rtol=8.9e-16)]
 
 # Each family draws its parameters and returns a smooth g; a bracket solves
 # g(x) = g(r).  Near-triple roots, and brackets holding several roots or a
@@ -100,27 +100,31 @@ def test_brentq_matches_scipy_bit_for_bit():
 
 
 def test_brentq_zero_at_an_end_returns_it():
-    assert brentq(lambda x: x, 0.0, 2.0) == 0.0
-    assert brentq(lambda x: x - 2.0, 0.0, 2.0) == 2.0
-    assert optimize.brentq(lambda x: x, 0.0, 2.0) == 0.0
+    assert brentq(lambda x: x, 0.0, 2.0, xtol=1e-14) == 0.0
+    assert brentq(lambda x: x - 2.0, 0.0, 2.0, xtol=1e-14) == 2.0
+    assert optimize.brentq(lambda x: x, 0.0, 2.0, xtol=1e-14) == 0.0
 
 
 def test_brentq_same_sign_bracket_is_value_error():
     with pytest.raises(ValueError, match="different signs"):
-        brentq(lambda x: x + 5.0, -1.0, 2.0)
+        brentq(lambda x: x + 5.0, -1.0, 2.0, xtol=1e-14)
 
 
 def test_brentq_nan_value_is_value_error():
     with pytest.raises(ValueError, match="NaN"):
-        brentq(lambda x: math.nan if x > 0.4 else x - 0.5, -1.0, 2.0)
+        brentq(lambda x: math.nan if x > 0.4 else x - 0.5, -1.0, 2.0, xtol=1e-14)
     with pytest.raises(ValueError, match="NaN"):
-        brentq(lambda x: math.nan if 0.0 < x < 1.0 else x - 0.5, -1.0, 2.0)
+        brentq(lambda x: math.nan if 0.0 < x < 1.0 else x - 0.5, -1.0, 2.0, xtol=1e-14)
 
 
 def test_brentq_without_convergence_is_runtime_error():
-    f = lambda x: x ** 3 - 0.3
-    with pytest.raises(RuntimeError, match="converge"):
-        optimize.brentq(f, -1.0, 2.0, maxiter=2)
-    with pytest.raises(RuntimeError, match="converge"):
-        brentq(f, -1.0, 2.0, maxiter=2)
-    assert brentq(f, -1.0, 2.0) == optimize.brentq(f, -1.0, 2.0)
+    # |f| never shrinks, so every step bisects; from a 2e300 bracket to the
+    # 1e-16 tolerance near 0.3 takes about 1050 halvings, past the 100 allowed.
+    f = lambda x: -1.0 if x < 0.3 else 1.0
+    xs = {}
+    for solver in (brentq, optimize.brentq):
+        xs[solver] = []
+        with pytest.raises(RuntimeError, match="converge"):
+            solver(lambda x: xs[solver].append(x) or f(x), -1e300, 1e300, xtol=1e-300)
+    assert len(xs[brentq]) == 102
+    assert xs[brentq] == xs[optimize.brentq]
