@@ -168,7 +168,7 @@ def _cmd_rate(a) -> str:
     inside = (lo < centers) & (centers < hi)
     phis = np.full(len(centers), np.nan)
     phis[inside] = models.phi_full_scale(model, a.J, centers[inside])
-    phis_shift = phis - np.nanmin(phis[est.adequate]) if est.adequate.any() else phis
+    phis_shift = phis - np.nanmin(phis[est.adequate])
     rows = []
     for b in range(len(centers)):
         if not est.adequate[b]:

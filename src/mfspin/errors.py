@@ -45,6 +45,10 @@ class BudgetExceeded(MFSpinError):
     """Brute-force grid would exceed the configured evaluation budget."""
 
 
+class InsufficientSamples(MFSpinError):
+    """No histogram bin holds enough samples to estimate the rate function."""
+
+
 class ScanTooCoarse(UserWarning):
     """Two roots closer than two grid cells; scan resolution should be raised."""
 

@@ -29,6 +29,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .errors import InsufficientSamples
 from .models import ModelSpec
 
 __all__ = ["MCConfig", "MCResult", "run_mc", "estimate_rate_function",
@@ -284,14 +285,11 @@ class RateFunctionEstimate:
     rate: np.ndarray               # intercept of -(1/N) log freq vs 1/N
     adequate: np.ndarray           # bool: >= 10 samples at largest N
     Ns: Sequence[int]
-    per_N_rate: np.ndarray         # raw -(1/N) log freq, shape (len(Ns), bins)
     results: List[MCResult]
 
     def shifted_rate(self) -> np.ndarray:
         """Rate minus its minimum over adequately sampled bins."""
-        vals = self.rate[self.adequate]
-        base = np.nanmin(vals) if len(vals) else np.nan
-        return self.rate - base
+        return self.rate - np.nanmin(self.rate[self.adequate])
 
 
 def estimate_rate_function(model: ModelSpec, J: float, Ns: Sequence[int],
@@ -302,7 +300,8 @@ def estimate_rate_function(model: ModelSpec, J: float, Ns: Sequence[int],
     Runs one chain per vertex count, computes per-bin -(1/N) log(frequency)
     and extrapolates linearly in 1/N.  Bins with fewer than 10 samples
     at the largest N are flagged inadequate and excluded from the
-    extrapolation (never filled in).
+    extrapolation (never filled in); InsufficientSamples is raised when no
+    bin is adequate.
     """
     Ns = sorted(int(n) for n in Ns)
     if len(Ns) < 3:
@@ -328,6 +327,9 @@ def estimate_rate_function(model: ModelSpec, J: float, Ns: Sequence[int],
             rate[b] = coef[1]          # intercept: N -> infinity
         else:
             adequate[b] = False
+    if not adequate.any():
+        raise InsufficientSamples(
+            f"no histogram bin has 10 samples at N={Ns[-1]} and a finite rate "
+            f"at three N; raise sweeps")
     return RateFunctionEstimate(bin_centers=centers, rate=rate,
-                                adequate=adequate, Ns=Ns, per_N_rate=per_N,
-                                results=results)
+                                adequate=adequate, Ns=Ns, results=results)

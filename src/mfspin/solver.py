@@ -3,8 +3,8 @@
 All solutions of m = g'(J m) at fixed J are located by a sign-change scan
 refined with bracketing bisection; a root m is dynamically stable (candidate
 local minimum of the scalar free energy) iff J g''(J m) < 1.  Branches are
-traced over J with continuation seeding, and the first-order transition point
-J_MF is located by bisecting the degeneracy gap
+traced over J by one root scan per grid coupling, and the first-order
+transition point J_MF is located by bisecting the degeneracy gap
 
     dphi(J) = phi_J(m+(J)) - phi_J(0),
 
@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import BracketInvalid, MFSpinError, NoAsymmetricBranch, ScanTooCoarse
+from .errors import BracketInvalid, NoAsymmetricBranch, ScanTooCoarse
 from .models import ModelSpec
 from .roots import brentq
 
@@ -50,10 +50,6 @@ class BranchPoint:
     stability: str          # "stable" iff J g''(Jm) < 1
     phi: float              # scalar free energy phi_J(m)
     marginal: bool = False  # |J g''(Jm) - 1| inside the tie tolerance band
-
-    def as_dict(self):
-        return {"J": self.J, "m": self.m, "stability": self.stability,
-                "phi": self.phi}
 
 
 @dataclass
@@ -113,15 +109,14 @@ class TraceResult:
     jumps: List[int] = field(default_factory=list)
 
 
-def _phi_on_branch(model: ModelSpec, J: float, m: float) -> float:
-    """phi_J(m) for a stationary m, via the dual form (J/2)m^2 - g(Jm)."""
-    return J * m * m / 2.0 - model.g(J * m)
-
-
-def _classify(model: ModelSpec, J: float, m: float) -> Tuple[str, bool]:
+def _point(model: ModelSpec, J: float, m: float) -> BranchPoint:
+    """The stationary point m at J, classified by J g''(Jm) against 1, with
+    phi_J(m) from the dual form (J/2)m^2 - g(Jm)."""
     crit = J * model.g_second(J * m)
-    marginal = abs(crit - 1.0) < _TIE_BAND
-    return (STABLE if crit < 1.0 else UNSTABLE), marginal
+    return BranchPoint(J=float(J), m=float(m),
+                       stability=STABLE if crit < 1.0 else UNSTABLE,
+                       phi=J * m * m / 2.0 - model.g(J * m),
+                       marginal=abs(crit - 1.0) < _TIE_BAND)
 
 
 def solve_branches(model: ModelSpec, J: float,
@@ -169,13 +164,8 @@ def solve_branches(model: ModelSpec, J: float,
                           ScanTooCoarse)
             break
 
-    pts = []
-    for r in merged:
-        stab, marg = _classify(model, J, r)
-        pts.append(BranchPoint(J=float(J), m=r, stability=stab,
-                               phi=_phi_on_branch(model, J, r),
-                               marginal=marg))
-    return BranchSet(model=model, J=float(J), points=pts)
+    return BranchSet(model=model, J=float(J),
+                     points=[_point(model, J, r) for r in merged])
 
 
 def _refine_near(model: ModelSpec, J: float, seed: float,
@@ -206,72 +196,47 @@ def max_stable_root(model: ModelSpec, J: float, seed: Optional[float] = None,
     if seed is not None and seed > _MERGE_TOL:
         r = _refine_near(model, J, seed, width=0.02 * max(abs(seed), 0.1))
         if r is not None and r > _MERGE_TOL:
-            stab, marg = _classify(model, J, r)
-            if stab == STABLE:
-                return BranchPoint(J=float(J), m=float(r), stability=stab,
-                                   phi=_phi_on_branch(model, J, r),
-                                   marginal=marg)
+            bp = _point(model, J, r)
+            if bp.stability == STABLE:
+                return bp
     return solve_branches(model, J, scan_resolution).max_stable_root()
 
 
-def trace_max_branch(model: ModelSpec, J_range: Tuple[float, float],
-                     steps: int, scan_resolution: int = 400) -> TraceResult:
-    """Largest stable root m_MF(J) over a J grid, with continuation seeding.
-
-    A seeded solve that lands further than 10x the previous step's |dm| from
-    its seed is treated as a basin escape and restarted from a dense scan.
-    """
-    Js = np.linspace(J_range[0], J_range[1], int(steps))
+def _trace(model: ModelSpec, J_range: Tuple[float, float], steps: int,
+           scan_resolution: int,
+           pick: Callable[[BranchSet], Optional[BranchPoint]]) -> TraceResult:
+    """``pick`` of one root scan per grid J; m = 0 where it finds no root."""
     pts: List[BranchPoint] = []
     J1 = None
     J2 = None
     jumps: List[int] = []
-    seed = None
-    prev_dm = None
-    for i, J in enumerate(Js):
-        bp = None
-        if seed is not None:
-            bp = max_stable_root(model, float(J), seed=seed,
-                                 scan_resolution=scan_resolution)
-            if (bp is not None and prev_dm is not None
-                    and abs(bp.m - seed) > 10.0 * max(prev_dm, 1e-6)):
-                bp = solve_branches(model, float(J), scan_resolution).max_stable_root()
-        else:
-            bp = solve_branches(model, float(J), scan_resolution).max_stable_root()
-        if bp is None:  # no stable root at all (cannot happen away from J2)
-            bp = BranchPoint(J=float(J), m=0.0, stability=UNSTABLE,
-                             phi=_phi_on_branch(model, float(J), 0.0))
+    for i, J in enumerate(np.linspace(J_range[0], J_range[1], int(steps))):
+        J = float(J)
+        bs = solve_branches(model, J, scan_resolution)
+        bp = pick(bs)
+        if bp is None:  # no stable root to pick (only near the spinodal J2)
+            bp = _point(model, J, 0.0)
+        top = bs.max_stable_root()
+        if J1 is None and top is not None and top.m > _MERGE_TOL:
+            J1 = J
+        if J * model.g_second(0.0) < 1.0:
+            J2 = J
+        if pts and abs(bp.m - pts[-1].m) > 0.1:
+            jumps.append(i)
         pts.append(bp)
-        if J1 is None and bp.m > _MERGE_TOL and bp.stability == STABLE:
-            J1 = float(J)
-        zero_stab, _ = _classify(model, float(J), 0.0)
-        if zero_stab == STABLE:
-            J2 = float(J)
-        if i > 0:
-            dm = abs(bp.m - pts[-2].m)
-            if dm > 0.1:
-                jumps.append(i)
-            prev_dm = dm
-        seed = bp.m if bp.m > _MERGE_TOL else None
     return TraceResult(model=model, points=pts, J1=J1, J2=J2, jumps=jumps)
+
+
+def trace_max_branch(model: ModelSpec, J_range: Tuple[float, float],
+                     steps: int, scan_resolution: int = 400) -> TraceResult:
+    """Largest stable root m_MF(J) over a J grid."""
+    return _trace(model, J_range, steps, scan_resolution, BranchSet.max_stable_root)
 
 
 def trace_global_branch(model: ModelSpec, J_range: Tuple[float, float],
                         steps: int, scan_resolution: int = 400) -> TraceResult:
     """Magnetization of the global scalar minimizer over a J grid."""
-    Js = np.linspace(J_range[0], J_range[1], int(steps))
-    pts: List[BranchPoint] = []
-    jumps: List[int] = []
-    for i, J in enumerate(Js):
-        bs = solve_branches(model, float(J), scan_resolution)
-        bp = bs.global_minimum()
-        if bp is None:
-            bp = BranchPoint(J=float(J), m=0.0, stability=UNSTABLE,
-                             phi=_phi_on_branch(model, float(J), 0.0))
-        pts.append(bp)
-        if i > 0 and abs(bp.m - pts[-2].m) > 0.1:
-            jumps.append(i)
-    return TraceResult(model=model, points=pts, jumps=jumps)
+    return _trace(model, J_range, steps, scan_resolution, BranchSet.global_minimum)
 
 
 def _degeneracy_gap(model: ModelSpec, J: float,
@@ -280,9 +245,7 @@ def _degeneracy_gap(model: ModelSpec, J: float,
     bp = max_stable_root(model, J, seed=seed)
     if bp is None or bp.m <= _MERGE_TOL:
         return None, None
-    m = bp.m
-    gap = (J / 2.0) * m * m - model.g(J * m) + model.g(0.0)
-    return gap, m
+    return bp.phi + model.g(0.0), bp.m
 
 
 def auto_bracket(model: ModelSpec) -> Tuple[float, float]:
@@ -298,7 +261,7 @@ def auto_bracket(model: ModelSpec) -> Tuple[float, float]:
             break
         if gap > 0:
             return J, hi
-    raise MFSpinError("could not auto-bracket the transition; pass --Jlo/--Jhi")
+    raise BracketInvalid("could not auto-bracket the transition; pass --Jlo/--Jhi")
 
 
 def find_transition(model: ModelSpec, bracket: Tuple[float, float],

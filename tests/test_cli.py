@@ -133,6 +133,27 @@ def test_rate_csv(capsys):
         assert abs(float(r[1]) - float(r[3])) < 0.25
 
 
+def test_rate_without_an_adequate_bin_is_typed_error(capsys):
+    # three sweeps leave every bin with fewer than ten samples at N = 40
+    code, out, err = run_cli(capsys, "rate", "--model", "potts", "--param", "3",
+                             "--J", "2", "--Ns", "10,20,40", "--sweeps", "3",
+                             "--burn-in", "1")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "InsufficientSamples"
+
+
+@pytest.mark.parametrize("model", [("potts", "2"), ("cubic", "2")], ids="-".join)
+def test_transition_without_first_order_jump_is_typed_error(capsys, model):
+    code, out, err = run_cli(capsys, "transition", "--model", model[0],
+                             "--param", model[1])
+    assert code == 1
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "BracketInvalid"
+    assert "auto-bracket" in payload["message"]
+
+
 def test_usage_error_exit_code_two(capsys):
     with pytest.raises(SystemExit) as exc:
         dispatch(["bands", "--model", "potts", "--param", "10", "--J", "1.0"])
@@ -247,6 +268,8 @@ GOLDEN = [
       "--steps", "4", "--scan-resolution", "100")),
     ("transition_potts10.json",
      ("transition", "--model", "potts", "--param", "10")),
+    ("transition_nematic3.json",
+     ("transition", "--model", "nematic", "--param", "3")),
     ("barrier_nematic4.json",
      ("barrier", "--model", "nematic", "--param", "4", "--J", "5.2")),
     ("oracle_potts3.json",

@@ -116,6 +116,19 @@ def test_trace_q10_discontinuous_onset():
     assert dm > 0.3
 
 
+@pytest.mark.parametrize("model,window,res", [
+    (M.potts(10), (4.4, 5.2), 600), (M.cubic(4), (3.70, 3.90), 400)],
+    ids=["potts10", "cubic4"])
+def test_traces_are_one_root_scan_per_coupling(model, window, res):
+    Js = np.linspace(*window, 41)
+    for trace, pick in ((S.trace_max_branch, S.BranchSet.max_stable_root),
+                        (S.trace_global_branch, S.BranchSet.global_minimum)):
+        tr = trace(model, window, 41, scan_resolution=res)
+        assert [p.J for p in tr.points] == Js.tolist()
+        for p in tr.points:
+            assert p == pick(S.solve_branches(model, p.J, res))
+
+
 def test_global_branch_switches_at_transition():
     tr = S.trace_global_branch(M.potts(3), (2.75, 2.80), 51)
     for p in tr.points:
@@ -227,5 +240,6 @@ def test_auto_bracket_contains_transition():
 
 def test_auto_bracket_fails_typed_without_first_order_transition():
     # the Ising-like cubic r = 2 chain has a continuous transition
-    with pytest.raises(MFSpinError, match="auto-bracket"):
+    with pytest.raises(MFSpinError, match="auto-bracket") as exc:
         S.auto_bracket(M.cubic(2))
+    assert type(exc.value) is BracketInvalid
