@@ -262,8 +262,8 @@ def _size(lo: int):
     return _bounded(int, lo, hi=_MAX_SIZE)
 
 
-# d < 3 is left to lattice's typed DimensionTooSmall; above _MAX_SIZE the
-# Bessel route loses I_d ~ 1/(2d) to rounding
+# d < 3 is left to lattice's typed DimensionTooSmall; the top is the cap that
+# every size-like option shares, up to which I_d is tested
 _dimension = _bounded(int, -np.inf, hi=_MAX_SIZE)
 
 

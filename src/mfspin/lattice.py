@@ -8,9 +8,17 @@ and note that Dhat integrates to 1).  I_d ~ 1/(2d) for large d.
 Two independent methods:
 
 * ``bessel`` -- the product representation W_d = int_0^inf e^{-t} I0(t/d)^d dt
-  (and an analogous three-Bessel formula for I_d directly), valid for every
-  d >= 3.  The integrand decays like t^{-d/2}; the slow tail is integrated
-  exactly after the substitution t -> T/s.
+  and an analogous three-Bessel formula for I_d directly, valid for every
+  d >= 3.  Both are summed by one fixed rule: Gauss-Legendre panels on
+  [0, T] with doubling edges, T = max(400, 60d), and the tail t = T/u^2 on
+  u in (0, 1], where the t^{-d/2} decay is smooth in u.  The per-panel order
+  steps through 16, 24, 32, ... until two successive orders agree within
+  tol/4; the error estimate is that difference plus a few ulps.  e^-x I0
+  and e^-x I1 come from Chebyshev series kept in this module (Cephes' for
+  I0, fitted ones for I1), and the powers I0(t/d)^k are formed in log space
+  from a power series of log I0, so that their rounding error does not grow
+  with d.  The direct I_d formula is an integrand independent of W_d's, so
+  I_d = W_d - 1 checks the route.
 * ``quad``  -- fixed-panel Gauss-Legendre quadrature of the momentum integral
   itself, feasible for d <= 4.  The integrable 1/|k|^2 singularity at k = 0 is
   removed by excluding a ball of radius r0 and adding its analytic small-k
@@ -26,6 +34,7 @@ both integrals share their nodes; the check is ``quad`` against ``bessel``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -45,7 +54,7 @@ class IdEstimate:
     d: int
     value: float              # I_d
     wd_value: float           # W_d
-    method: str               # "bessel" (product) or "quad" (nested)
+    method: str               # "bessel" (product) or "quad" (momentum space)
     abs_error_estimate: float
 
     def as_dict(self):
@@ -65,27 +74,171 @@ def _check_args(d: int, method: str, tol: float):
         raise ValueError("tol must be positive")
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(order: int):
+    """Gauss-Legendre nodes and weights of one order, mapped to [0, 1]; read only."""
+    from numpy.polynomial import legendre   # on first use: numpy loads it lazily
+    x, w = legendre.leggauss(order)
+    return (x + 1.0) / 2.0, w / 2.0
+
+
 # ---------------------------------------------------------------------------
 # Bessel-product representation
 # ---------------------------------------------------------------------------
 
-def _bessel_integral(d: int, integrand, tol: float):
-    """integrate integrand(t) over [0, inf); integrand ~ C t^{-d/2} at infinity."""
-    from scipy import integrate     # on first use: commands without I_d skip it
+# Chebyshev series of the exponentially scaled Bessel functions, highest
+# degree first, in the Cephes convention of _chebyshev.  _I0E_LO and _I0E_HI
+# are Cephes' i0.c tables (the ones numpy's np.i0 uses): e^-x I0(x) in
+# x/2 - 2 on [0, 8] and sqrt(x) e^-x I0(x) in 32/x - 2 on (8, inf).  _I1E_LO
+# and _I1E_HI were fitted in 50-digit arithmetic (docs/decisions.md): e^-x
+# I1(x)/x in x/2 - 2 on [0, 8] and sqrt(x) e^-x I1(x) in 32/x - 2 on (8, inf).
+_I0E_LO = (
+    -4.4153416464793395e-18, 3.3307945188222384e-17, -2.431279846547955e-16,
+    1.715391285555133e-15, -1.1685332877993451e-14, 7.676185498604936e-14,
+    -4.856446783111929e-13, 2.95505266312964e-12, -1.726826291441556e-11,
+    9.675809035373237e-11, -5.189795601635263e-10, 2.6598237246823866e-09,
+    -1.300025009986248e-08, 6.046995022541919e-08, -2.670793853940612e-07,
+    1.1173875391201037e-06, -4.4167383584587505e-06, 1.6448448070728896e-05,
+    -5.754195010082104e-05, 0.00018850288509584165, -0.0005763755745385824,
+    0.0016394756169413357, -0.004324309995050576, 0.010546460394594998,
+    -0.02373741480589947, 0.04930528423967071, -0.09490109704804764,
+    0.17162090152220877, -0.3046826723431984, 0.6767952744094761,
+)
+_I0E_HI = (
+    -7.233180487874754e-18, -4.830504485944182e-18, 4.46562142029676e-17,
+    3.461222867697461e-17, -2.8276239805165836e-16, -3.425485619677219e-16,
+    1.7725601330565263e-15, 3.8116806693526224e-15, -9.554846698828307e-15,
+    -4.150569347287222e-14, 1.54008621752141e-14, 3.8527783827421426e-13,
+    7.180124451383666e-13, -1.7941785315068062e-12, -1.3215811840447713e-11,
+    -3.1499165279632416e-11, 1.1889147107846439e-11, 4.94060238822497e-10,
+    3.3962320257083865e-09, 2.266668990498178e-08, 2.0489185894690638e-07,
+    2.8913705208347567e-06, 6.889758346916825e-05, 0.0033691164782556943,
+    0.8044904110141088,
+)
+_I1E_LO = (
+    -3.541581772542136e-19, 2.7779141127610464e-18, -2.111421214358166e-17,
+    1.5536319577362005e-16, -1.1055969477353862e-15, 7.600684294735408e-15,
+    -5.042185504727912e-14, 3.223793365945575e-13, -1.9839743977649436e-12,
+    1.1736186298890901e-11, -6.663489723502027e-11, 3.625590281552117e-10,
+    -1.8872497517228294e-09, 9.381537386495773e-09, -4.445059128796328e-08,
+    2.0032947535521353e-07, -8.568720264695455e-07, 3.4702513081376785e-06,
+    -1.3273163656039436e-05, 4.781565107550054e-05, -0.00016176081582589674,
+    0.0005122859561685758, -0.0015135724506312532, 0.004156422944312888,
+    -0.010564084894626197, 0.024726449030626516, -0.05294598120809499,
+    0.1026436586898471, -0.17641651835783406, 0.25258718644363365,
+)
+_I1E_HI = (
+    -1.242193275194891e-18, -9.314178867326884e-19, 7.517296310842105e-18,
+    4.414348323071708e-18, -4.6503053684893586e-17, -3.209525921993424e-17,
+    2.96262899764595e-16, 3.3082023109209285e-16, -1.8803547755107825e-15,
+    -3.8144030724370075e-15, 1.0420276984128802e-14, 4.272440016711951e-14,
+    -2.1015418427726643e-14, -4.0835511110921974e-13, -7.198551776245908e-13,
+    2.0356285441470896e-12, 1.4125807436613782e-11, 3.2526035830154884e-11,
+    -1.8974958123505413e-11, -5.589743462196584e-10, -3.835380385964237e-09,
+    -2.6314688468895196e-08, -2.512236237870209e-07, -3.882564808877691e-06,
+    -0.00011058893876262371, -0.009761097491361469, 0.7785762350182801,
+)
+_LOG_I0_SERIES_MAX = 2.0           # log I0 from its power series up to here
+_LOG_I0_TERMS = 14                 # terms of I0 - 1 = sum_k (x^2/4)^k / k!^2
+_BESSEL_ORDERS = range(16, 65, 8)  # per-panel orders tried in turn, up to the cap
+_ROUNDING_ULPS = 4                 # error floor of a Bessel integral, in ulps
+
+
+def _chebyshev(y, coeffs):
+    """c_0/2 + sum_j c_j T_j(y/2) by Clenshaw's recurrence (Cephes' chbevl),
+    coeffs listed highest degree first; y in [-2, 2]."""
+    b0, b1, b2 = np.full_like(y, coeffs[0]), 0.0, 0.0
+    for c in coeffs[1:]:
+        b0, b1, b2 = y * b0 - b1 + c, b0, b1
+    return 0.5 * (b0 - b2)
+
+
+def _scaled_bessel(x, lo, hi):
+    """Series lo at the entries x <= 8 and series hi over sqrt(x) at the
+    entries x > 8 of an array x > 0."""
+    out = np.empty_like(x)
+    small = x <= 8.0
+    out[small] = _chebyshev(x[small] / 2.0 - 2.0, lo)
+    xl = x[~small]
+    out[~small] = _chebyshev(32.0 / xl - 2.0, hi) / np.sqrt(xl)
+    return out
+
+
+def _i0e(x):
+    """e^-x I0(x) on an array x > 0."""
+    return _scaled_bessel(x, _I0E_LO, _I0E_HI)
+
+
+def _i1e(x):
+    """e^-x I1(x) on an array x > 0."""
+    return _scaled_bessel(x, _I1E_LO, _I1E_HI) * np.where(x <= 8.0, x, 1.0)
+
+
+def _log_i0_series(x):
+    """log I0(x) on an array 0 < x <= _LOG_I0_SERIES_MAX, to a few ulps:
+    log1p of the power series of I0 - 1 = sum_k (x^2/4)^k / k!^2."""
+    z = x * x / 4.0
+    s = np.ones_like(z)
+    for k in range(_LOG_I0_TERMS, 1, -1):
+        s = 1.0 + s * z / (k * k)
+    return np.log1p(z * s)
+
+
+def _log_i0e(x):
+    """log(e^-x I0(x)) = log I0(x) - x on an array x > 0.
+
+    Near 0, log(i0e(x)) would carry i0e's absolute rounding error of about
+    1e-16 into log I0 ~ x^2/4, and a power i0e^k would carry k times it;
+    the series keeps the relative error of log I0 - x at a few ulps.
+    """
+    out = np.empty_like(x)
+    small = x <= _LOG_I0_SERIES_MAX
+    out[small] = _log_i0_series(x[small]) - x[small]
+    out[~small] = np.log(_i0e(x[~small]))
+    return out
+
+
+def _bessel_nodes(d: int, order: int):
+    """Nodes and weights of the rule on [0, inf) with `order` nodes a panel.
+
+    Gauss-Legendre panels with edges 0, 1, 2, 4, ... up to T = max(400, 60d)
+    follow both the e^-t decay near 0 and the Bessel factors' scale t ~ d;
+    t = T/u^2 maps the tail [T, inf) onto u in (0, 1], where the integrand,
+    ~ t^{-d/2} dt ~ u^{d-3} du, is smooth for every d >= 3.
+    """
+    u, w = _gauss_legendre(order)
     T = max(400.0, 60.0 * d)
-    kw = dict(epsabs=tol / 8.0, epsrel=1e-13, limit=500)
-    v1, e1 = integrate.quad(integrand, 0.0, 40.0, **kw)
-    v2, e2 = integrate.quad(integrand, 40.0, T, **kw)
-    # tail: t = T/s maps [T, inf) to (0, 1]; endpoint behaviour s^{d/2-2}
-    tail_f = lambda s: integrand(T / s) * T / (s * s)
-    v3, e3 = integrate.quad(tail_f, 0.0, 1.0, **kw)
-    return v1 + v2 + v3, e1 + e2 + e3
+    edges = np.append(0.0, np.minimum(2.0 ** np.arange(np.ceil(np.log2(T)) + 1), T))
+    lo, width = edges[:-1, None], np.diff(edges)[:, None]
+    t = np.concatenate([(lo + width * u).ravel(), T / (u * u)])
+    weight = np.concatenate([(width * w).ravel(), 2.0 * T * w / u ** 3])
+    return t, weight
+
+
+def _bessel_integral(d: int, integrand, what: str, tol: float):
+    """(integral of integrand(t) over [0, inf), error estimate).
+
+    The per-panel order steps through _BESSEL_ORDERS until two successive
+    orders agree within tol/4; the higher order's value is returned, and the
+    error estimate is their difference plus a rounding floor of a few ulps.
+    """
+    prev = diff = None
+    for order in _BESSEL_ORDERS:
+        t, w = _bessel_nodes(d, order)
+        value = float(w @ integrand(t))
+        if prev is not None:
+            diff = abs(value - prev)
+            if diff <= tol / 4.0:
+                return value, diff + _ROUNDING_ULPS * float(np.spacing(value))
+        prev = value
+    raise QuadratureFailure(
+        f"{what} (bessel): orders {order - _BESSEL_ORDERS.step} and {order} "
+        f"differ by {diff:.2e}, more than tol/4 = {tol / 4.0:.2e}")
 
 
 def _wd_bessel(d: int, tol: float):
-    from scipy import special       # on first use, as scipy.integrate
-    f = lambda t: special.ive(0, t / d) ** d
-    return _bessel_integral(d, f, tol)
+    """W_d = int_0^inf e^{-t} I0(t/d)^d dt, the power formed in log space."""
+    return _bessel_integral(d, lambda t: np.exp(d * _log_i0e(t / d)), f"W_{d}", tol)
 
 
 def _id_bessel(d: int, tol: float):
@@ -95,19 +248,18 @@ def _id_bessel(d: int, tol: float):
     1/Dhat = int_0^infty e^{-t Dhat} dt gives, with x = t/d and exponentially
     scaled Bessel functions,
 
-        I_d = int_0^inf [ (ive0+ive2)(x)/2 * ive0(x)^{d-1} / d
-                          + (d-1)/d * ive1(x)^2 * ive0(x)^{d-2} ] dt.
-    """
-    from scipy import special
+        I_d = int_0^inf [ (i0e+i2e)(x)/2 * i0e(x)^{d-1} / d
+                          + (d-1)/d * i1e(x)^2 * i0e(x)^{d-2} ] dt,
 
+    where (i0e + i2e)/2 = i0e - i1e/x and the powers of i0e are formed in
+    log space, as for W_d.
+    """
     def f(t):
         x = t / d
-        i0 = special.ive(0, x)
-        i1 = special.ive(1, x)
-        i2 = special.ive(2, x)
-        return (0.5 * (i0 + i2) * i0 ** (d - 1) / d
-                + (d - 1) / d * i1 * i1 * i0 ** (d - 2))
-    return _bessel_integral(d, f, tol)
+        i0, i1, log_i0e = _i0e(x), _i1e(x), _log_i0e(x)
+        return ((i0 - i1 / x) * np.exp((d - 1) * log_i0e) / d
+                + (d - 1) / d * i1 * i1 * np.exp((d - 2) * log_i0e))
+    return _bessel_integral(d, f, f"I_{d}", tol)
 
 
 # ---------------------------------------------------------------------------
@@ -118,14 +270,6 @@ _R0 = 0.2                          # radius of the excluded ball around k = 0
 _INNER_ORDER = 40                  # Gauss-Legendre order per (k1, k2) panel
 _OUTER_ORDERS = range(4, 17, 2)    # outer orders tried in turn, up to the cap
 _CHUNK = 16                        # outer nodes per vectorized (k1, k2) block
-
-
-@lru_cache(maxsize=None)
-def _gauss_legendre(order: int):
-    """Gauss-Legendre nodes and weights of one order, mapped to [0, 1]; read only."""
-    from scipy import special
-    x, w = special.roots_legendre(order)
-    return (x + 1.0) / 2.0, w / 2.0
 
 
 def _panels(c, order: int, slice_panel: bool = True):
@@ -208,9 +352,8 @@ def _ball_series(d: int):
     averaged over angles; S_p = sum k_j^p.  I_d adds the exact -2 + Dhat
     ball integrals.
     """
-    from scipy import special
     r0 = _R0
-    A_d = 2.0 * np.pi ** (d / 2.0) / special.gamma(d / 2.0)
+    A_d = 2.0 * np.pi ** (d / 2.0) / math.gamma(d / 2.0)
     norm = A_d / (2.0 * np.pi) ** d
     c2 = d * (d + 20.0) / (24.0 * (d + 2.0) * (d + 4.0) * (d + 6.0))
     val = norm * (2.0 * d * r0 ** (d - 2) / (d - 2.0)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -170,6 +171,18 @@ def test_computational_error_exit_code_one(capsys):
     assert payload["error"] == "DimensionTooSmall"
 
 
+def test_id_at_the_largest_dimension(capsys):
+    # d = 10**7 at tol 1e-12: the log-space Bessel powers keep I_d ~ 1/(2d)
+    # to a few ulps, so the command computes it, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "id", "--dim", "10000000", "--tol", "1e-12")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert abs(2 * payload["d"] * payload["id"] - 1.0) < 1e-6
+    assert payload["err"] <= 1e-12
+
+
 def test_out_flag_writes_file(capsys, tmp_path):
     target = tmp_path / "id.json"
     code, out, _ = run_cli(capsys, "--out", str(target), "id", "--dim", "4")
@@ -336,20 +349,35 @@ def test_cli_import_leaves_scipy_stats_unloaded():
 
 def test_commands_load_only_the_scipy_they_compute_with():
     # Monte Carlo needs no scipy; a Potts transition needs no scipy.optimize
-    # (roots come from mfspin.roots) and no scipy.integrate
+    # (roots come from mfspin.roots) and no scipy.integrate; I_d and the
+    # Potts and cubic certificates need none (the lattice integrals use
+    # in-package Bessel series and numpy's Gauss-Legendre nodes); a nematic
+    # certificate loads scipy.special for hyp1f1 and nothing else
     probe = """
 import contextlib, io, sys
 from mfspin.cli import dispatch
+window = ['--J-grid', '3', '--m-grid', '400']
 for argv in (['mc', '--model', 'potts', '--param', '3', '--J', '2', '--N', '10', '--sweeps', '20'],
              ['mc', '--model', 'nematic', '--param', '3', '--J', '2', '--N', '10', '--sweeps', '20'],
-             ['transition', '--model', 'potts', '--param', '3']):
+             ['id', '--dim', '1024', '--method', 'bessel'],
+             ['id', '--dim', '4', '--method', 'quad', '--tol', '1e-6'],
+             ['certify', '--model', 'potts', '--param', '3', '--dim', '256',
+              '--Jlo', '2.7715', '--Jhi', '2.7735', *window],
+             ['certify', '--model', 'cubic', '--param', '4', '--dim', '512',
+              '--Jlo', '3.78', '--Jhi', '3.79', *window],
+             ['transition', '--model', 'potts', '--param', '3'],
+             ['certify', '--model', 'nematic', '--param', '3', '--dim', '512',
+              '--Jlo', '6.80', '--Jhi', '6.82', *window]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert dispatch(argv) == 0
     print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))
 """
-    potts_mc, nematic_mc, transition = run_python(probe).split("\n")[:3]
-    assert potts_mc == nematic_mc == ""
-    assert not {"scipy.optimize", "scipy.integrate"} & set(transition.split())
+    lines = run_python(probe).split("\n")
+    assert lines[:6] == [""] * 6
+    transition, nematic = set(lines[6].split()), set(lines[7].split())
+    assert not {"scipy.optimize", "scipy.integrate"} & transition
+    assert "scipy.special" in nematic
+    assert not {"scipy.optimize", "scipy.integrate"} & nematic
 
 
 def test_cubic_oracle_peak_memory():

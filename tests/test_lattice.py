@@ -2,10 +2,12 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from conftest import run_python
+from mfspin import lattice
 from mfspin.errors import DimensionTooSmall, MethodInfeasible, QuadratureFailure
 from mfspin.lattice import compute_id, compute_wd
 
@@ -132,13 +134,68 @@ def test_quad_error_estimate_within_tol(d, tol):
     assert compute_id(d, "quad", tol=tol).abs_error_estimate <= tol
 
 
+def test_bessel_orders_that_disagree_fail(monkeypatch):
+    # orders 2 and 4 per panel cannot resolve the integrand to 1e-6
+    monkeypatch.setattr(lattice, "_BESSEL_ORDERS", range(2, 5, 2))
+    with pytest.raises(QuadratureFailure, match="orders 2 and 4"):
+        compute_wd(3, "bessel", 1e-6)
+    with pytest.raises(QuadratureFailure):
+        compute_id(1024, "bessel", 1e-6)
+
+
 def test_quad_below_the_ball_error_fails():
     # the excluded ball's expansion is good to about 3.6e-9 at d = 3
     with pytest.raises(QuadratureFailure):
         compute_id(3, "quad", 1e-10)
 
 
-def test_quad_route_leaves_scipy_integrate_unloaded():
+def test_lattice_routes_leave_scipy_unloaded():
     probe = ("import sys; from mfspin.lattice import compute_id; "
-             "compute_id(4, 'quad', 1e-6); print('scipy.integrate' in sys.modules)")
-    assert run_python(probe).strip() == "False"
+             "compute_id(4, 'quad', 1e-6); compute_id(1024, 'bessel', 1e-10); "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert run_python(probe).strip() == "[]"
+
+
+@pytest.mark.parametrize("d", [10 ** 4, 10 ** 5, 10 ** 6, 10 ** 7])
+def test_large_d_identity_within_reported_error(d):
+    # i0e(x)**d would multiply i0e's rounding error by d; the log-space
+    # powers keep I_d and W_d - 1 apart by no more than the reported error
+    est = compute_id(d, "bessel", 1e-12)
+    assert 0.0 < est.abs_error_estimate <= 1e-12
+    assert abs(est.value - (est.wd_value - 1.0)) <= 2.0 * est.abs_error_estimate
+
+
+@pytest.mark.parametrize("d", [10 ** 4, 10 ** 5, 10 ** 6])
+def test_large_d_asymptotic_expansion(d):
+    # I_d = 1/(2d) + 3/(4d^2) + c/d^3 + ..., c about 1.5
+    value = compute_id(d, "bessel", 1e-12).value
+    assert abs(value - 1.0 / (2 * d) - 3.0 / (4 * d * d)) <= 2.0 / d ** 3
+
+
+def _mp_array(f, x, dps):
+    with mpmath.workdps(dps):
+        return np.array([float(f(mpmath.mpf(float(v)))) for v in x])
+
+
+BESSEL_POINTS = np.unique(np.concatenate([np.geomspace(1e-6, 1e8, 2001),
+                                          np.linspace(1e-3, 20.0, 1001)]))
+
+
+def test_scaled_bessel_series_match_mpmath():
+    assert len(BESSEL_POINTS) >= 3000
+    i0e = _mp_array(lambda v: mpmath.besseli(0, v) * mpmath.exp(-v), BESSEL_POINTS, 30)
+    i1e = _mp_array(lambda v: mpmath.besseli(1, v) * mpmath.exp(-v), BESSEL_POINTS, 30)
+    assert np.max(np.abs(lattice._i0e(BESSEL_POINTS) / i0e - 1.0)) <= 1e-15
+    assert np.max(np.abs(lattice._i1e(BESSEL_POINTS) / i1e - 1.0)) <= 2e-15
+
+
+def test_log_i0_series_matches_mpmath():
+    # 60 working digits keep 30 of log I0 = log(1 + x^2/4 + ...) at x = 1e-8
+    top = lattice._LOG_I0_SERIES_MAX
+    x = np.unique(np.concatenate([np.geomspace(1e-8, top, 1000), np.linspace(1e-3, top, 1000)]))
+    log_i0 = _mp_array(lambda v: mpmath.log(mpmath.besseli(0, v)), x, 60)
+    assert np.max(np.abs(lattice._log_i0_series(x) / log_i0 - 1.0)) <= 1e-15
+    # and log I0 - x to a few ulps on both sides of the switch
+    x = np.concatenate([x, np.geomspace(top, 1e8, 500)])
+    log_i0e = _mp_array(lambda v: mpmath.log(mpmath.besseli(0, v)) - v, x, 60)
+    assert np.max(np.abs(lattice._log_i0e(x) / log_i0e - 1.0)) <= 1e-15
