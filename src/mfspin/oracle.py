@@ -7,9 +7,13 @@ field) space, with no symmetry assumptions beyond the domains themselves.
 They run at coarse resolution by design; tolerances scale like 1/resolution.
 
 Deterministic by construction: grids are enumerated in lexicographic order,
-ties in the minimum resolve to the first (lexicographically smallest) grid
-index, and the nematic sphere sampling uses a fixed-seed scrambled Sobol
-sequence, so outputs are reproducible bit-for-bit for fixed inputs.
+exact ties in the minimum resolve to the first (lexicographically smallest)
+grid index, the N = 3 nematic sphere rule is a fixed product quadrature and
+the N = 4 one a fixed-seed scrambled Sobol sequence, so outputs are
+reproducible bit-for-bit for fixed inputs.  The nematic dual grid is mapped
+onto itself by swapping h_1 and h_2, so at ordered couplings two mirror-image
+minimizers tie in exact arithmetic and the rounding of G, not the
+lexicographic tie-break, decides which one is reported (docs/decisions.md).
 """
 
 from __future__ import annotations
@@ -171,20 +175,23 @@ def _sphere_x2_nodes(N: int, sphere_samples: int, seed: int = 20240913
                      ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """(squared-coordinate nodes, weights, batch index) on the unit sphere.
 
-    N = 3 uses a deterministic product quadrature (u = cos psi Gauss-Legendre
-    x uniform periodic angle); other N use a fixed-seed scrambled Sobol
-    sequence mapped through the Gaussian-normalization construction.
+    N = 3 uses a deterministic product quadrature: 48 Gauss-Legendre nodes in
+    u = cos psi times 48 midpoint angles theta.  Its squared coordinates
+    (s^2 cos^2 theta, s^2 sin^2 theta, u^2), s^2 = 1 - u^2, are the same under
+    u <-> -u and theta <-> pi - theta, pi + theta, 2 pi - theta, so only the
+    24 positive u times the 12 first-quadrant theta are built, each node
+    carrying the weight of its 8 images.  Other N use a fixed-seed scrambled
+    Sobol sequence mapped through the Gaussian-normalization construction.
     """
     if N == 3:
-        n_u, n_th = 48, 48
-        u, wu = np.polynomial.legendre.leggauss(n_u)
-        th = (np.arange(n_th) + 0.5) * (2 * np.pi / n_th)
-        U, TH = np.meshgrid(u, th, indexing="ij")
-        v1 = np.sqrt(1 - U ** 2) * np.cos(TH)
-        v2 = np.sqrt(1 - U ** 2) * np.sin(TH)
-        v3 = U
-        X2 = np.stack([v1 ** 2, v2 ** 2, v3 ** 2], axis=-1).reshape(-1, 3)
-        W = (np.outer(wu, np.full(n_th, 1.0 / n_th)) / 2.0).reshape(-1)
+        u, wu = np.polynomial.legendre.leggauss(48)   # symmetric: u[24:] = -u[23::-1]
+        u, wu = u[24:], wu[24:]
+        th = (np.arange(12) + 0.5) * (2 * np.pi / 48)
+        s2 = 1.0 - u ** 2
+        X2 = np.column_stack([np.outer(s2, np.cos(th) ** 2).ravel(),
+                              np.outer(s2, np.sin(th) ** 2).ravel(),
+                              np.repeat(u ** 2, 12)])
+        W = np.repeat(wu / 12.0, 12)   # 8 product-rule nodes of weight wu / 2 / 48
         return X2, W, None
     from scipy import special
     from scipy.stats import qmc     # scipy.stats takes ~0.5 s to import
@@ -200,10 +207,14 @@ def _sphere_x2_nodes(N: int, sphere_samples: int, seed: int = 20240913
 
 
 def _g_diag(h: np.ndarray, X2: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """G(diag h) = log E[exp(sum_a h_a v_a^2)] for a batch of h rows."""
-    from scipy import special
+    """G(diag h) = log E[exp(sum_a h_a v_a^2)] for a batch of h rows, as
+    log(exp(E - max) @ W) + max with E = h X2^T: shifting each row by its
+    largest exponent keeps exp from overflowing, and the row's largest term
+    is then its positive weight times exp(0) = 1, so the log is finite."""
     expo = h @ X2.T  # (n_h, n_nodes)
-    return special.logsumexp(expo, axis=1, b=W[None, :])
+    top = expo.max(axis=1)
+    expo -= top[:, None]
+    return np.log(np.exp(expo, out=expo) @ W) + top
 
 
 def nematic_dual_min(N: int, J: float, resolution: int = 120,

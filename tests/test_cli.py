@@ -390,6 +390,18 @@ def test_cubic_oracle_peak_memory():
     assert peak_mib < 200.0
 
 
+def test_nematic_oracle_sums_the_folded_sphere_rule(capsys):
+    # meta.sphere_samples counts the 288 distinct nodes of the N = 3 rule;
+    # the 48 x 48 product rule they fold gave grid_value 1.0751748529236023e-06
+    code, out, _ = run_cli(capsys, "oracle", "--model", "nematic", "--param", "3",
+                           "--J", "6.8122", "--resolution", "200")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["matched_scalar"] is True
+    assert payload["meta"]["sphere_samples"] == 288
+    assert payload["grid_value"] == pytest.approx(1.0751748529236023e-06, rel=0, abs=1e-12)
+
+
 def test_oracle_without_stable_root_is_typed_error(capsys):
     # J = 3 is the m = 0 spinodal of cubic r = 3, where no root is stable
     code, out, err = run_cli(capsys, "oracle", "--model", "cubic", "--param", "3",

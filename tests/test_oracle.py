@@ -173,6 +173,75 @@ def test_cubic_budget_guard():
 
 
 # ---------------------------------------------------------------------------
+# nematic sphere rules and G
+# ---------------------------------------------------------------------------
+
+def product_rule_x2_nodes():
+    """The unfolded N = 3 rule: all 48 x 48 Gauss-Legendre u by midpoint theta
+    nodes, each of weight w_u / 2 / 48."""
+    u, wu = np.polynomial.legendre.leggauss(48)
+    th = (np.arange(48) + 0.5) * (2 * np.pi / 48)
+    U, TH = np.meshgrid(u, th, indexing="ij")
+    s = np.sqrt(1 - U ** 2)
+    X2 = np.stack([(s * np.cos(TH)) ** 2, (s * np.sin(TH)) ** 2, U ** 2],
+                  axis=-1).reshape(-1, 3)
+    return X2, (np.outer(wu, np.full(48, 1.0 / 48)) / 2.0).reshape(-1)
+
+
+def traceless_fields(rng, N, radii):
+    """Random traceless diagonal fields h in R^N, one of norm r per r in radii."""
+    h = rng.standard_normal((len(radii), N))
+    h -= h.mean(axis=1, keepdims=True)
+    return h * (radii / np.linalg.norm(h, axis=1))[:, None]
+
+
+def test_folded_sphere_rule_weights_sum_to_one():
+    X2, W, batches = O._sphere_x2_nodes(3, 4096)
+    assert X2.shape == (288, 3) and batches is None
+    assert abs(W.sum() - 1.0) <= 4 * np.spacing(1.0)
+    assert np.allclose(X2.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+
+
+def test_folded_sphere_rule_matches_product_rule():
+    from scipy import special
+    X2, W, _ = O._sphere_x2_nodes(3, 4096)
+    X2_ref, W_ref = product_rule_x2_nodes()
+    rng = np.random.default_rng(1)
+    h = traceless_fields(rng, 3, rng.uniform(0, 100, 1000))
+    ref = special.logsumexp(h @ X2_ref.T, axis=1, b=W_ref[None, :])
+    assert np.max(np.abs(O._g_diag(h, X2, W) - ref)) <= 1e-13
+
+
+def test_folded_sphere_rule_on_axis_is_the_scalar_g():
+    # G(h omega) / |omega|^2 with omega = diag(1, -1/2, -1/2) is the scalar g
+    X2, W, _ = O._sphere_x2_nodes(3, 4096)
+    h = np.linspace(-10.0, 10.0, 401)
+    G = O._g_diag(h[:, None] * np.array([1.0, -0.5, -0.5]), X2, W) / 1.5
+    assert np.max(np.abs(G - M.nematic_g(3, h))) <= 1e-12
+
+
+def test_folded_sphere_rule_is_symmetric_in_h1_h2():
+    # swapping h_1 and h_2 maps the dual grid onto itself; G moves by rounding only
+    X2, W, _ = O._sphere_x2_nodes(3, 4096)
+    rng = np.random.default_rng(3)
+    h = traceless_fields(rng, 3, rng.uniform(0, 10, 1000))
+    assert np.max(np.abs(O._g_diag(h[:, [1, 0, 2]], X2, W) - O._g_diag(h, X2, W))) <= 1e-14
+
+
+def test_g_diag_matches_logsumexp_on_sobol_nodes():
+    from scipy import special
+    X2, W, _ = O._sphere_x2_nodes(4, 2048)
+    # up to |h| = 1e3 the largest exponent passes exp's overflow at 709.8
+    rng = np.random.default_rng(5)
+    h = traceless_fields(rng, 4, 10.0 ** rng.uniform(0, 3, 1000))
+    assert np.max(h @ X2.T) > 710.0
+    G = O._g_diag(h, X2, W)
+    assert np.all(np.isfinite(G))
+    np.testing.assert_allclose(
+        G, special.logsumexp(h @ X2.T, axis=1, b=W[None, :]), rtol=1e-13, atol=0)
+
+
+# ---------------------------------------------------------------------------
 # nematic dual
 # ---------------------------------------------------------------------------
 
