@@ -8,12 +8,11 @@ function.
 
 from .models import (ModelSpec, potts, cubic, nematic, potts_phi, scalar_phi,
                      phi_full_scale, ising_theta, ising_rho, legendre_entropy)
-from .lattice import IdEstimate, compute_id, compute_wd
+from .lattice import IdEstimate, compute_id
 from .solver import (BranchPoint, BranchSet, TransitionPoint, solve_branches,
                      trace_max_branch, trace_global_branch, find_transition,
                      barrier_height)
-from .certification import (ErrorBudget, Certificate, allowed_bands,
-                            compute_DJ, certify, energy_magnetization_gap)
+from .certification import Certificate, allowed_bands, compute_DJ, certify
 
 __version__ = "0.1.0"
 
@@ -21,10 +20,9 @@ __all__ = [
     "ModelSpec", "potts", "cubic", "nematic",
     "potts_phi", "scalar_phi", "phi_full_scale",
     "ising_theta", "ising_rho", "legendre_entropy",
-    "IdEstimate", "compute_id", "compute_wd",
+    "IdEstimate", "compute_id",
     "BranchPoint", "BranchSet", "TransitionPoint", "solve_branches",
     "trace_max_branch", "trace_global_branch", "find_transition",
     "barrier_height",
-    "ErrorBudget", "Certificate", "allowed_bands", "compute_DJ", "certify",
-    "energy_magnetization_gap",
+    "Certificate", "allowed_bands", "compute_DJ", "certify",
 ]

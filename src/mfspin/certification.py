@@ -28,35 +28,7 @@ from .lattice import compute_id
 from .models import ModelSpec
 from .solver import barrier_height, find_transition, solve_branches
 
-__all__ = ["ErrorBudget", "Certificate", "allowed_bands", "compute_DJ",
-           "certify", "energy_magnetization_gap"]
-
-
-@dataclass(frozen=True)
-class ErrorBudget:
-    """Infrared error budget of one model at dimension d."""
-
-    model: ModelSpec
-    d: int
-    I_d: float
-    delta_d: float                  # n*kappa/2 * I_d; slack at coupling J is J*delta_d
-
-    def slack(self, J: float) -> float:
-        return J * self.delta_d
-
-    def variance_bound(self, J: float) -> float:
-        """n J^-1 I_d: bound on the variance of the neighborhood-averaged spin."""
-        if J <= 0:
-            return np.inf
-        return self.model.n * self.I_d / J
-
-    @classmethod
-    def at_dimension(cls, model: ModelSpec, d: int,
-                     I_d: Optional[float] = None) -> "ErrorBudget":
-        if I_d is None:
-            I_d = compute_id(d, "bessel", 1e-10).value
-        return cls(model=model, d=d, I_d=float(I_d),
-                   delta_d=float(model.delta_factor * I_d))
+__all__ = ["Certificate", "allowed_bands", "compute_DJ", "certify"]
 
 
 @lru_cache(maxsize=8)
@@ -123,13 +95,6 @@ def compute_DJ(model: ModelSpec, J: float, theta: float,
     return float(dist.max())
 
 
-def energy_magnetization_gap(model: ModelSpec, J: float, d: int,
-                             I_d: Optional[float] = None) -> float:
-    """The bound J * delta_d governing |e - m^2/2| on the complete graph/Z^d."""
-    budget = ErrorBudget.at_dimension(model, d, I_d=I_d)
-    return budget.slack(J)
-
-
 @dataclass
 class Certificate:
     """Error-budget certificate for a first-order transition on a J-window."""
@@ -188,7 +153,9 @@ def certify(model: ModelSpec, d: int, J_window: Tuple[float, float],
     if J_grid < 1 or DJ_J_grid < 1:
         raise ValueError(f"J_grid and DJ_J_grid must be at least 1, "
                          f"got {J_grid} and {DJ_J_grid}")
-    budget = ErrorBudget.at_dimension(model, d, I_d=I_d)
+    if I_d is None:
+        I_d = compute_id(d, "bessel", 1e-10).value
+    delta_d = float(model.delta_factor * I_d)    # the slack at coupling J is J*delta_d
 
     if transition_bracket is None:
         transition_bracket = (J_lo, J_hi)
@@ -206,8 +173,8 @@ def certify(model: ModelSpec, d: int, J_window: Tuple[float, float],
         J = float(J)
         delta = barrier_height(model, J, scan_resolution=m_grid // 2)
         barriers.append(delta)
-        margins.append(delta - budget.slack(J))
-        bands = allowed_bands(model, J, budget.slack(J), grid=m_grid)
+        margins.append(delta - J * delta_d)
+        bands = allowed_bands(model, J, J * delta_d, grid=m_grid)
         forbidden[J] = _forbidden_from_allowed(bands)
         stable = solve_branches(model, J).stable(nonnegative=True)
         asym = [p.m for p in stable if p.m > 1e-6]
@@ -216,7 +183,7 @@ def certify(model: ModelSpec, d: int, J_window: Tuple[float, float],
 
     # epsilon_1 per the sup_{J' <= J} D_{J'}(J delta_d) recipe; at zero slack
     # (ideal d = infinity) the floor leaves only grid resolution in epsilon_1
-    theta = max(budget.slack(J_hi), 1e-12)
+    theta = max(J_hi * delta_d, 1e-12)
     eps1 = 0.0
     for Jp in np.linspace(1e-3, J_hi, int(DJ_J_grid)):
         eps1 = max(eps1, compute_DJ(model, float(Jp), theta, grid=m_grid))
@@ -232,14 +199,14 @@ def certify(model: ModelSpec, d: int, J_window: Tuple[float, float],
 
     varkappa = min(kappas) if kappas else 0.0
     if varkappa > 0:
-        eps2 = (2.0 * eps1 * K + budget.slack(J_hi)) / (0.5 * varkappa ** 2)
+        eps2 = (2.0 * eps1 * K + J_hi * delta_d) / (0.5 * varkappa ** 2)
     else:
         eps2 = float("inf")
 
     min_margin = float(min(margins))
     return Certificate(
-        model=model, d=d, J_window=(J_lo, J_hi), I_d=budget.I_d,
-        delta_d=budget.delta_d, J_MF=tp.J_MF, min_margin=min_margin,
+        model=model, d=d, J_window=(J_lo, J_hi), I_d=float(I_d),
+        delta_d=delta_d, J_MF=tp.J_MF, min_margin=min_margin,
         barrier_min=float(min(barriers)), epsilon1=float(eps1),
         epsilon2=float(eps2), forbidden_bands=forbidden,
         passed=bool(min_margin > 0.0),

@@ -138,7 +138,7 @@ def _cmd_certify(a) -> str:
 
 def _cmd_oracle(a) -> str:
     model = _model_from_args(a)
-    res, scal = oracle.check_reduction(model, a.J, a.resolution, a.sphere_samples)
+    res, scal = oracle.check_reduction(model, a.J, a.resolution)
     return _json({"model": str(model), "J": a.J, **res.as_dict(), "scalar_min": scal,
                   "matched_scalar": abs(res.value - scal) < 2.0 / a.resolution})
 
@@ -335,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_flags(p)
     p.add_argument("--J", type=_nonnegative, required=True)
     p.add_argument("--resolution", type=_bounded(int, 20), default=200)
-    p.add_argument("--sphere-samples", dest="sphere_samples", type=_size(1), default=4096)
 
     p = sub.add_parser("mc", help="complete-graph Monte Carlo")
     _add_model_flags(p)

@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import DimensionTooSmall, MethodInfeasible, QuadratureFailure
 
-__all__ = ["IdEstimate", "compute_wd", "compute_id", "METHODS"]
+__all__ = ["IdEstimate", "compute_id", "METHODS"]
 
 METHODS = ("bessel", "quad")
 
@@ -215,25 +215,37 @@ def _bessel_nodes(d: int, order: int):
     return t, weight
 
 
+def _converge(orders, values, what: str, tol: float):
+    """(values(order), difference) at the first of `orders` whose tuple of
+    values agrees with the previous order's within tol/4 in every entry, the
+    difference being the largest entry's; QuadratureFailure if no two
+    successive orders agree.
+    """
+    prev = diff = None
+    for order in orders:
+        cur = values(order)
+        if prev is not None:
+            diff = max(abs(a - b) for a, b in zip(cur, prev))
+            if diff <= tol / 4.0:
+                return cur, diff
+        prev = cur
+    raise QuadratureFailure(
+        f"{what}: orders {order - orders.step} and {order} differ by {diff:.2e}, "
+        f"more than tol/4 = {tol / 4.0:.2e}")
+
+
 def _bessel_integral(d: int, integrand, what: str, tol: float):
     """(integral of integrand(t) over [0, inf), error estimate).
 
     The per-panel order steps through _BESSEL_ORDERS until two successive
-    orders agree within tol/4; the higher order's value is returned, and the
-    error estimate is their difference plus a rounding floor of a few ulps.
+    orders agree within tol/4; the error estimate is their difference plus a
+    rounding floor of a few ulps.
     """
-    prev = diff = None
-    for order in _BESSEL_ORDERS:
+    def at(order):
         t, w = _bessel_nodes(d, order)
-        value = float(w @ integrand(t))
-        if prev is not None:
-            diff = abs(value - prev)
-            if diff <= tol / 4.0:
-                return value, diff + _ROUNDING_ULPS * float(np.spacing(value))
-        prev = value
-    raise QuadratureFailure(
-        f"{what} (bessel): orders {order - _BESSEL_ORDERS.step} and {order} "
-        f"differ by {diff:.2e}, more than tol/4 = {tol / 4.0:.2e}")
+        return (float(w @ integrand(t)),)
+    (value,), diff = _converge(_BESSEL_ORDERS, at, f"{what} (bessel)", tol)
+    return value, diff + _ROUNDING_ULPS * float(np.spacing(value))
 
 
 def _wd_bessel(d: int, tol: float):
@@ -371,52 +383,27 @@ def _quad_value(d: int, tol: float):
     """(W_d, I_d, error estimate) by fixed-panel quadrature.
 
     The outer order steps through _OUTER_ORDERS until two successive orders
-    agree within tol/4 on both integrals; the higher order's values are
-    returned and the error estimate is the ball's plus their last difference.
+    agree within tol/4 on both integrals; the error estimate is the ball's
+    plus their last difference.
     """
     ball_w, ball_i, ball_err = _ball_series(d)
-    prev = diff = None
-    for order in _OUTER_ORDERS:
-        w, i = _outside_ball(d, order)
-        if prev is not None:
-            diff = max(abs(w - prev[0]), abs(i - prev[1]))
-            if diff <= tol / 4.0:
-                return w + ball_w, i + ball_i, ball_err + diff
-        prev = w, i
-    raise QuadratureFailure(
-        f"d={d} (quad): orders {order - 2} and {order} differ by {diff:.2e}, "
-        f"more than tol/4 = {tol / 4.0:.2e}")
+    (w, i), diff = _converge(_OUTER_ORDERS, lambda order: _outside_ball(d, order),
+                             f"d={d} (quad)", tol)
+    return w + ball_w, i + ball_i, ball_err + diff
 
 
 # ---------------------------------------------------------------------------
 # public operations
 # ---------------------------------------------------------------------------
 
-def compute_wd(d: int, method: str = "bessel", tol: float = 1e-8) -> IdEstimate:
-    """Watson-type integral W_d = int 1/Dhat over the Brillouin zone.
-
-    The returned estimate also carries I_d = W_d - 1 in ``value`` so the two
-    integrals always travel together.
-    """
-    _check_args(d, method, tol)
-    if method == "bessel":
-        w, err = _wd_bessel(d, tol)
-    else:
-        w, _, err = _quad_value(d, tol)
-    if err > max(tol, 1e-14):
-        raise QuadratureFailure(
-            f"W_{d} ({method}): error estimate {err:.2e} exceeds tol {tol:.2e}")
-    return IdEstimate(d=d, value=w - 1.0, wd_value=w, method=method,
-                      abs_error_estimate=float(err))
-
-
 def compute_id(d: int, method: str = "bessel", tol: float = 1e-8) -> IdEstimate:
     """Infrared integral I_d = int (1-Dhat)^2/Dhat over the Brillouin zone.
 
-    The integrand is evaluated directly: the three-Bessel product formula,
-    checked against `compute_wd`'s W_d - 1, or fixed-panel quadrature of
-    (1-Dhat)^2/Dhat from the nodes that also give W_d, checked against the
-    Bessel route.
+    The one entry to both integrals: the estimate carries W_d in
+    ``wd_value``.  I_d is evaluated directly, by the three-Bessel product
+    formula next to W_d's own (so I_d = W_d - 1 checks the route), or by
+    fixed-panel quadrature of (1-Dhat)^2/Dhat from the nodes that also give
+    W_d, checked against the Bessel route.
     """
     _check_args(d, method, tol)
     if method == "bessel":

@@ -257,7 +257,9 @@ def run_mc(config: MCConfig, record_joint_states: bool = False) -> MCResult:
     mean_vec = vec_sum / n_meas
     pair = (N * N * msq - N * model.kappa) / (N * (N - 1.0))
     lo, hi = model.m_bounds()
-    hist, edges = np.histogram(scalar, bins=config.histogram_bins,
+    # a fully ordered Potts sample can land an ulp above hi (1 - 1/q rounds
+    # up for q = 3 and 7); clipping keeps it in the last bin
+    hist, edges = np.histogram(np.clip(scalar, lo, hi), bins=config.histogram_bins,
                                range=(lo, hi))
     with np.errstate(divide="ignore"):
         freq = hist / len(scalar)

@@ -276,29 +276,28 @@ def nematic_dual_min(N: int, J: float, resolution: int = 120,
 # one check per model: the full-space search against the scalar reduction
 # ---------------------------------------------------------------------------
 
-# per kind: the search, called as (param, J, resolution, sphere_samples), and
+# per kind: the search, called as (param, J, resolution), and
 # the scalar reduction's value at m in that search's own convention; each
 # looks its function up by module name at call time (perfbench's tracer rebinds it)
 _ORACLES = {
-    "potts": (lambda q, J, res, _: potts_fullspace_min(q, J, res),
+    "potts": (lambda q, J, res: potts_fullspace_min(q, J, res),
               lambda model, J, m: potts_phi(model.param, J, m)),
-    "cubic": (lambda r, J, res, _: cubic_fullspace_min(r, J, res),
+    "cubic": (lambda r, J, res: cubic_fullspace_min(r, J, res),
               lambda model, J, m: scalar_phi(model, J, m) - np.log(4.0 * model.param)),
-    "nematic": (lambda N, J, res, samples: nematic_dual_min(N, J, res, samples),
+    "nematic": (lambda N, J, res: nematic_dual_min(N, J, res),
                 lambda model, J, m: phi_full_scale(model, J, m)),
 }
 
 
-def check_reduction(model: ModelSpec, J: float, resolution: int = 200,
-                    sphere_samples: int = 4096) -> Tuple[OracleResult, float]:
+def check_reduction(model: ModelSpec, J: float,
+                    resolution: int = 200) -> Tuple[OracleResult, float]:
     """Full-space minimum of `model` at coupling J, and the scalar reduction's
     value at its global minimum m >= 0 in the same convention.  Raises
-    NoStableRoot, before any search, when no root m >= 0 is stable;
-    `sphere_samples` is read by the nematic search only."""
+    NoStableRoot, before any search, when no root m >= 0 is stable."""
     bp = solve_branches(model, J).global_minimum()
     if bp is None:
         raise NoStableRoot(f"no stable root m >= 0 of the mean-field equation "
                            f"for {model} at J={J}")
     search, scalar = _ORACLES[model.kind]
-    return (search(model.param, J, resolution, sphere_samples),
+    return (search(model.param, J, resolution),
             float(scalar(model, J, bp.m)))

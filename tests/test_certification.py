@@ -1,4 +1,4 @@
-"""Error budgets, allowed bands, D_J, and the certificate logic."""
+"""Allowed bands, D_J, and the certificate logic."""
 
 import numpy as np
 import pytest
@@ -6,40 +6,9 @@ import pytest
 from mfspin import certification as C
 from mfspin import models as M
 from mfspin.errors import WindowExcludesTransition
-from mfspin.lattice import compute_id
 
 J_MF_Q10 = 2.25 * np.log(9)
 J_MF_Q3 = 4 * np.log(2)
-
-
-def test_budget_constants_per_model():
-    for model, expect in ((M.potts(3), 4 / 6), (M.potts(10), 81 / 20),
-                          (M.cubic(4), 2.0), (M.nematic(3), 1.0),
-                          (M.nematic(6), 25 / 4)):
-        b = C.ErrorBudget.at_dimension(model, 3, I_d=0.5)
-        assert b.delta_d == pytest.approx(expect * 0.5, rel=1e-12)
-
-
-def test_budget_decreases_in_d():
-    model = M.potts(3)
-    deltas = [C.ErrorBudget.at_dimension(model, d).delta_d for d in (3, 5, 8, 13)]
-    assert all(a > b for a, b in zip(deltas, deltas[1:]))
-
-
-def test_variance_bound():
-    b = C.ErrorBudget.at_dimension(M.potts(3), 3, I_d=0.5163860591)
-    assert b.variance_bound(2.0) == pytest.approx(2 * 0.5163860591 / 2.0)
-
-
-def test_energy_magnetization_gap_values():
-    # potts q=3, d=3, J=3: J * (q-1)^2/(2q) * I_3 = 3 * (2/3) * 0.5163861
-    val = C.energy_magnetization_gap(M.potts(3), 3.0, 3)
-    assert val == pytest.approx(3.0 * (2 / 3) * 0.5163860591, abs=1e-6)
-    # cubic r=4: the budget factor is r/2 = 2 (delta_d = r I_d / 2)
-    i10 = compute_id(10, "bessel", 1e-10).value
-    assert C.energy_magnetization_gap(M.cubic(4), 1.0, 10) == pytest.approx(2 * i10, rel=1e-9)
-    # ideal d = infinity
-    assert C.energy_magnetization_gap(M.cubic(4), 5.0, 10, I_d=0.0) == 0.0
 
 
 # ---------------------------------------------------------------------------

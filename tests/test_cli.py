@@ -122,6 +122,18 @@ def test_mc_json_and_histogram(capsys, tmp_path):
     assert len(lines) == 101
 
 
+def test_mc_histogram_keeps_fully_ordered_samples(capsys):
+    # deep in the ordered phase most q = 3 samples have every spin in one
+    # state, m = 1 - 1/q, which rounds one ulp above the interval's top
+    code, out, _ = run_cli(capsys, "mc", "--model", "potts", "--param", "3",
+                           "--J", "8", "--N", "10", "--sweeps", "2000",
+                           "--burn-in", "100", "--bins", "10")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["n_samples"] == 1900
+    assert sum(payload["histogram"]) == payload["n_samples"]
+
+
 def test_rate_csv(capsys):
     code, out, _ = run_cli(capsys, "rate", "--model", "potts", "--param", "3",
                            "--J", "0.0", "--Ns", "40,80,160", "--sweeps",
@@ -314,6 +326,13 @@ GOLDEN = [
     ("rate_potts3.csv",
      ("rate", "--model", "potts", "--param", "3", "--J", "2.5", "--Ns", "20,40,80",
       "--sweeps", "400", "--burn-in", "50", "--seed", "2", "--bins", "30")),
+    ("id_quad_d3.json",
+     ("id", "--dim", "3", "--method", "quad", "--tol", "1e-8")),
+    ("id_bessel_d1024.json",
+     ("id", "--dim", "1024", "--method", "bessel", "--tol", "1e-12")),
+    ("certify_cubic4_d512.json",
+     ("certify", "--model", "cubic", "--param", "4", "--dim", "512",
+      "--Jlo", "3.78", "--Jhi", "3.79", "--J-grid", "3", "--m-grid", "400")),
 ]
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -432,11 +451,13 @@ def test_oracle_without_stable_root_is_typed_error(capsys):
     ("rate", "--J", "inf"), ("oracle", "--J", "inf"), ("bands", "--J", "inf"),
     ("transition", "--Jlo", "nan", "--Jhi", "2.9"), ("certify", "--Jhi", "inf"),
     ("id", "--tol", "inf"), ("mc", "--seed", "-1"), ("rate", "--seed", "-2"),
+    # oracle has no --sphere-samples option: any value is a usage error
     ("oracle", "--sphere-samples", "-5"), ("oracle", "--sphere-samples", "0"),
+    ("oracle", "--sphere-samples", str(10 ** 30)),
     *((cmd, opt, str(10 ** 30)) for cmd, opt in (
         ("profile", "--grid"), ("bands", "--grid"), ("reproduce-figures", "--grid"),
         ("branches", "--steps"), ("branches", "--scan-resolution"),
-        ("certify", "--m-grid"), ("certify", "--J-grid"), ("oracle", "--sphere-samples"),
+        ("certify", "--m-grid"), ("certify", "--J-grid"),
         ("mc", "--N"), ("mc", "--sweeps"), ("mc", "--bins"), ("rate", "--sweeps"),
         ("rate", "--bins"))),
     ("rate", "--Ns", f"10,20,{10 ** 30}"),

@@ -9,7 +9,7 @@ import pytest
 from conftest import run_python
 from mfspin import lattice
 from mfspin.errors import DimensionTooSmall, MethodInfeasible, QuadratureFailure
-from mfspin.lattice import compute_id, compute_wd
+from mfspin.lattice import compute_id
 
 # Classical simple-cubic Watson integral in closed form (Watson 1939;
 # Glasser and Zucker 1977): sqrt(6)/(32 pi^3) G(1/24) G(5/24) G(7/24) G(11/24).
@@ -18,8 +18,8 @@ W3_REFERENCE = (math.sqrt(6.0) / (32.0 * math.pi ** 3) * math.gamma(1 / 24)
 
 
 def test_w3_two_methods_agree_and_match_reference():
-    quad = compute_wd(3, "quad", tol=1e-7)
-    bessel = compute_wd(3, "bessel", tol=1e-12)
+    quad = compute_id(3, "quad", tol=1e-7)
+    bessel = compute_id(3, "bessel", tol=1e-12)
     assert abs(quad.wd_value - bessel.wd_value) < 1e-5
     assert abs(quad.wd_value - W3_REFERENCE) < 2e-6
     assert abs(bessel.wd_value - W3_REFERENCE) < 1e-12
@@ -27,19 +27,19 @@ def test_w3_two_methods_agree_and_match_reference():
 
 def test_w3_method_agreement_within_tolerances():
     tol = 1e-7
-    a = compute_wd(3, "quad", tol=tol)
-    b = compute_wd(3, "bessel", tol=tol)
+    a = compute_id(3, "quad", tol=tol)
+    b = compute_id(3, "bessel", tol=tol)
     assert abs(a.wd_value - b.wd_value) < 2 * tol + a.abs_error_estimate + b.abs_error_estimate
 
 
 def test_w4_method_agreement():
-    a = compute_wd(4, "quad", tol=1e-6)
-    b = compute_wd(4, "bessel", tol=1e-9)
+    a = compute_id(4, "quad", tol=1e-6)
+    b = compute_id(4, "bessel", tol=1e-9)
     assert abs(a.wd_value - b.wd_value) < 1e-5
 
 
 def test_w12_band():
-    est = compute_wd(12, "bessel", tol=1e-9)
+    est = compute_id(12, "bessel", tol=1e-9)
     assert 1.0 < est.wd_value < 1.1
 
 
@@ -52,8 +52,7 @@ def test_i3_equals_w3_minus_one():
 def test_identity_id_equals_wd_minus_one(d):
     tol = 1e-9
     ide = compute_id(d, "bessel", tol=tol)
-    wde = compute_wd(d, "bessel", tol=tol)
-    assert abs(ide.value - (wde.wd_value - 1.0)) <= 2 * tol
+    assert abs(ide.value - (ide.wd_value - 1.0)) <= 2 * tol
 
 
 def test_identity_quad_method():
@@ -63,9 +62,8 @@ def test_identity_quad_method():
 
 
 def test_via_identity_path_matches_direct():
-    direct = compute_id(5, "bessel", tol=1e-10)
-    via = compute_wd(5, "bessel", tol=1e-10)
-    assert abs(direct.value - via.value) < 2e-10
+    est = compute_id(5, "bessel", tol=1e-10)
+    assert abs(est.value - (est.wd_value - 1.0)) < 2e-10
 
 
 def test_monotone_decreasing_in_d():
@@ -84,30 +82,30 @@ def test_asymptotic_2d_id_approaches_one():
 
 def test_error_estimate_within_requested_tolerance():
     for method, tol in (("bessel", 1e-9), ("quad", 1e-7)):
-        est = compute_wd(3, method, tol=tol)
+        est = compute_id(3, method, tol=tol)
         assert est.abs_error_estimate <= tol
 
 
 def test_dimension_too_small():
     with pytest.raises(DimensionTooSmall):
-        compute_wd(2, "bessel", 1e-8)
+        compute_id(2, "bessel", 1e-8)
     with pytest.raises(DimensionTooSmall):
         compute_id(1, "quad", 1e-8)
 
 
 def test_quad_infeasible_above_four():
     with pytest.raises(MethodInfeasible):
-        compute_wd(5, "quad", 1e-6)
+        compute_id(5, "quad", 1e-6)
 
 
 def test_bad_tol_rejected():
     with pytest.raises(ValueError):
-        compute_wd(3, "bessel", 0.0)
+        compute_id(3, "bessel", 0.0)
 
 
 def test_determinism():
-    a = compute_wd(6, "bessel", 1e-9)
-    b = compute_wd(6, "bessel", 1e-9)
+    a = compute_id(6, "bessel", 1e-9)
+    b = compute_id(6, "bessel", 1e-9)
     assert a == b
 
 
@@ -116,8 +114,6 @@ def test_quad_w3_and_i3_within_their_error_of_closed_form(tol):
     est = compute_id(3, "quad", tol=tol)
     assert abs(est.wd_value - W3_REFERENCE) <= est.abs_error_estimate
     assert abs(est.value - (W3_REFERENCE - 1.0)) <= est.abs_error_estimate
-    wd = compute_wd(3, "quad", tol=tol)
-    assert abs(wd.wd_value - W3_REFERENCE) <= wd.abs_error_estimate
 
 
 def test_quad_w4_and_i4_within_their_error_of_bessel():
@@ -125,8 +121,6 @@ def test_quad_w4_and_i4_within_their_error_of_bessel():
     quad = compute_id(4, "quad", tol=1e-6)
     assert abs(quad.value - bessel.value) <= quad.abs_error_estimate
     assert abs(quad.wd_value - 1.0 - bessel.value) <= quad.abs_error_estimate
-    wd = compute_wd(4, "quad", tol=1e-6)
-    assert abs(wd.value - bessel.value) <= wd.abs_error_estimate
 
 
 @pytest.mark.parametrize("d, tol", [(3, 1e-8), (4, 1e-6)])
@@ -138,9 +132,13 @@ def test_bessel_orders_that_disagree_fail(monkeypatch):
     # orders 2 and 4 per panel cannot resolve the integrand to 1e-6
     monkeypatch.setattr(lattice, "_BESSEL_ORDERS", range(2, 5, 2))
     with pytest.raises(QuadratureFailure, match="orders 2 and 4"):
-        compute_wd(3, "bessel", 1e-6)
+        compute_id(3, "bessel", 1e-6)
     with pytest.raises(QuadratureFailure):
         compute_id(1024, "bessel", 1e-6)
+    # outer orders 4 and 6 differ by about 6e-6 at d = 3, far above 1e-8/4
+    monkeypatch.setattr(lattice, "_OUTER_ORDERS", range(4, 7, 2))
+    with pytest.raises(QuadratureFailure, match="orders 4 and 6"):
+        compute_id(3, "quad", 1e-8)
 
 
 def test_quad_below_the_ball_error_fails():

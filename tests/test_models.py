@@ -31,7 +31,9 @@ def test_model_constants():
 
 def test_delta_factor_formulas():
     assert M.potts(3).delta_factor == pytest.approx((3 - 1) ** 2 / (2 * 3))
+    assert M.potts(10).delta_factor == pytest.approx((10 - 1) ** 2 / (2 * 10))
     assert M.cubic(4).delta_factor == pytest.approx(4 / 2)
+    assert M.nematic(3).delta_factor == pytest.approx((3 - 1) ** 2 / 4)
     assert M.nematic(6).delta_factor == pytest.approx((6 - 1) ** 2 / 4)
 
 
