@@ -7,11 +7,10 @@ function.
 """
 
 from .models import (ModelSpec, potts, cubic, nematic, potts_phi, scalar_phi,
-                     phi_full_scale, ising_theta, ising_rho, legendre_entropy)
+                     phi_full_scale, ising_theta, legendre_entropy)
 from .lattice import IdEstimate, compute_id
 from .solver import (BranchPoint, BranchSet, TransitionPoint, solve_branches,
-                     trace_max_branch, trace_global_branch, find_transition,
-                     barrier_height)
+                     find_transition, barrier_height)
 from .certification import Certificate, allowed_bands, compute_DJ, certify
 
 __version__ = "0.1.0"
@@ -19,10 +18,9 @@ __version__ = "0.1.0"
 __all__ = [
     "ModelSpec", "potts", "cubic", "nematic",
     "potts_phi", "scalar_phi", "phi_full_scale",
-    "ising_theta", "ising_rho", "legendre_entropy",
+    "ising_theta", "legendre_entropy",
     "IdEstimate", "compute_id",
     "BranchPoint", "BranchSet", "TransitionPoint", "solve_branches",
-    "trace_max_branch", "trace_global_branch", "find_transition",
-    "barrier_height",
+    "find_transition", "barrier_height",
     "Certificate", "allowed_bands", "compute_DJ", "certify",
 ]

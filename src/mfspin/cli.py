@@ -333,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle", help="full-space brute-force minimization")
     _add_model_flags(p)
-    p.add_argument("--J", type=_nonnegative, required=True)
+    p.add_argument("--J", type=_positive, required=True)
     p.add_argument("--resolution", type=_bounded(int, 20), default=200)
 
     p = sub.add_parser("mc", help="complete-graph Monte Carlo")

@@ -14,7 +14,8 @@ class MethodInfeasible(MFSpinError):
 
 
 class QuadratureFailure(MFSpinError):
-    """Adaptive quadrature could not reach the requested tolerance."""
+    """An infrared integral missed its tolerance: no two successive orders of
+    its fixed rule agreed within tol/4, or the final error estimate exceeds tol."""
 
 
 class OutOfSimplex(MFSpinError):

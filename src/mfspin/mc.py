@@ -286,7 +286,6 @@ class RateFunctionEstimate:
     bin_centers: np.ndarray
     rate: np.ndarray               # intercept of -(1/N) log freq vs 1/N
     adequate: np.ndarray           # bool: >= 10 samples at largest N
-    Ns: Sequence[int]
     results: List[MCResult]
 
     def shifted_rate(self) -> np.ndarray:
@@ -334,4 +333,4 @@ def estimate_rate_function(model: ModelSpec, J: float, Ns: Sequence[int],
             f"no histogram bin has 10 samples at N={Ns[-1]} and a finite rate "
             f"at three N; raise sweeps")
     return RateFunctionEstimate(bin_centers=centers, rate=rate,
-                                adequate=adequate, Ns=Ns, results=results)
+                                adequate=adequate, results=results)

@@ -36,14 +36,13 @@ from typing import Callable, NamedTuple, Tuple
 import numpy as np
 
 from .errors import BoundaryMagnetization, OutOfSimplex
-from .roots import brentq
 
 __all__ = [
     "ModelSpec", "potts", "cubic", "nematic",
     "potts_phi", "potts_g", "potts_g_prime", "potts_g_second",
-    "cubic_g", "cubic_g_prime", "cubic_g_second", "cubic_g_third",
+    "cubic_g", "cubic_g_prime", "cubic_g_second",
     "nematic_g", "nematic_g_prime", "nematic_g_second",
-    "ising_theta", "ising_rho",
+    "ising_theta",
     "legendre_entropy", "scalar_phi", "phi_full_scale",
 ]
 
@@ -289,18 +288,6 @@ def cubic_g_second(r: int, h):
     return val if val.ndim else float(val)
 
 
-def cubic_g_third(r: int, h):
-    """sinh h * ((r-1)^2 - (r-1) cosh h - 2)/(r-1+cosh h)^3.
-
-    For r >= 4 this changes sign at cosh h = ((r-1)^2 - 2)/(r-1): the point
-    where g' switches from convex to concave.
-    """
-    h = np.asarray(h, dtype=float)
-    c = r - 1.0
-    val = np.sinh(h) * (c * c - c * np.cosh(h) - 2.0) / (c + np.cosh(h)) ** 3
-    return val if val.ndim else float(val)
-
-
 def _cubic_entropy(r: int, m):
     """Closed-form Legendre data for the cubic chain.
 
@@ -339,16 +326,6 @@ def ising_theta(J: float, mu):
     val = (-J / 4.0 * mu ** 2
            + _xlogx((1.0 + mu) / 2.0) + _xlogx((1.0 - mu) / 2.0))
     return val if val.ndim else float(val)
-
-
-def ising_rho(J: float) -> float:
-    """Largest non-negative solution of rho = tanh(J rho / 2); 0 for J <= 2."""
-    if J < 0:
-        raise ValueError("J must be non-negative")
-    if J <= 2.0:
-        return 0.0
-    f = lambda rho: np.tanh(J * rho / 2.0) - rho
-    return brentq(f, 1e-12, 1.0 - 1e-15, xtol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +369,8 @@ def _nematic_moments(N: int, end: int, h):
     ell[big] = special.gammaln(0.5 * N) - special.gammaln(q) - p * np.log(x) + np.log(S[0])
     mu[big] = p * r1 / x
     var[big] = p * ((p + 1.0) * r2 - p * r1 * r1) / x / x  # not <v^2> - <v>^2: no cancellation
-    rest = np.setdiff1d(np.arange(a.size), big)
+    rest = np.ones(a.size, dtype=bool)
+    rest[big] = False
     ar = a[rest]
     F0 = special.hyp1f1(0.5, 0.5 * N, ar)
     x2 = special.hyp1f1(1.5, 0.5 * N + 1.0, ar) / (N * F0)

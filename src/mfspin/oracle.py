@@ -223,8 +223,11 @@ def nematic_dual_min(N: int, J: float, resolution: int = 120,
 
     The first N-1 diagonal entries run over a box covering the on-axis
     stationary family (h_1 = J*lambda with lambda < 1, subdominant entries
-    down to -J/(N-1)); the last entry closes the trace.
+    down to -J/(N-1)); the last entry closes the trace.  J must be positive:
+    at J = 0 the box collapses to h = 0, where Psi is 0/0.
     """
+    if J <= 0:
+        raise ValueError("J must be positive")
     if N > 4:
         raise BudgetExceeded(f"dual grid search limited to N <= 4, got {N}")
     if resolution ** (N - 1) > _MAX_GRID_POINTS:

@@ -1,25 +1,26 @@
-"""Scalar mean-field equation: roots, stability, branches, transition point.
+"""Scalar mean-field equation: roots, stability, transition point, barrier.
 
 All solutions of m = g'(J m) at fixed J are located by a sign-change scan
-refined with bracketing bisection; a root m is dynamically stable (candidate
-local minimum of the scalar free energy) iff J g''(J m) < 1.  Branches are
-traced over J by one root scan per grid coupling, and the first-order
+refined with Brent's method; a root m is dynamically stable (candidate
+local minimum of the scalar free energy) iff J g''(J m) < 1.  Callers that
+need a branch over J run one such root scan per coupling.  The first-order
 transition point J_MF is located by bisecting the degeneracy gap
 
     dphi(J) = phi_J(m+(J)) - phi_J(0),
 
 which is strictly decreasing in J on a valid bracket because
-d(phi)/dJ = -m^2/2 along stationary branches.  On a stationary branch the
-free energy has the dual closed form phi_J(m) = (J/2) m^2 - g(J m) + g(0) -
-phi_J(0)-offset, which is what the bisection evaluates (no numerical Legendre
-transform in the inner loop).
+d(phi)/dJ = -m^2/2 along stationary branches.  At a stationary point
+s(m) = g(J m) - J m^2, so the free energy -J m^2/2 - s(m) has the dual closed
+form phi_J(m) = (J/2) m^2 - g(J m), and dphi(J) = (J/2) m+^2 - g(J m+) + g(0)
+is what the bisection evaluates (no numerical Legendre transform in the inner
+loop).
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -28,8 +29,7 @@ from .models import ModelSpec
 from .roots import brentq
 
 __all__ = [
-    "BranchPoint", "BranchSet", "TransitionPoint", "TraceResult",
-    "solve_branches", "trace_max_branch", "trace_global_branch",
+    "BranchPoint", "BranchSet", "TransitionPoint", "solve_branches",
     "auto_bracket", "find_transition", "barrier_height",
 ]
 
@@ -38,7 +38,6 @@ UNSTABLE = "unstable"
 
 _ROOT_XTOL = 1e-12
 _MERGE_TOL = 1e-8
-_TIE_BAND = 1e-9
 
 
 @dataclass(frozen=True)
@@ -49,7 +48,6 @@ class BranchPoint:
     m: float
     stability: str          # "stable" iff J g''(Jm) < 1
     phi: float              # scalar free energy phi_J(m)
-    marginal: bool = False  # |J g''(Jm) - 1| inside the tie tolerance band
 
 
 @dataclass
@@ -92,38 +90,19 @@ class TransitionPoint:
                 "degeneracy_residual": self.degeneracy_residual}
 
 
-@dataclass
-class TraceResult:
-    """Branch values over a J grid, with spinodal bookkeeping.
-
-    J1 is the first grid J at which a positive stable root exists; J2 the last
-    grid J at which m = 0 is stable.  ``jumps`` lists grid indices where the
-    traced magnetization moved by more than 0.1 between
-    neighbouring J points (reported, never asserted away).
-    """
-
-    model: ModelSpec
-    points: List[BranchPoint]
-    J1: Optional[float] = None
-    J2: Optional[float] = None
-    jumps: List[int] = field(default_factory=list)
-
-
 def _point(model: ModelSpec, J: float, m: float) -> BranchPoint:
     """The stationary point m at J, classified by J g''(Jm) against 1, with
     phi_J(m) from the dual form (J/2)m^2 - g(Jm)."""
-    crit = J * model.g_second(J * m)
     return BranchPoint(J=float(J), m=float(m),
-                       stability=STABLE if crit < 1.0 else UNSTABLE,
-                       phi=J * m * m / 2.0 - model.g(J * m),
-                       marginal=abs(crit - 1.0) < _TIE_BAND)
+                       stability=STABLE if J * model.g_second(J * m) < 1.0 else UNSTABLE,
+                       phi=J * m * m / 2.0 - model.g(J * m))
 
 
 def solve_branches(model: ModelSpec, J: float,
                    scan_resolution: int = 400) -> BranchSet:
     """Find all roots of m = g'(J m) on the model's scalar interval.
 
-    Sign changes on the scan grid are refined by bisection (brentq) to well
+    Sign changes on the scan grid are refined by Brent's method to well
     below 1e-10 in m; roots closer than two grid cells trigger a
     ScanTooCoarse warning.  m = 0 is always included when g'(0) = 0.
     """
@@ -135,15 +114,11 @@ def solve_branches(model: ModelSpec, J: float,
     f_vals = model.g_prime(J * grid) - grid
 
     f = lambda m: model.g_prime(J * m) - m
-    roots: List[float] = []
-    for i in range(len(grid) - 1):
-        a, b = grid[i], grid[i + 1]
-        fa, fb = f_vals[i], f_vals[i + 1]
-        if fa == 0.0:
-            roots.append(float(a))
-        elif fa * fb < 0.0:
-            roots.append(brentq(f, a, b, xtol=_ROOT_XTOL, rtol=8.9e-16))
-    if f_vals[-1] == 0.0:
+    zero = f_vals == 0.0
+    roots = [float(grid[i]) if zero[i]
+             else brentq(f, grid[i], grid[i + 1], xtol=_ROOT_XTOL, rtol=8.9e-16)
+             for i in np.flatnonzero(zero[:-1] | (f_vals[:-1] * f_vals[1:] < 0.0))]
+    if zero[-1]:
         roots.append(float(grid[-1]))
 
     # the symmetric solution exists whenever g'(0) = 0; the grid straddles it
@@ -200,43 +175,6 @@ def max_stable_root(model: ModelSpec, J: float, seed: Optional[float] = None,
             if bp.stability == STABLE:
                 return bp
     return solve_branches(model, J, scan_resolution).max_stable_root()
-
-
-def _trace(model: ModelSpec, J_range: Tuple[float, float], steps: int,
-           scan_resolution: int,
-           pick: Callable[[BranchSet], Optional[BranchPoint]]) -> TraceResult:
-    """``pick`` of one root scan per grid J; m = 0 where it finds no root."""
-    pts: List[BranchPoint] = []
-    J1 = None
-    J2 = None
-    jumps: List[int] = []
-    for i, J in enumerate(np.linspace(J_range[0], J_range[1], int(steps))):
-        J = float(J)
-        bs = solve_branches(model, J, scan_resolution)
-        bp = pick(bs)
-        if bp is None:  # no stable root to pick (only near the spinodal J2)
-            bp = _point(model, J, 0.0)
-        top = bs.max_stable_root()
-        if J1 is None and top is not None and top.m > _MERGE_TOL:
-            J1 = J
-        if J * model.g_second(0.0) < 1.0:
-            J2 = J
-        if pts and abs(bp.m - pts[-1].m) > 0.1:
-            jumps.append(i)
-        pts.append(bp)
-    return TraceResult(model=model, points=pts, J1=J1, J2=J2, jumps=jumps)
-
-
-def trace_max_branch(model: ModelSpec, J_range: Tuple[float, float],
-                     steps: int, scan_resolution: int = 400) -> TraceResult:
-    """Largest stable root m_MF(J) over a J grid."""
-    return _trace(model, J_range, steps, scan_resolution, BranchSet.max_stable_root)
-
-
-def trace_global_branch(model: ModelSpec, J_range: Tuple[float, float],
-                        steps: int, scan_resolution: int = 400) -> TraceResult:
-    """Magnetization of the global scalar minimizer over a J grid."""
-    return _trace(model, J_range, steps, scan_resolution, BranchSet.global_minimum)
 
 
 def _degeneracy_gap(model: ModelSpec, J: float,

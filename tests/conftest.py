@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import mfspin
+from mfspin.solver import solve_branches
 
 # populated by tests/test_acceptance.py: (number, name, passed, detail)
 ACCEPTANCE_RESULTS = []
@@ -41,3 +42,9 @@ def run_python(probe):
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     return subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                           capture_output=True, text=True).stdout
+
+
+def branch_ms(model, Js, pick, scan_resolution=400):
+    """m of pick(solve_branches(model, J)) at each J; 0 where pick finds no root."""
+    picks = [pick(solve_branches(model, float(J), scan_resolution)) for J in Js]
+    return [0.0 if bp is None else bp.m for bp in picks]

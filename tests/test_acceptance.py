@@ -25,7 +25,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import record_acceptance
+from conftest import branch_ms, record_acceptance
 from mfspin import certification as C
 from mfspin import lattice
 from mfspin import mc
@@ -156,8 +156,8 @@ def test_criterion_04_corrected_fig1_property():
 def test_criterion_05_fig2_reproduction():
     model = M.potts(10)
     with Timer() as t:
-        tr = S.trace_max_branch(model, (4.4, 5.2), 81, scan_resolution=600)
-        ms = [p.m for p in tr.points]
+        ms = branch_ms(model, np.linspace(4.4, 5.2, 81), S.BranchSet.max_stable_root,
+                       scan_resolution=600)
         onset_jump = max(abs(b - a) for a, b in zip(ms, ms[1:]))
         slack = J_MF_Q10 * model.delta_factor * 0.002
         bands = C.allowed_bands(model, J_MF_Q10, slack, grid=4000)
@@ -258,12 +258,13 @@ def test_criterion_07_reduction_oracles():
 def test_criterion_08_cubic_order_of_transition():
     with Timer() as t:
         tp4 = S.find_transition(M.cubic(4), (3.74, 3.95))
-        below = S.trace_global_branch(M.cubic(4), (tp4.J_MF - 0.02, tp4.J_MF - 1e-4), 9)
-        above = S.trace_global_branch(M.cubic(4), (tp4.J_MF + 1e-4, tp4.J_MF + 0.02), 9)
-        left_limit = max(abs(p.m) for p in below.points)
-        right_limit = min(p.m for p in above.points)
-        tr2 = S.trace_max_branch(M.cubic(2), (1.9, 2.4), 101)
-        ms2 = [p.m for p in tr2.points]
+        below = branch_ms(M.cubic(4), np.linspace(tp4.J_MF - 0.02, tp4.J_MF - 1e-4, 9),
+                          S.BranchSet.global_minimum)
+        above = branch_ms(M.cubic(4), np.linspace(tp4.J_MF + 1e-4, tp4.J_MF + 0.02, 9),
+                          S.BranchSet.global_minimum)
+        left_limit = max(abs(m) for m in below)
+        right_limit = min(above)
+        ms2 = branch_ms(M.cubic(2), np.linspace(1.9, 2.4, 101), S.BranchSet.max_stable_root)
         jump2 = max(abs(b - a) for a, b in zip(ms2, ms2[1:]))
         m2_onset = S.max_stable_root(M.cubic(2), 2.0005).m
     ok = (left_limit < 1e-6 and right_limit >= 0.3 and jump2 < 0.12

@@ -1,5 +1,6 @@
 """CLI dispatch: output formats, exit codes, figure-data reproduction."""
 
+import importlib
 import json
 import os
 import warnings
@@ -333,6 +334,11 @@ GOLDEN = [
     ("certify_cubic4_d512.json",
      ("certify", "--model", "cubic", "--param", "4", "--dim", "512",
       "--Jlo", "3.78", "--Jhi", "3.79", "--J-grid", "3", "--m-grid", "400")),
+    ("certify_nematic3_d512.json",
+     ("certify", "--model", "nematic", "--param", "3", "--dim", "512",
+      "--Jlo", "6.80", "--Jhi", "6.82", "--J-grid", "3", "--m-grid", "200")),
+    ("transition_potts3.json",
+     ("transition", "--model", "potts", "--param", "3")),
 ]
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -364,6 +370,14 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     probe = ("import sys, mfspin.cli; "
              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert run_python(probe).strip() == "[]"
+
+
+@pytest.mark.parametrize("module", ["mfspin", "mfspin.models", "mfspin.lattice",
+                                    "mfspin.solver", "mfspin.certification",
+                                    "mfspin.oracle", "mfspin.mc", "mfspin.roots"])
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    assert [n for n in mod.__all__ if not hasattr(mod, n)] == []
 
 
 def test_commands_load_only_the_scipy_they_compute_with():
@@ -466,6 +480,8 @@ def test_oracle_without_stable_root_is_typed_error(capsys):
     ("barrier", "--model", "cubic", "--param", "0"),
     ("oracle", "--model", "nematic", "--param", "2"),
     ("profile", "--param", str(10 ** 21)),
+    # at J = 0 the nematic dual box collapses to h = 0, where Psi is 0/0
+    ("oracle", "--J", "0"), ("oracle", "--model", "nematic", "--param", "3", "--J", "0"),
 ], ids=" ".join)
 def test_tiny_grids_are_usage_errors(capsys, argv):
     model = ["--model", "potts", "--param", "3"]

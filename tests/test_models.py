@@ -116,8 +116,7 @@ def test_cubic_g_at_origin():
 def test_cubic_g_prime_inflection():
     """g' switches convex->concave where (r-1)cosh h = (r-1)^2 - 2.
 
-    The location is derived here by bisection on centered differences of g''
-    (independent of the closed-form third derivative also exposed).
+    The location is derived here by bisection on centered differences of g''.
     """
     r = 4
     eps = 1e-5
@@ -129,7 +128,6 @@ def test_cubic_g_prime_inflection():
     h_star = optimize.brentq(g3_fd, 1.0, 2.0, xtol=1e-10)
     expect = np.arccosh(((r - 1) ** 2 - 2) / (r - 1))
     assert h_star == pytest.approx(expect, abs=1e-6)
-    assert M.cubic_g_third(r, h_star) == pytest.approx(0.0, abs=1e-9)
 
 
 def test_cubic_g_large_field_stable():
@@ -153,9 +151,15 @@ def test_ising_theta_even_in_mu():
         assert M.ising_theta(J, mu) == pytest.approx(M.ising_theta(J, -mu), abs=1e-14)
 
 
+def _ising_rho(J):
+    """Largest solution of rho = tanh(J rho / 2), for J > 2."""
+    return optimize.brentq(lambda rho: np.tanh(J * rho / 2.0) - rho,
+                           1e-12, 1.0 - 1e-15, xtol=1e-14)
+
+
 def test_ising_theta_minimizer_is_tanh_fixed_point():
     J = 4.0
-    rho = M.ising_rho(J)
+    rho = _ising_rho(J)
     assert rho == pytest.approx(0.9575, abs=1e-4)
     assert rho == pytest.approx(np.tanh(J * rho / 2), abs=1e-12)
     # direct minimization of Theta agrees
@@ -166,9 +170,11 @@ def test_ising_theta_minimizer_is_tanh_fixed_point():
 
 
 def test_ising_rho_subcritical():
-    assert M.ising_rho(2.0) == 0.0
-    assert M.ising_rho(1.5) == 0.0
-    rho = M.ising_rho(4.0)
+    # for J <= 2, tanh(J rho / 2) < rho at every rho > 0: only rho = 0 solves it
+    rhos = np.linspace(1e-6, 1.0, 1001)
+    for J in (1.5, 2.0):
+        assert np.all(np.tanh(J * rhos / 2.0) < rhos)
+    rho = _ising_rho(4.0)
     assert 4.0 * (1 - rho ** 2) < 2.0
 
 

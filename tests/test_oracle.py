@@ -292,3 +292,10 @@ def test_nematic_budget_guard():
         O.nematic_dual_min(5, 3.0, resolution=40)
     with pytest.raises(BudgetExceeded):
         O.nematic_dual_min(4, 3.0, resolution=400)
+
+
+@pytest.mark.parametrize("N", [3, 4])
+def test_nematic_zero_coupling_is_rejected(N):
+    # at J = 0 the dual box is the single point h = 0, where Psi is 0/0
+    with pytest.raises(ValueError):
+        O.nematic_dual_min(N, 0.0, resolution=20)

@@ -9,7 +9,7 @@ from scipy import optimize
 
 from mfspin.roots import brentq
 
-# (xtol, rtol) as the package calls it: models.ising_rho, then solver
+# (xtol, rtol): scipy's default rtol at a tight xtol, then the solver's setting
 SETTINGS = [dict(xtol=1e-14), dict(xtol=1e-12, rtol=8.9e-16)]
 
 # Each family draws its parameters and returns a smooth g; a bracket solves
@@ -53,7 +53,7 @@ def _bump(rng):
 
 def _ising(rng):
     c = rng.uniform(2.0, 20.0)
-    return lambda x: np.tanh(c * x / 2.0) - x     # numpy scalars, as ising_rho
+    return lambda x: np.tanh(c * x / 2.0) - x     # numpy scalars, as the solver's g'
 
 
 FAMILIES = [_cubic, _power11, _step, _exp, _atan, _sine, _bump, _ising]

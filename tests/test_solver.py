@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from conftest import branch_ms
 from mfspin import models as M
 from mfspin import solver as S
 from mfspin.errors import BracketInvalid, MFSpinError, NoAsymmetricBranch
+from mfspin.roots import brentq
 
 J_MF_Q3 = 4 * np.log(2)
 J_MF_Q10 = 2 * 9 / 8 * np.log(9)
@@ -73,11 +75,12 @@ def test_stable_roots_have_positive_phi_curvature():
             lo, hi = model.m_bounds()
             if not (lo + 2 * eps < p.m < hi - 2 * eps):
                 continue
+            marginal = abs(J * model.g_second(J * p.m) - 1.0) < 1e-9
             d2 = (M.scalar_phi(model, J, p.m + eps) - 2 * M.scalar_phi(model, J, p.m)
                   + M.scalar_phi(model, J, p.m - eps)) / eps ** 2
-            if p.stability == S.STABLE and not p.marginal:
+            if p.stability == S.STABLE and not marginal:
                 assert d2 > 0
-            elif p.stability == S.UNSTABLE and not p.marginal:
+            elif p.stability == S.UNSTABLE and not marginal:
                 assert d2 < 0
 
 
@@ -90,57 +93,66 @@ def test_branch_completeness_vs_dense_scan():
         assert np.allclose(coarse, fine, atol=1e-6)
 
 
+def test_sign_scan_matches_the_interval_walk():
+    # reference: the per-interval walk of the scan grid that the vectorized
+    # sign test replaced; the roots must agree bit for bit
+    for model, J in ((M.potts(10), 4.9), (M.cubic(4), 3.79), (M.nematic(3), 6.81)):
+        lo, hi = model.m_bounds()
+        grid = np.linspace(lo + 1e-9 * (hi - lo), hi - 1e-9 * (hi - lo), 400)
+        f = lambda m: model.g_prime(J * m) - m
+        fv = model.g_prime(J * grid) - grid
+        walk = []
+        for a, b, fa, fb in zip(grid, grid[1:], fv, fv[1:]):
+            if fa == 0.0:
+                walk.append(float(a))
+            elif fa * fb < 0.0:
+                walk.append(brentq(f, a, b, xtol=S._ROOT_XTOL, rtol=8.9e-16))
+        scan = [p.m for p in S.solve_branches(model, J).points]
+        assert len(walk) >= 3
+        assert [m for m in scan if abs(m) > 1e-8] == [m for m in walk if abs(m) > 1e-8]
+
+
 # ---------------------------------------------------------------------------
-# branch tracing
+# branches over J: one root scan per coupling
 # ---------------------------------------------------------------------------
 
 def test_trace_q3_nondecreasing_and_value_at_transition():
-    tr = S.trace_max_branch(M.potts(3), (2.78, 2.98), 41)
-    ms = [p.m for p in tr.points]
+    ms = branch_ms(M.potts(3), np.linspace(2.78, 2.98, 41), S.BranchSet.max_stable_root)
     assert all(b >= a - 1e-9 for a, b in zip(ms, ms[1:]))
     bp = S.max_stable_root(M.potts(3), J_MF_Q3)
     assert bp.m == pytest.approx(1 / 3, abs=1e-6)
 
 
 def test_trace_records_spinodals():
-    tr = S.trace_max_branch(M.potts(3), (2.70, 3.05), 71)
-    assert tr.J1 is not None and 2.73 < tr.J1 < 2.76   # true J1 = 2.74564
-    assert tr.J2 is not None and abs(tr.J2 - 3.0) < 0.01  # zero destabilizes at J2=q
+    model = M.potts(3)
+    Js = np.linspace(2.70, 3.05, 71)
+    tops = branch_ms(model, Js, S.BranchSet.max_stable_root)
+    # J1: first grid J with a positive stable root; J2: last with m = 0 stable
+    J1 = next(J for J, m in zip(Js, tops) if m > 1e-8)
+    J2 = [J for J in Js if J * model.g_second(0.0) < 1.0][-1]
+    assert 2.73 < J1 < 2.76                 # true J1 = 2.74564
+    assert abs(J2 - 3.0) < 0.01             # zero destabilizes at J2=q
 
 
 def test_trace_q10_discontinuous_onset():
-    tr = S.trace_max_branch(M.potts(10), (4.4, 5.2), 81, scan_resolution=600)
-    assert tr.jumps, "expected a detected onset jump"
-    ms = [p.m for p in tr.points]
+    ms = branch_ms(M.potts(10), np.linspace(4.4, 5.2, 81), S.BranchSet.max_stable_root,
+                   scan_resolution=600)
     dm = max(abs(b - a) for a, b in zip(ms, ms[1:]))
     assert dm > 0.3
 
 
-@pytest.mark.parametrize("model,window,res", [
-    (M.potts(10), (4.4, 5.2), 600), (M.cubic(4), (3.70, 3.90), 400)],
-    ids=["potts10", "cubic4"])
-def test_traces_are_one_root_scan_per_coupling(model, window, res):
-    Js = np.linspace(*window, 41)
-    for trace, pick in ((S.trace_max_branch, S.BranchSet.max_stable_root),
-                        (S.trace_global_branch, S.BranchSet.global_minimum)):
-        tr = trace(model, window, 41, scan_resolution=res)
-        assert [p.J for p in tr.points] == Js.tolist()
-        for p in tr.points:
-            assert p == pick(S.solve_branches(model, p.J, res))
-
-
 def test_global_branch_switches_at_transition():
-    tr = S.trace_global_branch(M.potts(3), (2.75, 2.80), 51)
-    for p in tr.points:
-        if p.J < J_MF_Q3 - 1e-3:
-            assert abs(p.m) < 1e-8
-        if p.J > J_MF_Q3 + 1e-3:
-            assert p.m > 0.3
+    Js = np.linspace(2.75, 2.80, 51)
+    for J, m in zip(Js, branch_ms(M.potts(3), Js, S.BranchSet.global_minimum)):
+        if J < J_MF_Q3 - 1e-3:
+            assert abs(m) < 1e-8
+        if J > J_MF_Q3 + 1e-3:
+            assert m > 0.3
 
 
 def test_global_minimizer_magnitude_nondecreasing():
-    tr = S.trace_global_branch(M.potts(3), (2.5, 3.2), 57)
-    ms = [abs(p.m) for p in tr.points]
+    ms = [abs(m) for m in branch_ms(M.potts(3), np.linspace(2.5, 3.2, 57),
+                                    S.BranchSet.global_minimum)]
     assert all(b >= a - 1e-9 for a, b in zip(ms, ms[1:]))
 
 
