@@ -11,7 +11,10 @@ constant common to every s, so that state s weighs exp((J/N) (field[s] - N)).
 A spin entering or leaving s moves field[s] and field[pair[s]]: for cubic the
 opposite sign s ^ 1, for Potts a spare slot that is never read.  Nematic spins
 are unit vectors updated by Metropolis proposals with a step size auto-tuned
-to 30-50% acceptance during burn-in.  Every sweep costs O(N) thanks to these
+to 30-50% acceptance during burn-in.  A spin changes only at its own update,
+so each sweep forms all its proposals at once, and only the terms that read
+the second-moment matrix stay per site; the samples keep the bits of a loop
+that forms each proposal at its site.  Every sweep costs O(N) thanks to these
 maintained field sums (the second-moment matrix for nematic).
 
 The empirical magnetization is projected onto a scalar per model: Potts uses
@@ -179,36 +182,61 @@ def _heat_bath_sweeps(spins: _SpinSet, cfg: MCConfig, extras: Dict, record_joint
 def _nematic_sweeps(cfg: MCConfig, extras: Dict, record_joint: bool):
     """Metropolis with its step tuned during burn-in; the field vector is the
     traceless order-parameter matrix.  Joint states are not recorded.
+
+    Proposals are formed per sweep.  This is exact: a spin changes only at
+    its own update, so every proposal of a sweep is known when the sweep
+    starts, and w = (v + step * noise) / |.| and the overlap v . w are formed
+    for all sites at once.  Only the terms that read T stay per site.  Every
+    norm, overlap and quadratic form is a stacked matmul, which numpy hands
+    to the same BLAS dot (and T w to the same gemv) as the one-vector calls,
+    so the chain keeps the bits of a loop that forms each proposal at its
+    site; norm(axis=1) and einsum round differently (docs/decisions.md).
+    The sweep holds O(N Ns) floats.
     """
     Ns, J, N = cfg.model.param, cfg.J, cfg.N
     rng = np.random.default_rng(cfg.seed)
-    v = rng.normal(size=(N, Ns))
+    Wv = np.empty((2, N, Ns))         # the sweep's proposals W and the spins v
+    W, v = Wv
+    v[...] = rng.normal(size=(N, Ns))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     T = v.T @ v
     step = 0.5
     accepted = 0
     proposed = 0
     eye = np.eye(Ns)
+    scale = -(J / N)
+    # sites[x] = (w, vx) as rows; its vx is the live v[x], which only the
+    # site's own update changes
+    sites = Wv.transpose(1, 0, 2)
+    rows, cols = sites[:, :, None, :], sites[:, :, :, None]
+    Tu = np.empty((2, Ns, 1))         # T w and T vx
+    forms = np.empty((2, 1, 1))       # w^T T w and vx^T T vx
 
     for sweep in range(cfg.sweeps):
         noise = rng.normal(size=(N, Ns))
-        us = rng.random(N)
+        us = rng.random(N).tolist()
+        np.multiply(step, noise, out=W)
+        W += v
+        W /= np.sqrt(W[:, None, :] @ W[:, :, None])[:, 0]
+        # floats, squared per site: float ** 2 calls pow, as the np.float64
+        # scalar does, and an array's ** 2 (x * x) can differ in the last bit
+        overlaps = (v[:, None, :] @ W[:, :, None]).ravel().tolist()
         for x in range(N):
-            vx = v[x]
-            w = vx + step * noise[x]
-            w /= np.linalg.norm(w)
+            row, col = rows[x], cols[x]
             # energy against the field of the other spins:
-            # sum_y!=x (v.v_y)^2 = v^T (T - vx vx^T) v
-            Tw = T @ w
-            Tv = T @ vx
-            e_new = w @ Tw - (vx @ w) ** 2
-            e_old = vx @ Tv - 1.0
-            dE = -(J / N) * (e_new - e_old)
-            proposed += 1
+            # sum_y!=x (u.v_y)^2 = u^T (T - vx vx^T) u, for u = w and u = vx
+            np.matmul(T, col, out=Tu)
+            np.matmul(row, Tu, out=forms)
+            [[wTw]], [[vTv]] = forms.tolist()
+            e_new = wTw - overlaps[x] ** 2
+            e_old = vTv - 1.0
+            dE = scale * (e_new - e_old)
             if dE <= 0.0 or us[x] < np.exp(-dE):
                 accepted += 1
-                T += np.outer(w, w) - np.outer(vx, vx)
-                v[x] = w
+                ww, vv = col * row    # the outer products w w^T and vx vx^T
+                T += ww - vv
+                v[x] = W[x]
+        proposed += N
         if sweep < cfg.burn_in and sweep % 25 == 24:
             rate = accepted / proposed
             if rate > 0.5:

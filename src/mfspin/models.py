@@ -348,9 +348,13 @@ def _nematic_moments(N: int, end: int, h):
     ell, mu, var = np.empty_like(a), np.empty_like(a), np.empty_like(a)
     # v is Beta(p, q) tilted by e^{-|a| v}, and for large |a|
     # 1F1(p+j; N/2+j; -|a|) = Gamma(N/2+j)/Gamma(q) |a|^-(p+j) S_j + O(e^-|a|)
-    # with S_j = sum_k (p+j)_k (1-q)_k / (k! |a|^k), used where exact to rounding
-    ser = np.flatnonzero(a != 0.0)
-    x, p, q = np.abs(a[ser]), np.where(a[ser] > 0.0, c, 0.5), np.where(a[ser] > 0.0, 0.5, c)
+    # with S_j = sum_k (p+j)_k (1-q)_k / (k! |a|^k), used where exact to rounding;
+    # a point whose first ratio (p+j)(1-q)/|a| is not below 1 (a = 0 among
+    # them) keeps S = 1 and fails that test, so it never enters the series,
+    # where a tiny |a| would overflow the ratio
+    x, p, q = np.abs(a), np.where(a > 0.0, c, 0.5), np.where(a > 0.0, 0.5, c)
+    ser = np.flatnonzero((p + 2.0) * np.abs(1.0 - q) < x)
+    x, p, q = x[ser], p[ser], q[ser]
     term, S = np.ones((3, ser.size)), np.ones((3, ser.size))
     idx, k = np.arange(ser.size), 0
     while idx.size:                     # each point stops at its smallest term

@@ -320,6 +320,10 @@ GOLDEN = [
     ("mc_nematic4.json",
      ("mc", "--model", "nematic", "--param", "4", "--J", "6", "--N", "20",
       "--sweeps", "100", "--burn-in", "20", "--seed", "3", "--bins", "20")),
+    # burn-in 60 crosses the step-tuning points at sweeps 24 and 49
+    ("mc_nematic3_tuned.json",
+     ("mc", "--model", "nematic", "--param", "3", "--J", "10", "--N", "20",
+      "--sweeps", "120", "--burn-in", "60", "--seed", "3", "--bins", "20")),
     ("mc_cubic3_hist.csv",
      ("mc", "--model", "cubic", "--param", "3", "--J", "3.5", "--N", "30",
       "--sweeps", "200", "--burn-in", "50", "--seed", "4", "--bins", "20",
@@ -433,6 +437,17 @@ def test_nematic_oracle_sums_the_folded_sphere_rule(capsys):
     assert payload["matched_scalar"] is True
     assert payload["meta"]["sphere_samples"] == 288
     assert payload["grid_value"] == pytest.approx(1.0751748529236023e-06, rel=0, abs=1e-12)
+
+
+def test_nematic_oracle_at_a_tiny_coupling_is_silent(capsys):
+    # the dual box shrinks to |h| ~ 1e-300, far too small for the moments'
+    # large-|a| series, which must not divide by |a| there
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "oracle", "--model", "nematic", "--param", "3",
+                                 "--J", "1e-300", "--resolution", "20")
+    assert code == 0 and err == ""
+    assert np.isfinite(json.loads(out)["grid_value"])
 
 
 def test_oracle_without_stable_root_is_typed_error(capsys):

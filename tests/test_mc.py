@@ -2,6 +2,7 @@
 
 import itertools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -128,6 +129,121 @@ def test_nematic_ordered_phase_and_step_tuning():
     lam_mf = S.max_stable_root(M.nematic(3), 8.0, scan_resolution=200).m
     assert abs(res.mean_scalar_m - lam_mf) < 0.05
     assert 0.2 < res.extras["acceptance_rate"] < 0.65
+
+
+def _per_site_nematic_sweeps(cfg, extras, record_joint):
+    """The nematic chain with each proposal formed at its own site: the
+    reference that mc._nematic_sweeps must match bit for bit."""
+    Ns, J, N = cfg.model.param, cfg.J, cfg.N
+    rng = np.random.default_rng(cfg.seed)
+    v = rng.normal(size=(N, Ns))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    T = v.T @ v
+    step = 0.5
+    accepted = 0
+    proposed = 0
+    eye = np.eye(Ns)
+    for sweep in range(cfg.sweeps):
+        noise = rng.normal(size=(N, Ns))
+        us = rng.random(N)
+        for x in range(N):
+            vx = v[x]
+            w = vx + step * noise[x]
+            w /= np.linalg.norm(w)
+            Tw = T @ w
+            Tv = T @ vx
+            e_new = w @ Tw - (vx @ w) ** 2
+            e_old = vx @ Tv - 1.0
+            dE = -(J / N) * (e_new - e_old)
+            proposed += 1
+            if dE <= 0.0 or us[x] < np.exp(-dE):
+                accepted += 1
+                T += np.outer(w, w) - np.outer(vx, vx)
+                v[x] = w
+        if sweep < cfg.burn_in and sweep % 25 == 24:
+            rate = accepted / proposed
+            if rate > 0.5:
+                step = min(step * 1.25, 5.0)
+            elif rate < 0.3:
+                step = max(step * 0.8, 1e-3)
+            accepted = proposed = 0
+        if sweep >= cfg.burn_in:
+            Qbar = T / N - eye / Ns
+            yield float(np.linalg.eigvalsh(Qbar)[-1]), float(np.sum(Qbar * Qbar)), Qbar
+    extras["acceptance_rate"] = accepted / max(proposed, 1)
+    extras["step"] = step
+
+
+def _recording(sweeps, samples):
+    def run(cfg, extras, record_joint):
+        for sample in sweeps(cfg, extras, record_joint):
+            samples.append(sample)
+            yield sample
+    return run
+
+
+@pytest.mark.parametrize("Ns", [3, 4, 7])
+@pytest.mark.parametrize("J", [0.0, 10.0])
+def test_nematic_sweep_matches_the_per_site_loop_bitwise(monkeypatch, Ns, J):
+    # burn-in 60 crosses the step-tuning points at sweeps 24 and 49
+    chain = mc._CHAINS["nematic"]
+    for seed in (3, 11):
+        cfg = mc.MCConfig(model=M.nematic(Ns), J=J, N=16, sweeps=90, burn_in=60,
+                          seed=seed, histogram_bins=20)
+        runs = []
+        for sweeps in (chain.sweeps, _per_site_nematic_sweeps):
+            samples = []
+            monkeypatch.setitem(mc._CHAINS, "nematic",
+                                chain._replace(sweeps=_recording(sweeps, samples)))
+            runs.append((mc.run_mc(cfg), samples))
+        (got, got_samples), (want, want_samples) = runs
+        assert len(got_samples) == len(want_samples) == 30
+        for (m, m_sq, Q), (m_ref, m_sq_ref, Q_ref) in zip(got_samples, want_samples):
+            assert m == m_ref and m_sq == m_sq_ref and np.array_equal(Q, Q_ref)
+        assert np.array_equal(got.histogram, want.histogram)
+        assert got.mean_scalar_m == want.mean_scalar_m
+        assert got.pair_correlation == want.pair_correlation
+        assert got.pair_correlation_stderr == want.pair_correlation_stderr
+        assert got.mean_vector_norm_sq == want.mean_vector_norm_sq
+        assert got.extras == want.extras
+        assert set(got.extras) == {"acceptance_rate", "step"}
+        if J == 0.0:    # every proposal is taken, so each tuning point raises the step
+            assert got.extras["step"] == 0.5 * 1.25 ** 2
+
+
+@pytest.mark.parametrize("Ns", [3, 4, 7, 20])
+def test_stacked_matmuls_round_like_the_one_vector_calls(Ns):
+    # the terms that only enter dE (T w, w^T T w, v.w) would move the chain
+    # only through a rare flipped decision, so the bitwise chain test cannot
+    # see them; check here the rounding _nematic_sweeps relies on
+    rng = np.random.default_rng(Ns)
+    V, W = rng.normal(size=(2, 500, Ns))
+    T = V.T @ V
+    pairs = np.stack([W, V], axis=1)
+    norms = np.sqrt(W[:, None, :] @ W[:, :, None])[:, 0, 0]
+    overlaps = (V[:, None, :] @ W[:, :, None]).ravel()
+    Tu = T @ pairs[:, :, :, None]
+    forms = (pairs[:, :, None, :] @ Tu).ravel()
+    assert np.array_equal(norms, [np.linalg.norm(w) for w in W])
+    assert np.array_equal(overlaps, [v @ w for v, w in zip(V, W)])
+    assert np.array_equal(Tu[..., 0], [[T @ w, T @ v] for v, w in zip(V, W)])
+    assert np.array_equal(forms, [u @ (T @ u) for v, w in zip(V, W) for u in (w, v)])
+
+
+def test_nematic_sweep_memory_is_linear_in_N_Ns():
+    # the sweep keeps O(N Ns) floats; a per-sweep array of the sites' outer
+    # products would add N Ns^2 floats, 20 times the unit below
+    N, Ns = 400, 20
+    cfg = mc.MCConfig(model=M.nematic(Ns), J=10.0, N=N, sweeps=4, burn_in=1, seed=1)
+    # a small run first, so that numpy's lazy set-up is not counted
+    mc.run_mc(mc.MCConfig(model=M.nematic(Ns), J=10.0, N=10, sweeps=4, burn_in=1))
+    tracemalloc.start()
+    try:
+        mc.run_mc(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * N * Ns * 8
 
 
 def test_sweep_cost_scales_linearly():
