@@ -50,6 +50,10 @@ class InsufficientSamples(MFSpinError):
     """No histogram bin holds enough samples to estimate the rate function."""
 
 
+class CouplingOverflow(MFSpinError):
+    """Coupling beyond ln(DBL_MAX): the heat-bath weights exp((J/N) k) overflow."""
+
+
 class ScanTooCoarse(UserWarning):
     """Two roots closer than two grid cells; scan resolution should be raised."""
 

@@ -9,13 +9,19 @@ exactly.  Their states are numbered (Potts k is k; cubic +e_k is 2k, -e_k is
 2k+1), and one integer list keeps field[s] = N + sum_y (S_y, s), less a
 constant common to every s, so that state s weighs exp((J/N) (field[s] - N)).
 A spin entering or leaving s moves field[s] and field[pair[s]]: for cubic the
-opposite sign s ^ 1, for Potts a spare slot that is never read.  Nematic spins
-are unit vectors updated by Metropolis proposals with a step size auto-tuned
-to 30-50% acceptance during burn-in.  A spin changes only at its own update,
-so each sweep forms all its proposals at once, and only the terms that read
-the second-moment matrix stay per site; the samples keep the bits of a loop
-that forms each proposal at its site.  Every sweep costs O(N) thanks to these
-maintained field sums (the second-moment matrix for nematic).
+opposite sign s ^ 1, for Potts a spare slot that is never read.  The fields,
+and so each site's decision, depend only on the occupation counts of the
+other spins; when the count vectors are few (n (N+1)^(n-1) <= 2^20 for n
+states) their cumulative weights are tabulated once, and each site reads its
+row by an integer key of the counts instead of summing the weights, with the
+same bits.
+
+Nematic spins are unit vectors updated by Metropolis proposals with a step
+size auto-tuned to 30-50% acceptance during burn-in.  A spin changes only at
+its own update, so each sweep forms all its proposals at once, and only the
+terms that read the second-moment matrix stay per site; the samples keep the
+bits of a loop that forms each proposal at its site.  Every sweep costs O(N)
+thanks to the maintained fields, count keys and second-moment matrix.
 
 The empirical magnetization is projected onto a scalar per model: Potts uses
 the fraction of the most-populated state minus 1/q (matching the x_1 = 1/q+m
@@ -26,13 +32,14 @@ deterministic functions of the configuration, including the seed.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import InsufficientSamples
+from .errors import CouplingOverflow, InsufficientSamples
 from .models import ModelSpec
 
 __all__ = ["MCConfig", "MCResult", "run_mc", "estimate_rate_function",
@@ -136,25 +143,63 @@ _CUBIC = _SpinSet(lambda r: [s ^ 1 for s in range(2 * r)], _cubic_initial,
                   _cubic_project)
 
 
+# the count-keyed table holds n (N+1)^(n-1) cumulative weights; while it is
+# built and read, each costs at most 40 bytes (8 in numpy, 32 as a list float)
+_TABLE_ENTRIES = 1 << 20
+
+
+def _field(pair: List[int], counts, N: int) -> list:
+    """field[s] = N + sum_y (S_y, s) from the occupation counts; counts may
+    be ints or numpy arrays of them."""
+    field = [N] * (len(pair) + 1)
+    for s, c in enumerate(counts):
+        field[s] += c
+        field[pair[s]] -= c
+    return field
+
+
 def _heat_bath_sweeps(spins: _SpinSet, cfg: MCConfig, extras: Dict, record_joint: bool):
     """Exact heat bath over a finite spin set; joint states are recorded as
-    base-n codes of the configuration, n the number of states."""
+    base-n codes of the configuration, n the number of states.
+
+    Site x leaves its state and draws a new one from the cumulative weights
+    of the n states, which depend only on the occupation counts of the other
+    N - 1 spins.  When there are few count vectors, n (N+1)^(n-1) <=
+    _TABLE_ENTRIES, every row of cumulative weights is formed once and each
+    decision reads its row (_table_sweeps); otherwise each site sums its row
+    (_loop_sweeps).  numpy's cumsum adds left to right from the first weight,
+    as the loop does, so both paths take every decision with the same bits
+    (docs/decisions.md).
+    """
     param, J, N = cfg.model.param, cfg.J, cfg.N
     pair = spins.pair(param)
     n = len(pair)
+    with np.errstate(over="ignore"):
+        weights = np.exp((J / N) * np.arange(-N, N + 1, dtype=np.float64))
+    if not np.isfinite(weights[-1]):
+        raise CouplingOverflow(
+            f"J = {J} exceeds ln(DBL_MAX) = 709.78: the heat-bath weights "
+            f"exp((J/N) k) overflow")
     rng = np.random.default_rng(cfg.seed)
     sigma = spins.initial(rng, param, N)
-    field = [N] * (n + 1)
-    for s in sigma:
-        field[s] += 1
-        field[pair[s]] -= 1
-    table = np.exp((J / N) * np.arange(-N, N + 1, dtype=np.float64)).tolist()
     joint = extras.setdefault("joint_counts", {}) if record_joint else None
+    uniforms = (rng.random(N).tolist() for _ in range(cfg.sweeps))
+    # Python ints: a large N never allocates the table it is too big for
+    sweeps = _table_sweeps if n * (N + 1) ** (n - 1) <= _TABLE_ENTRIES else _loop_sweeps
+    for sweep, field in enumerate(sweeps(pair, weights, sigma, uniforms, joint)):
+        if sweep >= cfg.burn_in:
+            yield spins.project(field, param, N)
+
+
+def _loop_sweeps(pair, weights, sigma, uniforms, joint):
+    """Each site sums its row of weights; yields the field after each sweep.
+    One integer list keeps the field; O(N) memory."""
+    n, N = len(pair), len(sigma)
+    field = _field(pair, np.bincount(sigma, minlength=n).tolist(), N)
+    table = weights.tolist()
     states = range(n)
     cum = [0.0] * n
-
-    for sweep in range(cfg.sweeps):
-        us = rng.random(N).tolist()
+    for us in uniforms:
         for x in range(N):
             s = sigma[x]
             field[s] -= 1
@@ -175,8 +220,60 @@ def _heat_bath_sweeps(spins: _SpinSet, cfg: MCConfig, extras: Dict, record_joint
                 for t in sigma:
                     code = code * n + t
                 joint[code] = joint.get(code, 0) + 1
-        if sweep >= cfg.burn_in:
-            yield spins.project(field, param, N)
+        yield field
+
+
+def _cumulative_weights(pair: List[int], weights: np.ndarray, N: int) -> np.ndarray:
+    """Row k holds the n cumulative weights at the counts that key k encodes:
+    c_0..c_{n-2} in radix N + 1, and c_{n-1} = N - 1 less their sum.  Keys
+    whose counts cannot occur clip their fields into range; no site reads
+    them."""
+    n, radix = len(pair), N + 1
+    key = np.arange(radix ** (n - 1))
+    counts = []
+    for _ in range(n - 1):
+        key, c = np.divmod(key, radix)
+        counts.append(c)
+    counts.append(N - 1 - sum(counts))
+    field = _field(pair, counts, N)
+    w = np.take(weights, np.stack(field[:n], axis=1), mode="clip")
+    return np.cumsum(w, axis=1, out=w)
+
+
+def _table_sweeps(pair, weights, sigma, uniforms, joint):
+    """Each site reads its row from the count-keyed table; yields the field
+    after each sweep.  The key is kept times n, so the counts less the
+    leaving spin give the row's offset in the flat table: the stride of
+    state s is n (N+1)^s, and 0 for the last state, whose count is implied."""
+    n, N = len(pair), len(sigma)
+    radix, last = N + 1, n - 1
+    cums = _cumulative_weights(pair, weights, N).ravel().tolist()
+    stride = [n * radix ** s for s in range(last)] + [0]
+    key = sum(stride[s] for s in sigma)
+    for us in uniforms:
+        for x in range(N):
+            row = key - stride[sigma[x]]
+            # the first state whose cumulative weight reaches u
+            s = bisect_left(cums, us[x] * cums[row + last], row, row + last) - row
+            key = row + stride[s]
+            sigma[x] = s
+            if joint is not None:
+                code = 0
+                for t in sigma:
+                    code = code * n + t
+                joint[code] = joint.get(code, 0) + 1
+        # the field from the decoded counts, as _field forms it; inlined,
+        # since at small N this is a large share of a sweep's cost
+        field = [N] * (n + 1)
+        c_last = N
+        for s in range(last):
+            c = key // stride[s] % radix
+            c_last -= c
+            field[s] += c
+            field[pair[s]] -= c
+        field[last] += c_last
+        field[pair[last]] -= c_last
+        yield field
 
 
 def _nematic_sweeps(cfg: MCConfig, extras: Dict, record_joint: bool):

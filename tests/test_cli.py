@@ -157,6 +157,21 @@ def test_rate_without_an_adequate_bin_is_typed_error(capsys):
     assert json.loads(err)["error"] == "InsufficientSamples"
 
 
+def test_rate_at_an_overflowing_coupling_is_typed_error(capsys):
+    # the heat-bath weights exp((J/N) k) overflow beyond J = ln(DBL_MAX) = 709.78
+    argv = ("rate", "--model", "potts", "--param", "3", "--Ns", "5,6,7",
+            "--sweeps", "200", "--burn-in", "10")
+    code, out, err = run_cli(capsys, *argv, "--J", "710")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "CouplingOverflow"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv, "--J", "709")
+    assert code == 0
+    assert err == ""
+
+
 @pytest.mark.parametrize("model", [("potts", "2"), ("cubic", "2")], ids="-".join)
 def test_transition_without_first_order_jump_is_typed_error(capsys, model):
     code, out, err = run_cli(capsys, "transition", "--model", model[0],
@@ -305,6 +320,9 @@ GOLDEN = [
     ("mc_potts3.json",
      ("mc", "--model", "potts", "--param", "3", "--J", "3.2", "--N", "30",
       "--sweeps", "200", "--burn-in", "50", "--seed", "3", "--bins", "20")),
+    ("mc_potts3_n200.json",
+     ("mc", "--model", "potts", "--param", "3", "--J", "3.2", "--N", "200",
+      "--sweeps", "300", "--burn-in", "30", "--seed", "4", "--bins", "20")),
     ("mc_cubic4.json",
      ("mc", "--model", "cubic", "--param", "4", "--J", "4.0", "--N", "30",
       "--sweeps", "200", "--burn-in", "50", "--seed", "3", "--bins", "20")),

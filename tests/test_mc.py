@@ -1,8 +1,10 @@
 """Complete-graph Monte Carlo: exactness, determinism, physics checks."""
 
 import itertools
+import math
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ import pytest
 from mfspin import mc
 from mfspin import models as M
 from mfspin import solver as S
+from mfspin.errors import CouplingOverflow
 
 
 def test_config_validation():
@@ -244,6 +247,92 @@ def test_nematic_sweep_memory_is_linear_in_N_Ns():
     finally:
         tracemalloc.stop()
     assert peak < 8 * N * Ns * 8
+
+
+HEAT_BATH_MODELS = [M.potts(2), M.potts(3), M.cubic(1), M.cubic(2)]
+
+
+@pytest.mark.parametrize("model", HEAT_BATH_MODELS, ids=str)
+@pytest.mark.parametrize("N", [2, 3, 7, 30])
+def test_count_table_matches_the_per_site_loop_bitwise(monkeypatch, model, N):
+    # _TABLE_ENTRIES = 0 sends every chain through the per-site loop; at its
+    # real value every chain here reads the count-keyed table
+    cap = mc._TABLE_ENTRIES
+    calls = []
+    table_sweeps = mc._table_sweeps
+    monkeypatch.setattr(mc, "_table_sweeps",
+                        lambda *a: calls.append(1) or table_sweeps(*a))
+    for J in (0.0, 1.0, 3.2, 50.0):
+        for seed in (3, 11):
+            cfg = mc.MCConfig(model=model, J=J, N=N, sweeps=150, burn_in=30,
+                              seed=seed, histogram_bins=20)
+            runs = []
+            for entries in (cap, 0):
+                monkeypatch.setattr(mc, "_TABLE_ENTRIES", entries)
+                runs.append(mc.run_mc(cfg, record_joint_states=N <= 3))
+            got, want = runs
+            assert got.as_dict() == want.as_dict()
+            assert np.array_equal(got.histogram, want.histogram)
+            assert np.array_equal(got.rate_estimates, want.rate_estimates,
+                                  equal_nan=True)
+            assert ("joint_counts" in got.extras) == (N <= 3)
+    assert len(calls) == 8
+
+
+@pytest.mark.parametrize("model", HEAT_BATH_MODELS, ids=str)
+def test_count_table_rows_are_the_loops_left_fold(model):
+    # a last-bit change in a row's total moves the chain only through a rare
+    # flipped decision, which the chain test cannot see; check every row a
+    # site can read against the loop's sum, bit for bit
+    spins = {"potts": mc._POTTS, "cubic": mc._CUBIC}[model.kind]
+    pair = spins.pair(model.param)
+    n = len(pair)
+    for N, J in ((2, 50.0), (7, 3.2), (30, 3.2)):
+        weights = np.exp((J / N) * np.arange(-N, N + 1, dtype=np.float64))
+        table = weights.tolist()
+        cums = mc._cumulative_weights(pair, weights, N)
+        for counts in itertools.product(range(N), repeat=n - 1):
+            if sum(counts) > N - 1:
+                continue
+            field = mc._field(pair, list(counts) + [N - 1 - sum(counts)], N)
+            tot, want = 0.0, []
+            for s in range(n):
+                tot += table[field[s]]
+                want.append(tot)
+            key = sum(c * (N + 1) ** s for s, c in enumerate(counts))
+            assert cums[key].tolist() == want
+
+
+def test_count_table_memory_is_bounded_by_its_cap():
+    # each table entry costs at most 40 bytes (numpy's float and the list's);
+    # one N past the cap, Potts q = 3 takes the per-site loop in O(N) memory
+    cap = mc._TABLE_ENTRIES
+    N = math.isqrt(cap // 3) - 1       # the largest N whose q = 3 table fits
+    assert 3 * (N + 1) ** 2 <= cap < 3 * (N + 2) ** 2
+    # a small run first, so that numpy's lazy set-up is not counted
+    mc.run_mc(mc.MCConfig(model=M.potts(3), J=1.0, N=10, sweeps=2))
+    peaks = []
+    for n_sites in (N, N + 1):
+        cfg = mc.MCConfig(model=M.potts(3), J=1.0, N=n_sites, sweeps=2, seed=1)
+        tracemalloc.start()
+        try:
+            mc.run_mc(cfg)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 48 * cap
+    assert peaks[1] < 400 * (N + 1)
+
+
+def test_overflowing_coupling_is_a_typed_error():
+    # exp(J) overflows a double beyond J = ln(DBL_MAX) = 709.78; the Potts
+    # chain reads the table, cubic r = 4 the per-site loop
+    for model, N in ((M.potts(3), 5), (M.cubic(4), 30)):
+        with pytest.raises(CouplingOverflow):
+            mc.run_mc(mc.MCConfig(model=model, J=710.0, N=N, sweeps=4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mc.run_mc(mc.MCConfig(model=model, J=709.0, N=N, sweeps=4))
 
 
 def test_sweep_cost_scales_linearly():
