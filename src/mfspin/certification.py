@@ -132,7 +132,6 @@ def _forbidden_from_allowed(bands: List[Tuple[float, float]]) -> List[Tuple[floa
 
 def certify(model: ModelSpec, d: int, J_window: Tuple[float, float],
             J_grid: int = 21, m_grid: int = 2000,
-            transition_bracket: Optional[Tuple[float, float]] = None,
             I_d: Optional[float] = None,
             DJ_J_grid: int = 25) -> Certificate:
     """Evaluate the error-budget certificate at dimension d over a J-window.
@@ -157,9 +156,7 @@ def certify(model: ModelSpec, d: int, J_window: Tuple[float, float],
         I_d = compute_id(d, "bessel", 1e-10).value
     delta_d = float(model.delta_factor * I_d)    # the slack at coupling J is J*delta_d
 
-    if transition_bracket is None:
-        transition_bracket = (J_lo, J_hi)
-    tp = find_transition(model, transition_bracket)
+    tp = find_transition(model)
     if not (J_lo <= tp.J_MF <= J_hi):
         raise WindowExcludesTransition(
             f"J_MF={tp.J_MF:.6f} outside window {J_window}")

@@ -101,11 +101,7 @@ def _cmd_branches(a) -> str:
 
 def _cmd_transition(a) -> str:
     model = _model_from_args(a)
-    if a.Jlo is not None:
-        bracket = (a.Jlo, a.Jhi)
-    else:
-        bracket = solver.auto_bracket(model)
-    tp = solver.find_transition(model, bracket)
+    tp = solver.find_transition(model, None if a.Jlo is None else (a.Jlo, a.Jhi))
     return _json({"model": str(model), **tp.as_dict()})
 
 

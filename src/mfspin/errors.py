@@ -27,11 +27,7 @@ class BoundaryMagnetization(MFSpinError):
 
 
 class BracketInvalid(MFSpinError):
-    """Transition bracket endpoints do not straddle the degeneracy."""
-
-
-class NoAsymmetricBranch(MFSpinError):
-    """No nonzero stable solution of the mean-field equation at this coupling."""
+    """No first-order jump to locate, or a transition bracket that excludes J_MF."""
 
 
 class NoStableRoot(MFSpinError):

@@ -3,17 +3,19 @@
 All solutions of m = g'(J m) at fixed J are located by a sign-change scan
 refined with Brent's method; a root m is dynamically stable (candidate
 local minimum of the scalar free energy) iff J g''(J m) < 1.  Callers that
-need a branch over J run one such root scan per coupling.  The first-order
-transition point J_MF is located by bisecting the degeneracy gap
+need a branch over J run one such root scan per coupling.
 
-    dphi(J) = phi_J(m+(J)) - phi_J(0),
+At a stationary point s(m) = g(J m) - J m^2, so the free energy
+-J m^2/2 - s(m) has the dual closed form phi_J(m) = (J/2) m^2 - g(J m).  With
+h = J m the stationary branches are the explicit curve J = h / g'(h),
+m = g'(h), along which the degeneracy gap with the symmetric point is
 
-which is strictly decreasing in J on a valid bracket because
-d(phi)/dJ = -m^2/2 along stationary branches.  At a stationary point
-s(m) = g(J m) - J m^2, so the free energy -J m^2/2 - s(m) has the dual closed
-form phi_J(m) = (J/2) m^2 - g(J m), and dphi(J) = (J/2) m+^2 - g(J m+) + g(0)
-is what the bisection evaluates (no numerical Legendre transform in the inner
-loop).
+    F(h) = phi_J(m) - phi_J(0) = h g'(h)/2 - g(h) + g(0).
+
+The first-order transition J_MF is the root of F on the stable part of that
+curve below the m = 0 spinodal J2 = 1/g''(0): one sign scan over a log grid
+in h and one Brent refinement, with no bracket in J and no root scan per
+coupling.
 """
 
 from __future__ import annotations
@@ -24,13 +26,13 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import BracketInvalid, NoAsymmetricBranch, ScanTooCoarse
+from .errors import BracketInvalid, ScanTooCoarse
 from .models import ModelSpec
 from .roots import brentq
 
 __all__ = [
     "BranchPoint", "BranchSet", "TransitionPoint", "solve_branches",
-    "auto_bracket", "find_transition", "barrier_height",
+    "find_transition", "barrier_height",
 ]
 
 STABLE = "stable"
@@ -38,6 +40,11 @@ UNSTABLE = "unstable"
 
 _ROOT_XTOL = 1e-12
 _MERGE_TOL = 1e-8
+
+# find_transition's log grid in h; below about 1e-3 the gap F ~ g'''(0) h^3/12
+# (h^4 for the symmetric models) is lost in the rounding of g
+_H_MIN = 1e-3
+_H_POINTS = 400
 
 
 @dataclass(frozen=True)
@@ -143,109 +150,44 @@ def solve_branches(model: ModelSpec, J: float,
                      points=[_point(model, J, r) for r in merged])
 
 
-def _refine_near(model: ModelSpec, J: float, seed: float,
-                 width: float) -> Optional[float]:
-    """Locate a root of m = g'(Jm) near ``seed`` by expanding a local bracket."""
-    lo_b, hi_b = model.m_bounds()
-    f = lambda m: model.g_prime(J * m) - m
-    w = max(width, 1e-6)
-    for _ in range(12):
-        a = max(seed - w, lo_b + 1e-12)
-        b = min(seed + w, hi_b - 1e-12)
-        fa, fb = f(a), f(b)
-        if fa == 0.0:
-            return a
-        if fb == 0.0:
-            return b
-        if fa * fb < 0.0:
-            return brentq(f, a, b, xtol=_ROOT_XTOL, rtol=8.9e-16)
-        w *= 2.0
-        if a <= lo_b + 1e-12 and b >= hi_b - 1e-12:
-            break
-    return None
-
-
-def max_stable_root(model: ModelSpec, J: float, seed: Optional[float] = None,
+def max_stable_root(model: ModelSpec, J: float,
                     scan_resolution: int = 400) -> Optional[BranchPoint]:
-    """Largest stable root at J; a seed enables cheap local continuation."""
-    if seed is not None and seed > _MERGE_TOL:
-        r = _refine_near(model, J, seed, width=0.02 * max(abs(seed), 0.1))
-        if r is not None and r > _MERGE_TOL:
-            bp = _point(model, J, r)
-            if bp.stability == STABLE:
-                return bp
+    """Largest stable root at J."""
     return solve_branches(model, J, scan_resolution).max_stable_root()
 
 
-def _degeneracy_gap(model: ModelSpec, J: float,
-                    seed: Optional[float]) -> Tuple[Optional[float], Optional[float]]:
-    """(phi(m+) - phi(0), m+) via the dual closed form; (None, None) if no m+."""
-    bp = max_stable_root(model, J, seed=seed)
-    if bp is None or bp.m <= _MERGE_TOL:
-        return None, None
-    return bp.phi + model.g(0.0), bp.m
+def find_transition(model: ModelSpec,
+                    bracket: Optional[Tuple[float, float]] = None) -> TransitionPoint:
+    """Locate J_MF as the root in h of the degeneracy gap on the branch h = J m.
 
-
-def auto_bracket(model: ModelSpec) -> Tuple[float, float]:
-    """Heuristic transition bracket: just below the m=0 spinodal J2 down to
-    the first coupling where the asymmetric branch still sits above phi(0)."""
-    J2 = 1.0 / model.g_second(0.0)
-    hi = 0.999 * J2
-    J = hi
-    for _ in range(400):
-        J *= 0.997
-        gap, _ = _degeneracy_gap(model, J, seed=None)
-        if gap is None:
-            break
-        if gap > 0:
-            return J, hi
-    raise BracketInvalid("could not auto-bracket the transition; pass --Jlo/--Jhi")
-
-
-def find_transition(model: ModelSpec, bracket: Tuple[float, float],
-                    tol_J: float = 1e-10) -> TransitionPoint:
-    """Locate J_MF by bisecting dphi(J) = phi_J(m+) - phi_J(0) on a bracket.
-
-    Requires the asymmetric stable branch to exist and lie above phi(0) at
-    J_lo, and below at J_hi; dphi is strictly decreasing in J there, so the
-    root is unique.
+    F(h) = h g'(h)/2 - g(h) + g(0) is scanned on a log grid of h up to
+    m_hi / g''(0), which bounds h* = J_MF m_c.  Of its sign changes between
+    grid points where the branch is stable (J g''(h) < 1) below J2 = 1/g''(0),
+    the one of largest h is refined by Brent's method.  A given bracket must
+    contain the J_MF so found.
     """
-    J_lo, J_hi = float(bracket[0]), float(bracket[1])
-    if not (0 <= J_lo < J_hi):
+    if bracket is not None and not (0 <= bracket[0] < bracket[1]):
         raise BracketInvalid(f"bad bracket {bracket}")
-    gap_lo, m_lo = _degeneracy_gap(model, J_lo, seed=None)
-    if gap_lo is None:
-        raise NoAsymmetricBranch(
-            f"no nonzero stable branch at J_lo={J_lo} for {model}")
-    gap_hi, m_hi = _degeneracy_gap(model, J_hi, seed=m_lo)
-    if gap_hi is None:
-        raise NoAsymmetricBranch(
-            f"no nonzero stable branch at J_hi={J_hi} for {model}")
-    if not (gap_lo > 0.0 > gap_hi):
-        raise BracketInvalid(
-            f"dphi does not straddle 0 on {bracket}: ({gap_lo}, {gap_hi})")
-
-    seed = m_lo
-    a, b = J_lo, J_hi
-    gap_mid, m_mid = gap_lo, m_lo
-    while b - a > tol_J:
-        mid = 0.5 * (a + b)
-        gap_mid, m_mid = _degeneracy_gap(model, mid, seed=seed)
-        if gap_mid is None:
-            # asymmetric branch vanished: transition lies above
-            a = mid
-            continue
-        seed = m_mid
-        if gap_mid > 0.0:
-            a = mid
-        else:
-            b = mid
-    J_star = 0.5 * (a + b)
-    gap, m_c = _degeneracy_gap(model, J_star, seed=seed)
-    if gap is None:
-        gap, m_c = gap_mid, m_mid
-    return TransitionPoint(J_MF=float(J_star), m_c=float(m_c),
-                           degeneracy_residual=float(gap))
+    J2 = 1.0 / model.g_second(0.0)
+    g0 = model.g(0.0)
+    gap = lambda h: 0.5 * h * model.g_prime(h) - model.g(h) + g0
+    h = np.geomspace(_H_MIN, model.m_bounds()[1] * J2, _H_POINTS)
+    m = model.g_prime(h)
+    J = h / m
+    F = 0.5 * h * m - model.g(h) + g0
+    ok = (J * model.g_second(h) < 1.0) & (J < J2)
+    cells = np.flatnonzero(ok[:-1] & ok[1:] & ((F[:-1] < 0.0) != (F[1:] < 0.0)))
+    if not cells.size:
+        raise BracketInvalid(f"no first-order jump: no stable branch of {model} "
+                             f"below J2={J2} meets phi(0)")
+    i = cells[-1]
+    h_star = brentq(gap, h[i], h[i + 1], xtol=1e-14)
+    m_c = float(model.g_prime(h_star))
+    tp = TransitionPoint(J_MF=h_star / m_c, m_c=m_c,
+                         degeneracy_residual=float(gap(h_star)))
+    if bracket is not None and not (bracket[0] <= tp.J_MF <= bracket[1]):
+        raise BracketInvalid(f"bracket {bracket} does not contain J_MF={tp.J_MF}")
+    return tp
 
 
 def barrier_height(model: ModelSpec, J: float,

@@ -181,13 +181,11 @@ def test_criterion_05_fig2_reproduction():
 
 def _fider_max_residual(model, J_lo, J_hi, n=50, dJ=1e-3):
     worst = 0.0
-    seed = None
     for J in np.linspace(J_lo, J_hi, n):
         J = float(J)
-        bp = S.max_stable_root(model, J, seed=seed)
-        seed = bp.m
-        hi = S.max_stable_root(model, J + dJ, seed=bp.m)
-        lo = S.max_stable_root(model, J - dJ, seed=bp.m)
+        bp = S.max_stable_root(model, J)
+        hi = S.max_stable_root(model, J + dJ)
+        lo = S.max_stable_root(model, J - dJ)
         worst = max(worst, abs((hi.phi - lo.phi) / (2 * dJ) + bp.m ** 2 / 2))
     return worst
 
@@ -291,8 +289,7 @@ def nematic_large_N():
                                              scan_resolution=160).m
         data["jmf_over_N"] = {}
         for N in (200, 500, 1000):
-            tp = S.find_transition(M.nematic(N), (2.30 * N, 2.60 * N),
-                                   tol_J=1e-7 * N)
+            tp = S.find_transition(M.nematic(N), (2.30 * N, 2.60 * N))
             data["jmf_over_N"][N] = tp.J_MF / N
     data["elapsed"] = t.elapsed
     return data
@@ -380,7 +377,7 @@ SWEEP_DS = (3, 4, 6, 8, 12, 16, 24, 32, 48, 64)
 def q3_certificates():
     with Timer() as t:
         certs = {d: C.certify(M.potts(3), d, WINDOW_Q3, J_grid=9, m_grid=1500,
-                              transition_bracket=(2.75, 2.95), DJ_J_grid=13)
+                              DJ_J_grid=13)
                  for d in SWEEP_DS}
     return certs, t.elapsed
 
@@ -412,10 +409,8 @@ def test_criterion_11_corrected_pass_flip_at_large_d(q3_certificates):
     to pass at finite d (first passing dimension d* = 820)."""
     certs, _ = q3_certificates
     assert not certs[64].passed
-    lo = C.certify(M.potts(3), 256, WINDOW_Q3, J_grid=9, m_grid=1500,
-                   transition_bracket=(2.75, 2.95), DJ_J_grid=13)
-    hi = C.certify(M.potts(3), 1024, WINDOW_Q3, J_grid=9, m_grid=1500,
-                   transition_bracket=(2.75, 2.95), DJ_J_grid=13)
+    lo = C.certify(M.potts(3), 256, WINDOW_Q3, J_grid=9, m_grid=1500, DJ_J_grid=13)
+    hi = C.certify(M.potts(3), 1024, WINDOW_Q3, J_grid=9, m_grid=1500, DJ_J_grid=13)
     assert not lo.passed
     assert hi.passed
     assert hi.min_margin > lo.min_margin > certs[64].min_margin

@@ -136,8 +136,7 @@ def test_certificate_monotone_in_d_injected():
 
 def test_certificate_window_must_contain_transition():
     with pytest.raises(WindowExcludesTransition):
-        C.certify(M.potts(10), 8, (4.6, 4.9),
-                  transition_bracket=(4.6, 5.3), J_grid=3, m_grid=800)
+        C.certify(M.potts(10), 8, (4.6, 4.9), J_grid=3, m_grid=800)
 
 
 def test_forbidden_bands_empty_when_connected():

@@ -73,6 +73,30 @@ def test_transition_auto_bracket(capsys):
     assert json.loads(out)["J_MF"] == pytest.approx(3.7851981, abs=1e-5)
 
 
+@pytest.mark.parametrize("model", [("potts", "10"), ("nematic", "3")], ids="-".join)
+def test_transition_is_silent(capsys, model):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "transition", "--model", model[0],
+                                 "--param", model[1])
+    assert code == 0 and err == ""
+
+
+def test_transition_nematic_large_N(capsys):
+    code, out, _ = run_cli(capsys, "transition", "--model", "nematic", "--param", "1000")
+    assert code == 0
+    assert abs(json.loads(out)["J_MF"] / 1000 - 2.455352) < 1e-5
+
+
+@pytest.mark.parametrize("window", [("2.80", "2.95"), ("2.0", "2.77")], ids="-".join)
+def test_certify_window_without_transition_is_typed_error(capsys, window):
+    code, out, err = run_cli(capsys, "certify", "--model", "potts", "--param", "3",
+                             "--dim", "1024", "--Jlo", window[0], "--Jhi", window[1])
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "WindowExcludesTransition"
+
+
 def test_barrier_json(capsys):
     code, out, _ = run_cli(capsys, "barrier", "--model", "potts", "--param",
                            "10", "--J", f"{2.25 * np.log(9)}")
@@ -172,15 +196,17 @@ def test_rate_at_an_overflowing_coupling_is_typed_error(capsys):
     assert err == ""
 
 
-@pytest.mark.parametrize("model", [("potts", "2"), ("cubic", "2")], ids="-".join)
+@pytest.mark.parametrize("model", [("potts", "2"), ("cubic", "2"), ("cubic", "3")],
+                         ids="-".join)
 def test_transition_without_first_order_jump_is_typed_error(capsys, model):
-    code, out, err = run_cli(capsys, "transition", "--model", model[0],
-                             "--param", model[1])
-    assert code == 1
-    assert out == ""
-    payload = json.loads(err)
-    assert payload["error"] == "BracketInvalid"
-    assert "auto-bracket" in payload["message"]
+    for bracket in ((), ("--Jlo", "1", "--Jhi", "3")):
+        code, out, err = run_cli(capsys, "transition", "--model", model[0],
+                                 "--param", model[1], *bracket)
+        assert code == 1
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "BracketInvalid"
+        assert "no first-order jump" in payload["message"]
 
 
 def test_usage_error_exit_code_two(capsys):

@@ -9,7 +9,8 @@ from scipy import optimize
 
 from mfspin.roots import brentq
 
-# (xtol, rtol): scipy's default rtol at a tight xtol, then the solver's setting
+# (xtol, rtol): scipy's default rtol at a tight xtol, as find_transition calls
+# it, then solve_branches' setting
 SETTINGS = [dict(xtol=1e-14), dict(xtol=1e-12, rtol=8.9e-16)]
 
 # Each family draws its parameters and returns a smooth g; a bracket solves

@@ -6,7 +6,7 @@ import pytest
 from conftest import branch_ms
 from mfspin import models as M
 from mfspin import solver as S
-from mfspin.errors import BracketInvalid, MFSpinError, NoAsymmetricBranch
+from mfspin.errors import BracketInvalid, MFSpinError
 from mfspin.roots import brentq
 
 J_MF_Q3 = 4 * np.log(2)
@@ -194,8 +194,17 @@ def test_find_transition_cubic_r4_first_order():
 def test_find_transition_bad_bracket():
     with pytest.raises(BracketInvalid):
         S.find_transition(M.potts(3), (2.80, 2.95))  # both above J_MF
-    with pytest.raises(NoAsymmetricBranch):
-        S.find_transition(M.potts(3), (2.0, 2.95))   # J_lo below the spinodal
+    # J_lo below the spinodal: the bracket still contains J_MF
+    tp = S.find_transition(M.potts(3), (2.0, 2.95))
+    assert tp.J_MF == pytest.approx(J_MF_Q3, rel=1e-13)
+
+
+@pytest.mark.parametrize("q", [3, 4, 10, 1000])
+def test_find_transition_potts_closed_form_without_bracket(q):
+    tp = S.find_transition(M.potts(q))
+    J_MF = 2 * (q - 1) / (q - 2) * np.log(q - 1)
+    assert abs(tp.J_MF - J_MF) <= 1e-13 * J_MF
+    assert abs(tp.m_c - (q - 2) / q) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +217,8 @@ def fider_residuals(model, J_lo, J_hi, n, dJ=1e-3):
     for J in np.linspace(J_lo, J_hi, n):
         J = float(J)
         bp = S.max_stable_root(model, J)
-        hi = S.max_stable_root(model, J + dJ, seed=bp.m)
-        lo = S.max_stable_root(model, J - dJ, seed=bp.m)
+        hi = S.max_stable_root(model, J + dJ)
+        lo = S.max_stable_root(model, J - dJ)
         dphi = (hi.phi - lo.phi) / (2 * dJ)
         out.append(abs(dphi + bp.m ** 2 / 2))
     return out
@@ -242,16 +251,22 @@ def test_barrier_full_scale_matches_simplex_differences():
     assert S.barrier_height(M.potts(3), J) == pytest.approx(expect, abs=1e-9)
 
 
-def test_auto_bracket_contains_transition():
-    model = M.potts(3)
-    lo, hi = S.auto_bracket(model)
-    assert hi == 0.999 * (1.0 / model.g_second(0.0))
-    assert lo < J_MF_Q3 < hi
-    assert S.find_transition(model, (lo, hi)).J_MF == pytest.approx(J_MF_Q3, abs=1e-8)
+def test_find_transition_takes_the_largest_h_root():
+    # nematic N = 1e5 has sign changes of F in rounding noise at h < 0.03;
+    # the one of largest h is J_MF, next to the large-N limit 2.455407 N
+    tp = S.find_transition(M.nematic(10 ** 5))
+    assert abs(tp.J_MF / 10 ** 5 - 2.455407) < 1e-5
 
 
-def test_auto_bracket_fails_typed_without_first_order_transition():
+def test_find_transition_without_bracket_matches_bracketed():
+    # a bracket only checks the root: both calls return the same point
+    tp = S.find_transition(M.potts(3))
+    assert tp == S.find_transition(M.potts(3), (2.75, 2.95))
+    assert tp.J_MF == pytest.approx(J_MF_Q3, abs=1e-8)
+
+
+def test_find_transition_fails_typed_without_first_order_transition():
     # the Ising-like cubic r = 2 chain has a continuous transition
-    with pytest.raises(MFSpinError, match="auto-bracket") as exc:
-        S.auto_bracket(M.cubic(2))
+    with pytest.raises(MFSpinError, match="no first-order jump") as exc:
+        S.find_transition(M.cubic(2))
     assert type(exc.value) is BracketInvalid
