@@ -13,8 +13,9 @@ opposite sign s ^ 1, for Potts a spare slot that is never read.  The fields,
 and so each site's decision, depend only on the occupation counts of the
 other spins; when the count vectors are few (n (N+1)^(n-1) <= 2^20 for n
 states) their cumulative weights are tabulated once, and each site reads its
-row by an integer key of the counts instead of summing the weights, with the
-same bits.
+row by an integer key of the counts instead of summing the weights.
+Otherwise a site sums its row, and the sites of the same state reuse it
+until a decision changes the counts.  Both keep the bits of the plain sum.
 
 Nematic spins are unit vectors updated by Metropolis proposals with a step
 size auto-tuned to 30-50% acceptance during burn-in.  A spin changes only at
@@ -166,7 +167,8 @@ def _heat_bath_sweeps(spins: _SpinSet, cfg: MCConfig, extras: Dict, record_joint
     of the n states, which depend only on the occupation counts of the other
     N - 1 spins.  When there are few count vectors, n (N+1)^(n-1) <=
     _TABLE_ENTRIES, every row of cumulative weights is formed once and each
-    decision reads its row (_table_sweeps); otherwise each site sums its row
+    decision reads its row (_table_sweeps); otherwise each site sums its row,
+    or reuses the one its state's sites summed since the counts last changed
     (_loop_sweeps).  numpy's cumsum adds left to right from the first weight,
     as the loop does, so both paths take every decision with the same bits
     (docs/decisions.md).
@@ -192,29 +194,73 @@ def _heat_bath_sweeps(spins: _SpinSet, cfg: MCConfig, extras: Dict, record_joint
 
 
 def _loop_sweeps(pair, weights, sigma, uniforms, joint):
-    """Each site sums its row of weights; yields the field after each sweep.
-    One integer list keeps the field; O(N) memory."""
+    """Each site sums its row of cumulative weights, or reuses its state's
+    row while the counts stand; yields the field after each sweep.
+
+    The row of a site in state s depends only on the counts less one spin of
+    s, so one row per state serves every site of that state until a decision
+    changes a state.  A change s -> t leaves the new counts less t equal to
+    the old counts less s: the row just used becomes t's, t's old row goes
+    to s as storage, and advancing the epoch marks every other row stale.  A
+    row is made only for a state that has none, and when min(n, N) rows
+    exist the stale ones are dropped first, so O(N + n min(n, N)) memory.
+    Every row is the loop's left fold, and bisect_left on a nondecreasing row
+    returns the first state whose cumulative weight reaches u, so each
+    decision keeps its bits (docs/decisions.md).
+    """
     n, N = len(pair), len(sigma)
     field = _field(pair, np.bincount(sigma, minlength=n).tolist(), N)
     table = weights.tolist()
     states = range(n)
-    cum = [0.0] * n
+    last = n - 1
+    # rows[s][:n] holds the cumulative weights at the counts less one spin of
+    # s, current while its stamp rows[s][n] equals the epoch; `none` is no row
+    none = [0.0] * n + [0]
+    rows = [none] * n
+    live, cap = 0, min(n, N)
+    epoch = 1
     for us in uniforms:
         for x in range(N):
             s = sigma[x]
-            field[s] -= 1
-            field[pair[s]] += 1
-            tot = 0.0
-            for k in states:
-                tot += table[field[k]]
-                cum[k] = tot
-            u = us[x] * tot
-            s = 0
-            while cum[s] < u:
-                s += 1
-            field[s] += 1
-            field[pair[s]] -= 1
-            sigma[x] = s
+            row = rows[s]
+            if row[n] == epoch:
+                # the first state whose cumulative weight reaches u
+                t = bisect_left(row, us[x] * row[last], 0, last)
+                if t != s:
+                    field[s] -= 1
+                    field[pair[s]] += 1
+                    field[t] += 1
+                    field[pair[t]] -= 1
+                    # t takes the row just used, s takes t's stale one
+                    rows[s] = rows[t]
+                    rows[t] = row
+                    epoch += 1
+                    row[n] = epoch
+                    sigma[x] = t
+            else:
+                if row is none:
+                    if live == cap:
+                        # the current rows belong to occupied states other
+                        # than s, so at least one row is stale
+                        rows = [r if r[n] == epoch else none for r in rows]
+                        live = sum(r is not none for r in rows)
+                    row = rows[s] = [0.0] * (n + 1)
+                    live += 1
+                field[s] -= 1
+                field[pair[s]] += 1
+                tot = 0.0
+                for k in states:
+                    tot += table[field[k]]
+                    row[k] = tot
+                t = bisect_left(row, us[x] * tot, 0, last)
+                field[t] += 1
+                field[pair[t]] -= 1
+                if t != s:
+                    rows[s] = rows[t]
+                    rows[t] = row
+                    epoch += 1
+                    sigma[x] = t
+                row[n] = epoch
             if joint is not None:
                 code = 0
                 for t in sigma:

@@ -352,6 +352,14 @@ GOLDEN = [
     ("mc_cubic4.json",
      ("mc", "--model", "cubic", "--param", "4", "--J", "4.0", "--N", "30",
       "--sweeps", "200", "--burn-in", "50", "--seed", "3", "--bins", "20")),
+    # the per-site loop at workload scale, where the counts stand for long
+    # stretches and a state's row is reused across many sites
+    ("mc_cubic4_n200.json",
+     ("mc", "--model", "cubic", "--param", "4", "--J", "4.0", "--N", "200",
+      "--sweeps", "300", "--burn-in", "30", "--seed", "4", "--bins", "20")),
+    ("mc_potts10_n100.json",
+     ("mc", "--model", "potts", "--param", "10", "--J", "6", "--N", "100",
+      "--sweeps", "300", "--burn-in", "30", "--seed", "4", "--bins", "20")),
     ("mc_potts2.json",
      ("mc", "--model", "potts", "--param", "2", "--J", "2.5", "--N", "30",
       "--sweeps", "200", "--burn-in", "50", "--seed", "3", "--bins", "20")),
@@ -462,11 +470,21 @@ for argv in (['mc', '--model', 'potts', '--param', '3', '--J', '2', '--N', '10',
 
 
 def test_cubic_oracle_peak_memory():
-    # r = 4 at resolution 200 searches C(203, 3) = 1 373 701 compositions
-    probe = ("import resource, sys; from mfspin.cli import dispatch; "
-             "dispatch(['oracle', '--model', 'cubic', '--param', '4', '--J', '3.7852']); "
-             "rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; "
-             "print(rss / (2 ** 20 if sys.platform == 'darwin' else 2 ** 10))")
+    # r = 4 at resolution 200 searches C(203, 3) = 1 373 701 compositions.
+    # Linux keeps ru_maxrss across fork and exec, so a child of a large test
+    # process reports its parent's peak; VmHWM is the child's own
+    probe = """
+import resource, sys
+from mfspin.cli import dispatch
+dispatch(['oracle', '--model', 'cubic', '--param', '4', '--J', '3.7852'])
+try:
+    with open('/proc/self/status') as fh:
+        kib = int(next(line for line in fh if line.startswith('VmHWM:')).split()[1])
+except (OSError, StopIteration):
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    kib = rss / 1024 if sys.platform == 'darwin' else rss
+print(kib / 1024)
+"""
     peak_mib = float(run_python(probe).splitlines()[-1])
     assert peak_mib < 200.0
 

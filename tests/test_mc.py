@@ -324,6 +324,88 @@ def test_count_table_memory_is_bounded_by_its_cap():
     assert peaks[1] < 400 * (N + 1)
 
 
+def _summing_loop_sweeps(pair, weights, sigma, uniforms, joint):
+    """The per-site loop without row reuse: every site sums its row and takes
+    the first state whose cumulative weight reaches u by a linear search."""
+    n, N = len(pair), len(sigma)
+    field = mc._field(pair, np.bincount(sigma, minlength=n).tolist(), N)
+    table = weights.tolist()
+    cum = [0.0] * n
+    for us in uniforms:
+        for x in range(N):
+            s = sigma[x]
+            field[s] -= 1
+            field[pair[s]] += 1
+            tot = 0.0
+            for k in range(n):
+                tot += table[field[k]]
+                cum[k] = tot
+            u = us[x] * tot
+            s = 0
+            while cum[s] < u:
+                s += 1
+            field[s] += 1
+            field[pair[s]] -= 1
+            sigma[x] = s
+            if joint is not None:
+                code = 0
+                for t in sigma:
+                    code = code * n + t
+                joint[code] = joint.get(code, 0) + 1
+        yield field
+
+
+LOOP_MODELS = [M.potts(2), M.potts(3), M.potts(10), M.cubic(1), M.cubic(3), M.cubic(4)]
+
+
+@pytest.mark.parametrize("model", LOOP_MODELS, ids=str)
+@pytest.mark.parametrize("N", [2, 3, 7, 30, 100])
+def test_row_reuse_matches_the_summing_loop_bitwise(monkeypatch, model, N):
+    # _TABLE_ENTRIES = 0 sends every chain through the per-site loop.  J = 0
+    # and 1 lie at or below every model's transition here, 6 and 50 above it;
+    # at J = 50 a chain stands still for whole sweeps, so one row serves many
+    # sites
+    monkeypatch.setattr(mc, "_TABLE_ENTRIES", 0)
+    calls = []
+    loop_sweeps = mc._loop_sweeps
+    for J in (0.0, 1.0, 3.2, 6.0, 50.0):
+        for seed in (3, 11):
+            cfg = mc.MCConfig(model=model, J=J, N=N, sweeps=150, burn_in=30,
+                              seed=seed, histogram_bins=20)
+            runs = []
+            for sweeps in (lambda *a: calls.append(1) or loop_sweeps(*a),
+                           _summing_loop_sweeps):
+                monkeypatch.setattr(mc, "_loop_sweeps", sweeps)
+                runs.append(mc.run_mc(cfg, record_joint_states=N <= 3))
+            got, want = runs
+            assert got.as_dict() == want.as_dict()
+            assert np.array_equal(got.histogram, want.histogram)
+            assert np.array_equal(got.rate_estimates, want.rate_estimates,
+                                  equal_nan=True)
+            assert ("joint_counts" in got.extras) == (N <= 3)
+    assert len(calls) == 10
+
+
+def test_row_reuse_memory_is_bounded_by_the_occupied_states():
+    # at most min(n, N) rows of n cumulative weights are live, each weight at
+    # most 40 bytes as a list float.  At J = 0 nearly every decision moves a
+    # spin to a state no spin holds, so rows kept per state ever visited, or
+    # left with the states that spins leave empty, pass the bound several
+    # times over.  Tracing every float a row holds is slow, so q and N are
+    # kept small; q > N is the regime where the bound binds.
+    q, N = 200, 20
+    cfg = mc.MCConfig(model=M.potts(q), J=0.0, N=N, sweeps=200, seed=1)
+    # a small run first, so that numpy's lazy set-up is not counted
+    mc.run_mc(mc.MCConfig(model=M.potts(q), J=0.0, N=10, sweeps=2))
+    tracemalloc.start()
+    try:
+        mc.run_mc(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * q * (min(q, N) + 1) + 400 * N
+
+
 def test_overflowing_coupling_is_a_typed_error():
     # exp(J) overflows a double beyond J = ln(DBL_MAX) = 709.78; the Potts
     # chain reads the table, cubic r = 4 the per-site loop
@@ -335,18 +417,28 @@ def test_overflowing_coupling_is_a_typed_error():
             mc.run_mc(mc.MCConfig(model=model, J=709.0, N=N, sweeps=4))
 
 
-def test_sweep_cost_scales_linearly():
-    # complexity guard: doubling N costs no more than ~2.5x (generous cap 3x)
+def _sweep_cost_ratio(model, J):
+    """Wall time at N = 200 over N = 100, best of three each."""
     def wall(N):
-        cfg = mc.MCConfig(model=M.potts(3), J=2.0, N=N, sweeps=400, burn_in=0,
-                          seed=1)
+        cfg = mc.MCConfig(model=model, J=J, N=N, sweeps=400, burn_in=0, seed=1)
         t0 = time.perf_counter()
         mc.run_mc(cfg)
         return time.perf_counter() - t0
     wall(100)  # warm-up
     t1 = min(wall(100) for _ in range(3))
     t2 = min(wall(200) for _ in range(3))
-    assert t2 / t1 < 3.0
+    return t2 / t1
+
+
+def test_sweep_cost_scales_linearly():
+    # complexity guard: doubling N costs no more than ~2.5x (generous cap 3x)
+    assert _sweep_cost_ratio(M.potts(3), 2.0) < 3.0
+
+
+def test_loop_sweep_cost_scales_linearly():
+    # the same guard on the per-site loop: cubic r = 4 in its ordered phase,
+    # where one row serves many sites
+    assert _sweep_cost_ratio(M.cubic(4), 4.0) < 3.0
 
 
 # ---------------------------------------------------------------------------
