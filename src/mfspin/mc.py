@@ -159,19 +159,28 @@ def _field(pair: List[int], counts, N: int) -> list:
     return field
 
 
+def _use_table(n: int, N: int, sweeps: int) -> bool:
+    """Whether a heat-bath run of N sites and n states reads the count-keyed
+    table: its n (N+1)^(n-1) entries (Python ints, so a large N never
+    allocates a table it is too big for) are at most _TABLE_ENTRIES and fewer
+    than the run's N * sweeps site updates, which each read one of them."""
+    entries = n * (N + 1) ** (n - 1)
+    return entries <= _TABLE_ENTRIES and entries < N * sweeps
+
+
 def _heat_bath_sweeps(spins: _SpinSet, cfg: MCConfig, extras: Dict, record_joint: bool):
     """Exact heat bath over a finite spin set; joint states are recorded as
     base-n codes of the configuration, n the number of states.
 
     Site x leaves its state and draws a new one from the cumulative weights
     of the n states, which depend only on the occupation counts of the other
-    N - 1 spins.  When there are few count vectors, n (N+1)^(n-1) <=
-    _TABLE_ENTRIES, every row of cumulative weights is formed once and each
-    decision reads its row (_table_sweeps); otherwise each site sums its row,
-    or reuses the one its state's sites summed since the counts last changed
-    (_loop_sweeps).  numpy's cumsum adds left to right from the first weight,
-    as the loop does, so both paths take every decision with the same bits
-    (docs/decisions.md).
+    N - 1 spins.  Where the table of every row pays for itself (_use_table),
+    each row is formed once and each decision reads its row (_table_sweeps);
+    otherwise, as for a short run that would not repay the table's build,
+    each site sums its row, or reuses the one its state's sites summed since
+    the counts last changed (_loop_sweeps).  numpy's cumsum adds left to
+    right from the first weight, as the loop does, so both paths take every
+    decision with the same bits (docs/decisions.md).
     """
     param, J, N = cfg.model.param, cfg.J, cfg.N
     pair = spins.pair(param)
@@ -186,8 +195,7 @@ def _heat_bath_sweeps(spins: _SpinSet, cfg: MCConfig, extras: Dict, record_joint
     sigma = spins.initial(rng, param, N)
     joint = extras.setdefault("joint_counts", {}) if record_joint else None
     uniforms = (rng.random(N).tolist() for _ in range(cfg.sweeps))
-    # Python ints: a large N never allocates the table it is too big for
-    sweeps = _table_sweeps if n * (N + 1) ** (n - 1) <= _TABLE_ENTRIES else _loop_sweeps
+    sweeps = _table_sweeps if _use_table(n, N, cfg.sweeps) else _loop_sweeps
     for sweep, field in enumerate(sweeps(pair, weights, sigma, uniforms, joint)):
         if sweep >= cfg.burn_in:
             yield spins.project(field, param, N)

@@ -47,7 +47,6 @@ __all__ = [
 ]
 
 _XLOGX_FLOOR = 1e-300
-_EPS = 2.0 ** -53              # unit roundoff
 
 
 def _xlogx(x):
@@ -329,79 +328,31 @@ def ising_theta(J: float, mu):
 
 
 # ---------------------------------------------------------------------------
-# nematic: Kummer-function moments
+# nematic: Kummer-function moments of the Watson distribution
 # ---------------------------------------------------------------------------
 
-def _nematic_moments(N: int, end: int, h):
-    """(g - e h, g' - e, g'') at each h; e is the top (end=1) or bottom (end=0) of m's range.
-
-    x^2 (x a coordinate of a uniform unit vector in R^N) is Beta(1/2, c) with
-    c = (N-1)/2; tilted by e^{a x^2}, a = h N/(N-1), its Z is 1F1(1/2; N/2; a)
-    = e^a 1F1(c; N/2; -a).  mu and var are the mean and variance of v, the
-    one of x^2 (h <= 0) and 1 - x^2 (h > 0) that goes to 0 as |h| grows, and
-    ell = log Z - a [h > 0]; g = (N-1)/N ell + e_h h, e_h the end on h's
-    side, so no digit is lost at either end.  Regimes: docs/decisions.md.
-    """
-    from scipy import special       # on first use: only nematic commands need it
-    h = np.asarray(h, dtype=float)
-    a, c = h.ravel() * (N / (N - 1.0)), 0.5 * (N - 1.0)
-    ell, mu, var = np.empty_like(a), np.empty_like(a), np.empty_like(a)
-    # v is Beta(p, q) tilted by e^{-|a| v}, and for large |a|
-    # 1F1(p+j; N/2+j; -|a|) = Gamma(N/2+j)/Gamma(q) |a|^-(p+j) S_j + O(e^-|a|)
-    # with S_j = sum_k (p+j)_k (1-q)_k / (k! |a|^k), used where exact to rounding;
-    # a point whose first ratio (p+j)(1-q)/|a| is not below 1 (a = 0 among
-    # them) keeps S = 1 and fails that test, so it never enters the series,
-    # where a tiny |a| would overflow the ratio
-    x, p, q = np.abs(a), np.where(a > 0.0, c, 0.5), np.where(a > 0.0, 0.5, c)
-    ser = np.flatnonzero((p + 2.0) * np.abs(1.0 - q) < x)
-    x, p, q = x[ser], p[ser], q[ser]
-    term, S = np.ones((3, ser.size)), np.ones((3, ser.size))
-    idx, k = np.arange(ser.size), 0
-    while idx.size:                     # each point stops at its smallest term
-        ratio = (p[idx] + np.arange(3.0)[:, None] + k) * (1.0 - q[idx] + k) / ((k + 1.0) * x[idx])
-        keep = np.all(np.abs(ratio) < 1.0, axis=0)
-        idx = idx[keep]
-        term[:, idx] *= ratio[:, keep]
-        S[:, idx] += term[:, idx]
-        idx, k = idx[np.any(np.abs(term[:, idx]) > _EPS * S[:, idx], axis=0)], k + 1
-    # exact: converged before the smallest term, and the O(e^-|a|) part, of
-    # relative size e^-|a| |a|^(p-q) Gamma(q)/Gamma(p), is below rounding
-    exact = (np.all(np.abs(term) <= _EPS * S, axis=0)
-             & (special.gammaln(q) - special.gammaln(p) + (p - q) * np.log(x) - x < np.log(_EPS)))
-    big, x, p, q, S = ser[exact], x[exact], p[exact], q[exact], S[:, exact]
-    r1, r2 = S[1] / S[0], S[2] / S[0]
-    ell[big] = special.gammaln(0.5 * N) - special.gammaln(q) - p * np.log(x) + np.log(S[0])
-    mu[big] = p * r1 / x
-    var[big] = p * ((p + 1.0) * r2 - p * r1 * r1) / x / x  # not <v^2> - <v>^2: no cancellation
-    rest = np.ones(a.size, dtype=bool)
-    rest[big] = False
-    ar = a[rest]
-    F0 = special.hyp1f1(0.5, 0.5 * N, ar)
-    x2 = special.hyp1f1(1.5, 0.5 * N + 1.0, ar) / (N * F0)
-    var[rest] = 3.0 * special.hyp1f1(2.5, 0.5 * N + 2.0, ar) / (N * (N + 2.0) * F0) - x2 * x2
-    ell[rest] = np.log(F0) - np.maximum(ar, 0.0)
-    mu[rest] = np.where(ar > 0.0, 1.0 - x2, x2)
-    shift = (a > 0.0) - float(end)
-    return tuple(v.reshape(h.shape) for v in ((N - 1.0) / N * ell + shift * h.ravel(),
-                                              shift + np.where(a > 0.0, -mu, mu),
-                                              N / (N - 1.0) * var))
+def _nematic_moments(N: int, end, h, order: int):
+    """`watson.moments`: g - e h (order 0), g' - e (1) or g'' (2), e an end
+    of m's range (end = 0, 1) or, for g', 0 (end = None)."""
+    from .watson import moments         # on first use: only nematic commands need it
+    return moments(N, end, h, order)
 
 
 def nematic_g(N: int, h):
     """(N-1)/N * log of the tilted/untilted partition ratio, g(0) = 0."""
-    val = np.asarray(_nematic_moments(N, 0, h)[0] - h / N)
+    val = np.asarray(_nematic_moments(N, 0, h, 0) - h / N)
     return val if val.ndim else float(val)
 
 
 def nematic_g_prime(N: int, h):
     """<x^2>_h - 1/N: the right-hand side of the scalar mean-field equation."""
-    val = np.asarray(_nematic_moments(N, 0, h)[1] - 1.0 / N)
+    val = _nematic_moments(N, None, h, 1)
     return val if val.ndim else float(val)
 
 
 def nematic_g_second(N: int, h):
     """N/(N-1) * Var_h(x^2)."""
-    val = _nematic_moments(N, 0, h)[2]
+    val = _nematic_moments(N, 0, h, 2)
     return val if val.ndim else float(val)
 
 
@@ -422,8 +373,8 @@ def _nematic_entropy(N: int, m):
     s, h = np.empty_like(m), np.empty_like(m)
     for end in (1, 0):
         sel = top == end
-        s[sel], h[sel] = legendre_entropy(lambda x: _nematic_moments(N, end, x)[0],
-                                          lambda x: _nematic_moments(N, end, x)[1], -d[sel])
+        s[sel], h[sel] = legendre_entropy(lambda x: _nematic_moments(N, end, x, 0),
+                                          lambda x: _nematic_moments(N, end, x, 1), -d[sel])
     return (s, h) if m.ndim else (float(s), float(h))
 
 

@@ -80,12 +80,17 @@ def _simplex_grid_min(t: np.ndarray, parts: int, resolution: int
     return comps[i0], float(vals[i0])
 
 
-def _polish(fun, z0: np.ndarray, grid_val: float, **minimize_kw
-            ) -> Tuple[np.ndarray, float]:
+def _polish(fun, z0: np.ndarray, grid_val: float, method: str, options: dict,
+            **constraints) -> Tuple[np.ndarray, float]:
     """Local minimization from the grid point z0, kept only if it succeeds
-    and does not end above the grid value; else (z0, grid_val)."""
-    from scipy import optimize      # on first use: scipy.optimize takes ~0.45 s to import
-    res = optimize.minimize(fun, z0, **minimize_kw)
+    and does not end above the grid value; else (z0, grid_val).  Nelder-Mead
+    is the in-package port of scipy's; SLSQP is scipy's compiled code."""
+    if method == "Nelder-Mead":
+        from . import neldermead    # on first use, as scipy below
+        res = neldermead.minimize(fun, z0, **options)
+    else:
+        from scipy import optimize  # on first use: about 0.47 s to import
+        res = optimize.minimize(fun, z0, method=method, options=options, **constraints)
     if res.success and res.fun <= grid_val + 1e-12:
         return res.x, float(res.fun)
     return z0, grid_val
@@ -193,8 +198,8 @@ def _sphere_x2_nodes(N: int, sphere_samples: int, seed: int = 20240913
                               np.repeat(u ** 2, 12)])
         W = np.repeat(wu / 12.0, 12)   # 8 product-rule nodes of weight wu / 2 / 48
         return X2, W, None
-    from scipy import special
-    from scipy.stats import qmc     # scipy.stats takes ~0.5 s to import
+    from scipy import special       # on first use: scipy.stats takes about 0.9 s
+    from scipy.stats import qmc     # to import, scipy.special 0.26 s of it
     sob = qmc.Sobol(d=N, scramble=True, seed=seed)
     m = int(np.ceil(np.log2(max(sphere_samples, 64))))
     pts = sob.random_base2(m)

@@ -430,18 +430,19 @@ def test_cli_import_leaves_scipy_stats_unloaded():
 
 @pytest.mark.parametrize("module", ["mfspin", "mfspin.models", "mfspin.lattice",
                                     "mfspin.solver", "mfspin.certification",
-                                    "mfspin.oracle", "mfspin.mc", "mfspin.roots"])
+                                    "mfspin.oracle", "mfspin.mc", "mfspin.roots",
+                                    "mfspin.watson", "mfspin.neldermead"])
 def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     assert [n for n in mod.__all__ if not hasattr(mod, n)] == []
 
 
 def test_commands_load_only_the_scipy_they_compute_with():
-    # Monte Carlo needs no scipy; a Potts transition needs no scipy.optimize
-    # (roots come from mfspin.roots) and no scipy.integrate; I_d and the
-    # Potts and cubic certificates need none (the lattice integrals use
-    # in-package Bessel series and numpy's Gauss-Legendre nodes); a nematic
-    # certificate loads scipy.special for hyp1f1 and nothing else
+    # Monte Carlo needs no scipy; roots come from mfspin.roots, the lattice
+    # integrals from in-package Bessel series and numpy's Gauss-Legendre
+    # nodes, the nematic moments from an in-package Kummer series and the
+    # N = 3 nematic oracle's polish from the in-package Nelder-Mead, so none
+    # of these commands loads a scipy module
     probe = """
 import contextlib, io, sys
 from mfspin.cli import dispatch
@@ -455,18 +456,29 @@ for argv in (['mc', '--model', 'potts', '--param', '3', '--J', '2', '--N', '10',
              ['certify', '--model', 'cubic', '--param', '4', '--dim', '512',
               '--Jlo', '3.78', '--Jhi', '3.79', *window],
              ['transition', '--model', 'potts', '--param', '3'],
+             ['transition', '--model', 'nematic', '--param', '3'],
+             ['transition', '--model', 'nematic', '--param', '200', '--Jlo', '460', '--Jhi', '520'],
+             ['branches', '--model', 'nematic', '--param', '3', '--Jmin', '6.5', '--Jmax', '7',
+              '--steps', '3'],
              ['certify', '--model', 'nematic', '--param', '3', '--dim', '512',
-              '--Jlo', '6.80', '--Jhi', '6.82', *window]):
+              '--Jlo', '6.80', '--Jhi', '6.82', *window],
+             ['oracle', '--model', 'nematic', '--param', '3', '--J', '6.8122',
+              '--resolution', '40']):
     with contextlib.redirect_stdout(io.StringIO()):
         assert dispatch(argv) == 0
     print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))
 """
-    lines = run_python(probe).split("\n")
-    assert lines[:6] == [""] * 6
-    transition, nematic = set(lines[6].split()), set(lines[7].split())
-    assert not {"scipy.optimize", "scipy.integrate"} & transition
-    assert "scipy.special" in nematic
-    assert not {"scipy.optimize", "scipy.integrate"} & nematic
+    assert run_python(probe).split("\n") == [""] * 13
+    # the Potts and cubic oracles polish with scipy's SLSQP: they load
+    # scipy.optimize, with what it imports, and nothing more
+    modules = "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
+    optimize = set(run_python(f"import sys, scipy.optimize; {modules}").split())
+    for model, param, J in (("potts", "3", "2.7725887"), ("cubic", "4", "3.7852")):
+        probe = (f"import contextlib, io, sys\nfrom mfspin.cli import dispatch\n"
+                 f"with contextlib.redirect_stdout(io.StringIO()):\n"
+                 f"    assert dispatch(['oracle', '--model', '{model}', '--param', '{param}', "
+                 f"'--J', '{J}', '--resolution', '40']) == 0\n{modules}")
+        assert set(run_python(probe).split()) == optimize
 
 
 def test_cubic_oracle_peak_memory():

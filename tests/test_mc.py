@@ -256,8 +256,11 @@ HEAT_BATH_MODELS = [M.potts(2), M.potts(3), M.cubic(1), M.cubic(2)]
 @pytest.mark.parametrize("N", [2, 3, 7, 30])
 def test_count_table_matches_the_per_site_loop_bitwise(monkeypatch, model, N):
     # _TABLE_ENTRIES = 0 sends every chain through the per-site loop; at its
-    # real value every chain here reads the count-keyed table
+    # real value every chain here reads the count-keyed table, however short
+    # the run (_use_table's cap alone, as if the run were endless)
     cap = mc._TABLE_ENTRIES
+    use_table = mc._use_table
+    monkeypatch.setattr(mc, "_use_table", lambda n, N, sweeps: use_table(n, N, math.inf))
     calls = []
     table_sweeps = mc._table_sweeps
     monkeypatch.setattr(mc, "_table_sweeps",
@@ -277,6 +280,23 @@ def test_count_table_matches_the_per_site_loop_bitwise(monkeypatch, model, N):
                                   equal_nan=True)
             assert ("joint_counts" in got.extras) == (N <= 3)
     assert len(calls) == 8
+
+
+def test_short_runs_skip_the_count_table(monkeypatch):
+    # cubic r = 2 at N = 60 has 4 * 61^3 = 907 924 table entries, under the
+    # cap, but 300 sweeps update only 18 000 sites: the run takes the loop.
+    # The mc workload's Potts q = 3 chain at N = 200 (121 203 entries, 4e6
+    # updates in 20 000 sweeps) and its rate chains keep the table
+    paths = []
+    for name in ("_table_sweeps", "_loop_sweeps"):
+        real = getattr(mc, name)
+        monkeypatch.setattr(mc, name, lambda *a, real=real, name=name:
+                            paths.append(name) or real(*a))
+    mc.run_mc(mc.MCConfig(model=M.cubic(2), J=3.0, N=60, sweeps=300, burn_in=30, seed=1))
+    assert paths == ["_loop_sweeps"]
+    assert mc._use_table(3, 200, 20000)
+    assert all(mc._use_table(3, N, 10000) for N in (50, 100, 200))
+    assert not mc._use_table(4, 60, 300)
 
 
 @pytest.mark.parametrize("model", HEAT_BATH_MODELS, ids=str)
@@ -303,9 +323,12 @@ def test_count_table_rows_are_the_loops_left_fold(model):
             assert cums[key].tolist() == want
 
 
-def test_count_table_memory_is_bounded_by_its_cap():
+def test_count_table_memory_is_bounded_by_its_cap(monkeypatch):
     # each table entry costs at most 40 bytes (numpy's float and the list's);
-    # one N past the cap, Potts q = 3 takes the per-site loop in O(N) memory
+    # one N past the cap, Potts q = 3 takes the per-site loop in O(N) memory.
+    # The runs are short, so _use_table's cap is applied as if they were endless
+    use_table = mc._use_table
+    monkeypatch.setattr(mc, "_use_table", lambda n, N, sweeps: use_table(n, N, math.inf))
     cap = mc._TABLE_ENTRIES
     N = math.isqrt(cap // 3) - 1       # the largest N whose q = 3 table fits
     assert 3 * (N + 1) ** 2 <= cap < 3 * (N + 2) ** 2
@@ -430,8 +453,12 @@ def _sweep_cost_ratio(model, J):
     return t2 / t1
 
 
-def test_sweep_cost_scales_linearly():
-    # complexity guard: doubling N costs no more than ~2.5x (generous cap 3x)
+def test_sweep_cost_scales_linearly(monkeypatch):
+    # complexity guard: doubling N costs no more than ~2.5x (generous cap 3x),
+    # on the count-keyed table at both N (400 sweeps at N = 200 would not
+    # repay its 121 203 entries, so _use_table's cap is applied alone)
+    use_table = mc._use_table
+    monkeypatch.setattr(mc, "_use_table", lambda n, N, sweeps: use_table(n, N, math.inf))
     assert _sweep_cost_ratio(M.potts(3), 2.0) < 3.0
 
 
