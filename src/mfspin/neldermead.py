@@ -10,8 +10,8 @@ convergence test before each iteration, reflection, expansion, outside and
 inside contraction and shrink, the re-sort by ``argsort``/``take`` after each
 iteration, a copy of the trial point passed to ``fun``, and the result
 x = the best vertex, fun = min(fsim).  IEEE double arithmetic gives the same
-iterates, so the nematic oracle's polish needs no ``scipy.optimize`` (about
-0.5 s to import) and keeps its bits.  tests/test_neldermead.py compares both.
+iterates, so the oracles' polish needs no ``scipy.optimize`` (about 0.5 s to
+import) and gives scipy's bits.  tests/test_neldermead.py compares both.
 """
 
 from __future__ import annotations

@@ -80,20 +80,23 @@ def _simplex_grid_min(t: np.ndarray, parts: int, resolution: int
     return comps[i0], float(vals[i0])
 
 
-def _polish(fun, z0: np.ndarray, grid_val: float, method: str, options: dict,
-            **constraints) -> Tuple[np.ndarray, float]:
-    """Local minimization from the grid point z0, kept only if it succeeds
-    and does not end above the grid value; else (z0, grid_val).  Nelder-Mead
-    is the in-package port of scipy's; SLSQP is scipy's compiled code."""
-    if method == "Nelder-Mead":
-        from . import neldermead    # on first use, as scipy below
-        res = neldermead.minimize(fun, z0, **options)
-    else:
-        from scipy import optimize  # on first use: about 0.47 s to import
-        res = optimize.minimize(fun, z0, method=method, options=options, **constraints)
+def _polish(fun, z0: np.ndarray, grid_val: float) -> Tuple[np.ndarray, float]:
+    """Nelder-Mead from the grid point z0, run once more from its result when
+    it converges (a restart rebuilds a collapsed simplex), kept only if the
+    last run converges and does not end above the grid value; else
+    (z0, grid_val).  `fun` is inf outside the domain."""
+    from . import neldermead    # on first use: the CLI imports oracle for every command
+    res = neldermead.minimize(fun, z0, xatol=1e-10, fatol=1e-13, maxiter=4000)
+    if res.success:
+        res = neldermead.minimize(fun, res.x, xatol=1e-10, fatol=1e-13, maxiter=4000)
     if res.success and res.fun <= grid_val + 1e-12:
         return res.x, float(res.fun)
     return z0, grid_val
+
+
+def _simplex_point(free: np.ndarray) -> np.ndarray:
+    """The occupations whose first entries are `free`: the last is 1 - their sum."""
+    return np.concatenate([free, [1.0 - np.sum(free)]])
 
 
 # ---------------------------------------------------------------------------
@@ -113,14 +116,13 @@ def potts_fullspace_min(q: int, J: float, resolution: int = 200) -> OracleResult
     xs = np.arange(resolution + 1) / resolution
     comp, grid_val = _simplex_grid_min(-J / 2.0 * xs ** 2 + _xlogx(xs), q, resolution)
 
-    def fun(x):
-        return float(np.sum(-J / 2.0 * x ** 2 + _xlogx(np.clip(x, 0, 1))))
-    x, val = _polish(
-        fun, comp / resolution, grid_val, method="SLSQP",
-        bounds=[(0.0, 1.0)] * q,
-        constraints=[{"type": "eq", "fun": lambda x: np.sum(x) - 1.0}],
-        options={"ftol": 1e-14, "maxiter": 300})
-    return OracleResult(minimizer=np.clip(x, 0.0, 1.0), value=val,
+    def fun(xf):
+        x = _simplex_point(xf)
+        if np.any(x < 0.0):
+            return np.inf
+        return float(np.sum(-J / 2.0 * x ** 2 + _xlogx(x)))
+    xf, val = _polish(fun, comp[:-1] / resolution, grid_val)
+    return OracleResult(minimizer=_simplex_point(xf), value=val,
                         grid_value=grid_val,
                         meta={"q": q, "J": J, "resolution": resolution})
 
@@ -152,19 +154,15 @@ def cubic_fullspace_min(r: int, J: float, resolution: int = 200) -> OracleResult
     comp, grid_val = _simplex_grid_min(_xlogx(ys) + ys * theta.min(axis=1), r, resolution)
 
     def fun(z):
-        y = np.clip(z[:r], 0.0, 1.0)
-        mu = np.clip(z[r:], -1.0, 1.0)
+        y, mu = _simplex_point(z[:r - 1]), z[r - 1:]
+        if np.any(y < 0.0) or np.any(np.abs(mu) > 1.0):
+            return np.inf
         return float(np.sum(_xlogx(y) + y * (
             -(2.0 * J * y) / 4.0 * mu ** 2
             + _xlogx((1.0 + mu) / 2.0) + _xlogx((1.0 - mu) / 2.0))))
     z, val = _polish(
-        fun, np.concatenate([comp / resolution, mus[j_best[comp]]]), grid_val,
-        method="SLSQP",
-        bounds=[(0.0, 1.0)] * r + [(-1.0, 1.0)] * r,
-        constraints=[{"type": "eq", "fun": lambda z: np.sum(z[:r]) - 1.0}],
-        options={"ftol": 1e-14, "maxiter": 300})
-    y_star = np.clip(z[:r], 0.0, 1.0)
-    mu_star = np.clip(z[r:], -1.0, 1.0)
+        fun, np.concatenate([comp[:-1] / resolution, mus[j_best[comp]]]), grid_val)
+    y_star, mu_star = _simplex_point(z[:r - 1]), z[r - 1:]
     return OracleResult(
         minimizer=np.vstack([y_star, mu_star]), value=val, grid_value=grid_val,
         meta={"r": r, "J": J, "resolution": resolution,
@@ -271,8 +269,7 @@ def nematic_dual_min(N: int, J: float, resolution: int = 120,
     def fun(hf):
         h = np.concatenate([hf, [-np.sum(hf)]])
         return float((h * h).sum() / (2.0 * J) - _g_diag(h[None, :], X2, W)[0])
-    hf, val = _polish(fun, h0[:-1], grid_val, method="Nelder-Mead",
-                      options={"xatol": 1e-10, "fatol": 1e-13, "maxiter": 4000})
+    hf, val = _polish(fun, h0[:-1], grid_val)
     return OracleResult(minimizer=np.concatenate([hf, [-np.sum(hf)]]), value=val,
                         grid_value=grid_val,
                         meta={"N": N, "J": J, "resolution": resolution,

@@ -440,9 +440,9 @@ def test_every_exported_name_resolves(module):
 def test_commands_load_only_the_scipy_they_compute_with():
     # Monte Carlo needs no scipy; roots come from mfspin.roots, the lattice
     # integrals from in-package Bessel series and numpy's Gauss-Legendre
-    # nodes, the nematic moments from an in-package Kummer series and the
-    # N = 3 nematic oracle's polish from the in-package Nelder-Mead, so none
-    # of these commands loads a scipy module
+    # nodes, the nematic moments from an in-package Kummer series and every
+    # oracle's polish from the in-package Nelder-Mead, so none of these
+    # commands loads a scipy module
     probe = """
 import contextlib, io, sys
 from mfspin.cli import dispatch
@@ -463,22 +463,16 @@ for argv in (['mc', '--model', 'potts', '--param', '3', '--J', '2', '--N', '10',
              ['certify', '--model', 'nematic', '--param', '3', '--dim', '512',
               '--Jlo', '6.80', '--Jhi', '6.82', *window],
              ['oracle', '--model', 'nematic', '--param', '3', '--J', '6.8122',
+              '--resolution', '40'],
+             ['oracle', '--model', 'potts', '--param', '3', '--J', '2.7725887',
+              '--resolution', '40'],
+             ['oracle', '--model', 'cubic', '--param', '4', '--J', '3.7852',
               '--resolution', '40']):
     with contextlib.redirect_stdout(io.StringIO()):
         assert dispatch(argv) == 0
     print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))
 """
-    assert run_python(probe).split("\n") == [""] * 13
-    # the Potts and cubic oracles polish with scipy's SLSQP: they load
-    # scipy.optimize, with what it imports, and nothing more
-    modules = "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
-    optimize = set(run_python(f"import sys, scipy.optimize; {modules}").split())
-    for model, param, J in (("potts", "3", "2.7725887"), ("cubic", "4", "3.7852")):
-        probe = (f"import contextlib, io, sys\nfrom mfspin.cli import dispatch\n"
-                 f"with contextlib.redirect_stdout(io.StringIO()):\n"
-                 f"    assert dispatch(['oracle', '--model', '{model}', '--param', '{param}', "
-                 f"'--J', '{J}', '--resolution', '40']) == 0\n{modules}")
-        assert set(run_python(probe).split()) == optimize
+    assert run_python(probe).split("\n") == [""] * 15
 
 
 def test_cubic_oracle_peak_memory():

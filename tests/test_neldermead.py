@@ -21,9 +21,9 @@ def assert_same_run(fun, x0, maxiter, xatol, fatol):
     return got
 
 
-def nematic_polish_runs(monkeypatch, J, resolution, **options):
-    """Run the N = 3 nematic oracle at J, checking each polish it asks for
-    against scipy; its result, and the polish results."""
+def polish_runs(monkeypatch, search, param, J, resolution, **options):
+    """Run an oracle search at J, checking each polish run it asks for against
+    scipy; its result, and the polish results."""
     runs = []
 
     def checked(fun, x0, maxiter, xatol, fatol):
@@ -32,20 +32,34 @@ def nematic_polish_runs(monkeypatch, J, resolution, **options):
         runs.append(assert_same_run(fun, x0, **kw))
         return runs[-1]
     monkeypatch.setattr(neldermead, "minimize", checked)
-    return O.nematic_dual_min(3, J, resolution=resolution), runs
+    return search(param, J, resolution=resolution), runs
 
 
 @pytest.mark.parametrize("J,resolution", [(6.8122, 200), (10.0, 60)])
 def test_nematic_polish_matches_scipy(monkeypatch, J, resolution):
-    # at J_MF (minimizer at h = 0) and in the ordered phase
-    res, runs = nematic_polish_runs(monkeypatch, J, resolution)
-    assert len(runs) == 1 and runs[0].success and runs[0].nit > 10
+    # at J_MF (minimizer at h = 0) and in the ordered phase; a converged run
+    # is restarted once from its result
+    res, runs = polish_runs(monkeypatch, O.nematic_dual_min, 3, J, resolution)
+    assert len(runs) == 2 and all(run.success for run in runs) and runs[0].nit > 10
     if J > 7.0:
         assert np.max(np.abs(res.minimizer)) > 1.0
 
 
+@pytest.mark.parametrize("search,param,J", [
+    (O.potts_fullspace_min, 3, 2.7725887), (O.potts_fullspace_min, 3, 5.2),
+    (O.cubic_fullspace_min, 4, 3.7852), (O.cubic_fullspace_min, 4, 7.5)])
+def test_simplex_polish_matches_scipy(monkeypatch, search, param, J):
+    # the Potts simplex and the cubic (occupation, bias) domain, whose
+    # objectives are inf outside the domain, at J_MF and in the ordered phase
+    res, runs = polish_runs(monkeypatch, search, param, J, 200)
+    assert len(runs) == 2 and all(run.success for run in runs) and runs[0].nit > 10
+    free = np.ravel(res.minimizer)[:param - 1]    # the free occupations
+    assert np.array_equal(free, runs[1].x[:param - 1]) and res.value == runs[1].fun
+
+
 def test_nematic_polish_capped_by_maxiter(monkeypatch):
-    res, runs = nematic_polish_runs(monkeypatch, 10.0, 60, maxiter=20)
+    res, runs = polish_runs(monkeypatch, O.nematic_dual_min, 3, 10.0, 60, maxiter=20)
+    assert len(runs) == 1                     # a capped run is not restarted
     assert runs[0].nit == 20 and not runs[0].success
     assert res.value == res.grid_value        # a failed polish keeps the grid point
 

@@ -167,6 +167,18 @@ def test_cubic_reduction_valid_over_couplings(J):
     assert np.allclose(ys[:-1], ys[:-1].mean(), atol=5e-3)
 
 
+@pytest.mark.parametrize("model,J", [(M.potts(3), 3.6), (M.potts(3), 5.2),
+                                     (M.potts(3), 12.0), (M.cubic(4), 5.5),
+                                     (M.cubic(4), 7.5)])
+def test_polish_reaches_the_scalar_reduction(model, J):
+    # in the ordered phase the polish ends on the reduced minimum to rounding,
+    # whatever the grid's cell: Nelder-Mead restarted once from its result.
+    # At Potts J = 12 the grid minimizer has an occupation 0, and the polish
+    # must stay on the simplex from the edge (its objective is inf outside)
+    res, scalar = O.check_reduction(model, J, 200)
+    assert abs(res.value - scalar) <= 1e-12
+
+
 def test_cubic_budget_guard():
     with pytest.raises(BudgetExceeded):
         O.cubic_fullspace_min(5, 2.0, 50)
