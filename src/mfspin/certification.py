@@ -73,26 +73,29 @@ def allowed_bands(model: ModelSpec, J: float, slack: float,
     return [(float(ms[i]), float(ms[j - 1])) for i, j in zip(starts, stops)]
 
 
-def compute_DJ(model: ModelSpec, J: float, theta: float,
-               grid: int = 2000) -> float:
+def compute_DJ(model: ModelSpec, J, theta: float, grid: int = 2000):
     """Sup distance to the local-minima set over the theta-sublevel set.
 
     D_J(theta) = sup { dist(m, minima) : m >= 0, Phi_J(m) < F_MF + theta },
     with minima taken from the stable mean-field-equation roots (scalar
     reduction).  Monotone non-decreasing in theta; -> 0 as theta -> 0 at
-    couplings with nondegenerate minima.
+    couplings with nondegenerate minima.  A float J gives a float, an array
+    an array, from one `solve_branches` call.
     """
     if theta <= 0:
         raise ValueError("theta must be positive")
-    mins = [p.m for p in solve_branches(model, J).stable(nonnegative=True)]
-    if not mins:
-        return float("nan")
-    ms, phis = _phi_grid(model, J, grid)
-    sel = phis < phis.min() + theta
-    if not np.any(sel):
-        return 0.0
-    dist = np.min(np.abs(ms[sel, None] - np.asarray(mins)[None, :]), axis=1)
-    return float(dist.max())
+    out = []
+    for bs in solve_branches(model, np.atleast_1d(J)):
+        mins = np.array([p.m for p in bs.stable(nonnegative=True)])
+        ms, phis = _phi_grid(model, bs.J, grid)
+        near = ms[phis < phis.min() + theta]
+        if not mins.size:
+            out.append(float("nan"))
+        elif not near.size:
+            out.append(0.0)
+        else:
+            out.append(float(np.min(np.abs(near[:, None] - mins[None, :]), axis=1).max()))
+    return np.array(out) if np.ndim(J) else out[0]
 
 
 @dataclass
@@ -162,33 +165,27 @@ def certify(model: ModelSpec, d: int, J_window: Tuple[float, float],
             f"J_MF={tp.J_MF:.6f} outside window {J_window}")
 
     Js = np.linspace(J_lo, J_hi, int(J_grid))
-    margins = []
-    barriers = []
-    kappas = []
-    forbidden: Dict[float, List[Tuple[float, float]]] = {}
-    for J in Js:
-        J = float(J)
-        delta = barrier_height(model, J, scan_resolution=m_grid // 2)
-        barriers.append(delta)
-        margins.append(delta - J * delta_d)
-        bands = allowed_bands(model, J, J * delta_d, grid=m_grid)
-        forbidden[J] = _forbidden_from_allowed(bands)
-        stable = solve_branches(model, J).stable(nonnegative=True)
-        asym = [p.m for p in stable if p.m > 1e-6]
-        if asym:
-            kappas.append(min(asym))
+    barriers = barrier_height(model, Js, scan_resolution=m_grid // 2)
+    margins = barriers - Js * delta_d
+    forbidden: Dict[float, List[Tuple[float, float]]] = {
+        J: _forbidden_from_allowed(allowed_bands(model, J, J * delta_d, grid=m_grid))
+        for J in Js.tolist()}
+    # the window's roots for varkappa, and J_MF's last for K
+    *window, at_mf = solve_branches(model, np.append(Js, tp.J_MF))
+    asym = [[p.m for p in bs.stable(nonnegative=True) if p.m > 1e-6] for bs in window]
+    kappas = [min(a) for a in asym if a]
 
     # epsilon_1 per the sup_{J' <= J} D_{J'}(J delta_d) recipe; at zero slack
-    # (ideal d = infinity) the floor leaves only grid resolution in epsilon_1
+    # (ideal d = infinity) the floor leaves only grid resolution in epsilon_1.
+    # Python's max skips a nan D_J (a coupling without minima); np.max would not
     theta = max(J_hi * delta_d, 1e-12)
-    eps1 = 0.0
-    for Jp in np.linspace(1e-3, J_hi, int(DJ_J_grid)):
-        eps1 = max(eps1, compute_DJ(model, float(Jp), theta, grid=m_grid))
+    eps1 = max(0.0, *compute_DJ(model, np.linspace(1e-3, J_hi, int(DJ_J_grid)), theta,
+                                grid=m_grid).tolist())
 
     # K: max |dPhi/dm| (full scale) within eps1-balls around the minima at J_MF
     ms, phis = _phi_grid(model, tp.J_MF, m_grid)
     dphi = np.gradient(phis, ms)
-    mins = [p.m for p in solve_branches(model, tp.J_MF).stable(nonnegative=True)]
+    mins = [p.m for p in at_mf.stable(nonnegative=True)]
     near = np.zeros_like(ms, dtype=bool)
     for m0 in mins:
         near |= np.abs(ms - m0) <= max(eps1, 1e-3)

@@ -86,12 +86,9 @@ def _cmd_profile(a) -> str:
 
 
 def _branches_csv(model, Js, scan_resolution) -> str:
-    rows = []
-    for J in Js:
-        bs = solver.solve_branches(model, float(J), scan_resolution)
-        for p in bs.points:
-            rows.append((p.J, p.m, p.stability, p.phi))
-    return _csv(("J", "m", "stability", "phi"), rows)
+    sets = solver.solve_branches(model, np.asarray(Js, dtype=float), scan_resolution)
+    return _csv(("J", "m", "stability", "phi"),
+                [(p.J, p.m, p.stability, p.phi) for bs in sets for p in bs.points])
 
 
 def _cmd_branches(a) -> str:

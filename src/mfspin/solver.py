@@ -1,9 +1,9 @@
 """Scalar mean-field equation: roots, stability, transition point, barrier.
 
-All solutions of m = g'(J m) at fixed J are located by a sign-change scan
-refined with Brent's method; a root m is dynamically stable (candidate
-local minimum of the scalar free energy) iff J g''(J m) < 1.  Callers that
-need a branch over J run one such root scan per coupling.
+All solutions of m = g'(J m) are located by a sign-change scan refined with
+Brent's method; a root m is dynamically stable (candidate local minimum of
+the scalar free energy) iff J g''(J m) < 1.  One scan takes an array of
+couplings: it refines the brackets of every J in one lockstep Brent call.
 
 At a stationary point s(m) = g(J m) - J m^2, so the free energy
 -J m^2/2 - s(m) has the dual closed form phi_J(m) = (J/2) m^2 - g(J m).  With
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import islice
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -40,6 +41,7 @@ UNSTABLE = "unstable"
 
 _ROOT_XTOL = 1e-12
 _MERGE_TOL = 1e-8
+_BLOCK = 2 ** 16            # (J, m) grid entries per evaluation of f
 
 # find_transition's log grid in h; below about 1e-3 the gap F ~ g'''(0) h^3/12
 # (h^4 for the symmetric models) is lost in the rounding of g
@@ -97,63 +99,67 @@ class TransitionPoint:
                 "degeneracy_residual": self.degeneracy_residual}
 
 
-def _point(model: ModelSpec, J: float, m: float) -> BranchPoint:
-    """The stationary point m at J, classified by J g''(Jm) against 1, with
-    phi_J(m) from the dual form (J/2)m^2 - g(Jm)."""
-    return BranchPoint(J=float(J), m=float(m),
-                       stability=STABLE if J * model.g_second(J * m) < 1.0 else UNSTABLE,
-                       phi=J * m * m / 2.0 - model.g(J * m))
+def solve_branches(model: ModelSpec, J, scan_resolution: int = 400):
+    """Find all roots of m = g'(J m) on the model's scalar interval: one
+    BranchSet for a float J, a list of them for an array J.
 
-
-def solve_branches(model: ModelSpec, J: float,
-                   scan_resolution: int = 400) -> BranchSet:
-    """Find all roots of m = g'(J m) on the model's scalar interval.
-
-    Sign changes on the scan grid are refined by Brent's method to well
-    below 1e-10 in m; roots closer than two grid cells trigger a
-    ScanTooCoarse warning.  m = 0 is always included when g'(0) = 0.
+    f = g'(J m) - m is evaluated on the J x m scan grid in blocks of about
+    2^16 entries.  The sign changes of every coupling are refined to well
+    below 1e-10 in m by one lockstep Brent call, and all roots are classified
+    by one array call each of g'' and g.  Roots closer than two grid cells
+    trigger a ScanTooCoarse warning.  m = 0 is always included when g'(0) = 0.
     """
-    if J < 0:
+    Js = np.atleast_1d(np.asarray(J, dtype=float))
+    if np.any(Js < 0):
         raise ValueError("J must be non-negative")
     lo, hi = model.m_bounds()
     eps = 1e-9 * (hi - lo)
-    grid = np.linspace(lo + eps, hi - eps, int(scan_resolution))
-    f_vals = model.g_prime(J * grid) - grid
+    # the ends close the two outer cells, so a root within eps of an end is bracketed too
+    grid = np.concatenate(([lo], np.linspace(lo + eps, hi - eps, int(scan_resolution)), [hi]))
+    n = grid.size
+    f = lambda m, J: model.g_prime(J * m) - m
+    hits, cells = [np.zeros(0, int)], [np.zeros(0, int)]   # flat (J, m) grid indices
+    step = max(1, _BLOCK // n)
+    for k in range(0, Js.size, step):
+        f_vals = f(grid, Js[k:k + step, None])
+        hits.append(np.flatnonzero(f_vals == 0.0) + k * n)
+        r, c = np.nonzero(f_vals[:, :-1] * f_vals[:, 1:] < 0.0)
+        cells.append((k + r) * n + c)
+    hits, cells = np.concatenate(hits), np.concatenate(cells)
+    found = np.concatenate([grid[hits % n], brentq(f, grid[cells % n], grid[cells % n + 1],
+                                                   xtol=_ROOT_XTOL, rtol=8.9e-16,
+                                                   args=(Js[cells // n],))])
+    rows = np.concatenate([hits, cells]) // n
+    order = np.argsort(rows, kind="stable")
+    found = np.split(found[order], np.searchsorted(rows[order], np.arange(1, Js.size)))
 
-    f = lambda m: model.g_prime(J * m) - m
-    zero = f_vals == 0.0
-    roots = [float(grid[i]) if zero[i]
-             else brentq(f, grid[i], grid[i + 1], xtol=_ROOT_XTOL, rtol=8.9e-16)
-             for i in np.flatnonzero(zero[:-1] | (f_vals[:-1] * f_vals[1:] < 0.0))]
-    if zero[-1]:
-        roots.append(float(grid[-1]))
-
-    # the symmetric solution exists whenever g'(0) = 0; the grid straddles it
-    if abs(model.g_prime(0.0)) < 1e-14 and not any(abs(r) < _MERGE_TOL for r in roots):
-        roots.append(0.0)
-
-    roots.sort()
-    merged: List[float] = []
-    for r in roots:
-        if merged and abs(r - merged[-1]) < _MERGE_TOL:
-            continue
-        merged.append(r)
+    symmetric = abs(model.g_prime(0.0)) < 1e-14     # m = 0 is a root; the grid straddles it
     cell = (hi - lo) / max(scan_resolution - 1, 1)
-    for r1, r2 in zip(merged, merged[1:]):
-        if r2 - r1 < 2.0 * cell:
-            warnings.warn(f"roots {r1:.6g} and {r2:.6g} closer than two grid "
-                          f"cells at J={J}; raise scan_resolution",
-                          ScanTooCoarse)
-            break
+    per_J: List[List[float]] = []
+    for Jk, roots in zip(Js.tolist(), found):
+        roots = roots.tolist()
+        if symmetric and not any(abs(r) < _MERGE_TOL for r in roots):
+            roots.append(0.0)
+        merged: List[float] = []
+        for r in sorted(roots):
+            if not merged or abs(r - merged[-1]) >= _MERGE_TOL:
+                merged.append(r)
+        for r1, r2 in zip(merged, merged[1:]):
+            if r2 - r1 < 2.0 * cell:
+                warnings.warn(f"roots {r1:.6g} and {r2:.6g} closer than two grid "
+                              f"cells at J={Jk}; raise scan_resolution", ScanTooCoarse)
+                break
+        per_J.append(merged)
 
-    return BranchSet(model=model, J=float(J),
-                     points=[_point(model, J, r) for r in merged])
-
-
-def max_stable_root(model: ModelSpec, J: float,
-                    scan_resolution: int = 400) -> Optional[BranchPoint]:
-    """Largest stable root at J."""
-    return solve_branches(model, J, scan_resolution).max_stable_root()
+    counts = [len(p) for p in per_J]
+    Jm, m = np.repeat(Js, counts), np.array([r for p in per_J for r in p])
+    stable = (Jm * model.g_second(Jm * m) < 1.0).tolist()     # J g''(J m) < 1
+    phi = (Jm * m * m / 2.0 - model.g(Jm * m)).tolist()       # (J/2) m^2 - g(J m)
+    points = iter([BranchPoint(J=a, m=b, stability=STABLE if s else UNSTABLE, phi=c)
+                   for a, b, s, c in zip(Jm.tolist(), m.tolist(), stable, phi)])
+    sets = [BranchSet(model=model, J=Jk, points=list(islice(points, c)))
+            for Jk, c in zip(Js.tolist(), counts)]
+    return sets if np.ndim(J) else sets[0]
 
 
 def find_transition(model: ModelSpec,
@@ -181,7 +187,7 @@ def find_transition(model: ModelSpec,
         raise BracketInvalid(f"no first-order jump: no stable branch of {model} "
                              f"below J2={J2} meets phi(0)")
     i = cells[-1]
-    h_star = brentq(gap, h[i], h[i + 1], xtol=1e-14)
+    h_star = float(brentq(gap, h[i:i + 1], h[i + 1:i + 2], xtol=1e-14)[0])
     m_c = float(model.g_prime(h_star))
     tp = TransitionPoint(J_MF=h_star / m_c, m_c=m_c,
                          degeneracy_residual=float(gap(h_star)))
@@ -190,24 +196,20 @@ def find_transition(model: ModelSpec,
     return tp
 
 
-def barrier_height(model: ModelSpec, J: float,
-                   scan_resolution: int = 800) -> float:
+def barrier_height(model: ModelSpec, J, scan_resolution: int = 800):
     """Barrier Delta(J) on the full-Phi scale; 0 when a single minimum.
 
     Delta(J) is the gap between the unstable ridge separating the symmetric
     (smallest nonnegative) and asymmetric (largest) stable minima and the
     HIGHER of the two minima, multiplied by |omega|^2 to live on the same
-    scale as the infrared error budget.
+    scale as the infrared error budget.  A float J gives a float, an array
+    an array, from one `solve_branches` call.
     """
-    bs = solve_branches(model, J, scan_resolution)
-    mins = bs.stable(nonnegative=True)
-    if len(mins) < 2:
-        return 0.0
-    mins = sorted(mins, key=lambda p: p.m)
-    p_lo, p_hi = mins[0], mins[-1]
-    ridge = [p for p in bs.unstable() if p_lo.m + _MERGE_TOL < p.m < p_hi.m - _MERGE_TOL]
-    if not ridge:
-        return 0.0
-    phi_sep = max(p.phi for p in ridge)
-    delta = phi_sep - max(p_lo.phi, p_hi.phi)
-    return float(model.omega_norm_sq * max(delta, 0.0))
+    out = []
+    for bs in solve_branches(model, np.atleast_1d(J), scan_resolution):
+        mins = sorted(bs.stable(nonnegative=True), key=lambda p: p.m)
+        ridge = [p.phi for p in bs.unstable() if len(mins) > 1
+                 and mins[0].m + _MERGE_TOL < p.m < mins[-1].m - _MERGE_TOL]
+        delta = max(ridge) - max(mins[0].phi, mins[-1].phi) if ridge else 0.0
+        out.append(model.omega_norm_sq * max(delta, 0.0))
+    return np.array(out) if np.ndim(J) else out[0]

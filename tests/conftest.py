@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import mfspin
@@ -46,5 +47,6 @@ def run_python(probe):
 
 def branch_ms(model, Js, pick, scan_resolution=400):
     """m of pick(solve_branches(model, J)) at each J; 0 where pick finds no root."""
-    picks = [pick(solve_branches(model, float(J), scan_resolution)) for J in Js]
+    picks = [pick(bs) for bs in solve_branches(model, np.asarray(Js, dtype=float),
+                                               scan_resolution)]
     return [0.0 if bp is None else bp.m for bp in picks]

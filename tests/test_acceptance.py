@@ -183,9 +183,9 @@ def _fider_max_residual(model, J_lo, J_hi, n=50, dJ=1e-3):
     worst = 0.0
     for J in np.linspace(J_lo, J_hi, n):
         J = float(J)
-        bp = S.max_stable_root(model, J)
-        hi = S.max_stable_root(model, J + dJ)
-        lo = S.max_stable_root(model, J - dJ)
+        bp = S.solve_branches(model, J).max_stable_root()
+        hi = S.solve_branches(model, J + dJ).max_stable_root()
+        lo = S.solve_branches(model, J - dJ).max_stable_root()
         worst = max(worst, abs((hi.phi - lo.phi) / (2 * dJ) + bp.m ** 2 / 2))
     return worst
 
@@ -264,7 +264,7 @@ def test_criterion_08_cubic_order_of_transition():
         right_limit = min(above)
         ms2 = branch_ms(M.cubic(2), np.linspace(1.9, 2.4, 101), S.BranchSet.max_stable_root)
         jump2 = max(abs(b - a) for a, b in zip(ms2, ms2[1:]))
-        m2_onset = S.max_stable_root(M.cubic(2), 2.0005).m
+        m2_onset = S.solve_branches(M.cubic(2), 2.0005).max_stable_root().m
     ok = (left_limit < 1e-6 and right_limit >= 0.3 and jump2 < 0.12
           and m2_onset < 0.04 and t.elapsed < 10.0)
     record_acceptance(8, "cubic r=4 jump vs r=2 continuity", ok,
@@ -285,8 +285,8 @@ def test_criterion_08_cubic_order_of_transition():
 def nematic_large_N():
     data = {}
     with Timer() as t:
-        data["lam_1000"] = S.max_stable_root(M.nematic(1000), 3000.0,
-                                             scan_resolution=160).m
+        data["lam_1000"] = S.solve_branches(M.nematic(1000), 3000.0,
+                                            scan_resolution=160).max_stable_root().m
         data["jmf_over_N"] = {}
         for N in (200, 500, 1000):
             tp = S.find_transition(M.nematic(N), (2.30 * N, 2.60 * N))
@@ -340,7 +340,7 @@ def test_criterion_10_complete_graph_mc():
         cfg = mc.MCConfig(model=M.potts(3), J=3.2, N=200, sweeps=100000,
                           burn_in=5000, seed=7)
         res = mc.run_mc(cfg)
-        m_mf = S.max_stable_root(M.potts(3), 3.2).m
+        m_mf = S.solve_branches(M.potts(3), 3.2).max_stable_root().m
         mag_err = abs(res.mean_scalar_m - m_mf)
         pair_ok = res.pair_correlation >= (res.mean_vector_norm_sq
                                            - 3 * res.pair_correlation_stderr)

@@ -527,6 +527,38 @@ def test_oracle_without_stable_root_is_typed_error(capsys):
     assert json.loads(err)["error"] == "NoStableRoot"
 
 
+def test_oracle_finds_the_ordered_root_next_to_the_end(capsys):
+    # at J = 25 the cubic r = 4 ordered roots lie within 1e-9 of m = +-1
+    code, out, _ = run_cli(capsys, "oracle", "--model", "cubic", "--param", "4",
+                           "--J", "25", "--resolution", "40")
+    assert code == 0
+    assert json.loads(out)["matched_scalar"] is True
+
+
+@pytest.mark.parametrize("argv, solves", [
+    (("certify", "--model", "nematic", "--param", "3", "--dim", "512",
+      "--Jlo", "6.80", "--Jhi", "6.82", "--J-grid", "3", "--m-grid", "200"), 3),
+    (("branches", "--model", "potts", "--param", "10", "--Jmin", "4.4",
+      "--Jmax", "5.2", "--steps", "81"), 1),
+    (("reproduce-figures", "--grid", "50", "--outdir", "DIR"), 1),
+], ids=lambda v: v[0] if isinstance(v, tuple) else str(v))
+def test_each_command_solves_its_couplings_at_once(argv, solves, monkeypatch, tmp_path,
+                                                    capsys):
+    from mfspin import certification, solver
+    calls = []
+    real = solver.solve_branches
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+    for mod in (solver, certification):
+        monkeypatch.setattr(mod, "solve_branches", counted)
+    code, _, _ = run_cli(capsys, *[str(tmp_path) if a == "DIR" else a for a in argv])
+    assert code == 0
+    assert len(calls) == solves
+    assert all(np.ndim(J) == 1 for J in calls)
+
+
 @pytest.mark.parametrize("argv", [
     ("certify", "--m-grid", "1"), ("certify", "--m-grid", "3"),
     ("certify", "--J-grid", "0"), ("bands", "--grid", "1"),

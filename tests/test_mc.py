@@ -76,7 +76,7 @@ def test_ordered_phase_matches_mean_field_branch():
     cfg = mc.MCConfig(model=M.potts(3), J=3.2, N=200, sweeps=8000, burn_in=1000,
                       seed=7)
     res = mc.run_mc(cfg)
-    m_mf = S.max_stable_root(M.potts(3), 3.2).m
+    m_mf = S.solve_branches(M.potts(3), 3.2).max_stable_root().m
     assert abs(res.mean_scalar_m - m_mf) < 0.05
 
 
@@ -121,7 +121,7 @@ def test_histogram_counts_sum_to_samples():
 def test_cubic_ordered_phase():
     cfg = mc.MCConfig(model=M.cubic(4), J=5.0, N=150, sweeps=4000, burn_in=600, seed=3)
     res = mc.run_mc(cfg)
-    m_mf = S.max_stable_root(M.cubic(4), 5.0).m
+    m_mf = S.solve_branches(M.cubic(4), 5.0).max_stable_root().m
     assert abs(abs(res.mean_scalar_m) - m_mf) < 0.05
 
 
@@ -129,7 +129,7 @@ def test_nematic_ordered_phase_and_step_tuning():
     cfg = mc.MCConfig(model=M.nematic(3), J=8.0, N=100, sweeps=2500, burn_in=600,
                       seed=5)
     res = mc.run_mc(cfg)
-    lam_mf = S.max_stable_root(M.nematic(3), 8.0, scan_resolution=200).m
+    lam_mf = S.solve_branches(M.nematic(3), 8.0, scan_resolution=200).max_stable_root().m
     assert abs(res.mean_scalar_m - lam_mf) < 0.05
     assert 0.2 < res.extras["acceptance_rate"] < 0.65
 

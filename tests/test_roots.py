@@ -1,5 +1,5 @@
-"""mfspin.roots.brentq against scipy.optimize.brentq: the same roots, bit for
-bit, from the same sequence of evaluation points."""
+"""mfspin.roots.brentq against scipy.optimize.brentq: in every lane of a batch
+the same root, bit for bit, from the same sequence of evaluation points."""
 
 import math
 
@@ -79,53 +79,85 @@ def _brackets(n, seed=20260):
     return out
 
 
-def _run(solver, f, a, b, **kw):
-    xs = []
+def _record(f, xs):
+    return lambda x: xs.append(x) or f(x)
 
-    def rec(x):
-        xs.append(x)
-        return f(x)
-    return solver(rec, a, b, **kw), xs
+
+def _lanes(brackets, **kw):
+    """One brentq call over all brackets: the roots and each lane's evaluation
+    points, each lane evaluated by its own scalar f."""
+    xs = [[] for _ in brackets]
+
+    def f(x, lane):
+        return np.array([float(_record(brackets[i][0], xs[i])(xk))
+                         for xk, i in zip(x.tolist(), lane.tolist())])
+    roots = brentq(f, [b[1] for b in brackets], [b[2] for b in brackets],
+                   args=(np.arange(len(brackets)),), **kw)
+    return roots, xs
 
 
 def test_brentq_matches_scipy_bit_for_bit():
+    # every lane of one call against scipy on its own bracket
     brackets = _brackets(2100)
     mismatches = []
-    for i, (f, a, b) in enumerate(brackets):
-        for kw in SETTINGS:
-            ours, our_xs = _run(brentq, f, a, b, **kw)
-            ref, ref_xs = _run(optimize.brentq, f, a, b, **kw)
-            if repr(ours) != repr(float(ref)) or our_xs != ref_xs:
-                mismatches.append((i, kw, ours, ref, len(our_xs), len(ref_xs)))
+    for kw in SETTINGS:
+        roots, xs = _lanes(brackets, **kw)
+        assert roots.shape == (len(brackets),)
+        for i, (f, a, b) in enumerate(brackets):
+            ref_xs = []
+            ref = optimize.brentq(_record(f, ref_xs), a, b, **kw)
+            if repr(float(roots[i])) != repr(float(ref)) or xs[i] != ref_xs:
+                mismatches.append((i, kw, float(roots[i]), ref, len(xs[i]), len(ref_xs)))
     assert mismatches == []
 
 
 def test_brentq_zero_at_an_end_returns_it():
-    assert brentq(lambda x: x, 0.0, 2.0, xtol=1e-14) == 0.0
-    assert brentq(lambda x: x - 2.0, 0.0, 2.0, xtol=1e-14) == 2.0
+    # lanes: f(a) = 0, f(b) = 0, and an interior root
+    roots = brentq(lambda x, c: x - c, [0.0, 0.0, 0.0], [2.0, 2.0, 2.0], xtol=1e-14,
+                   args=(np.array([0.0, 2.0, 1.5]),))
+    assert roots.tolist() == [0.0, 2.0, optimize.brentq(lambda x: x - 1.5, 0.0, 2.0,
+                                                        xtol=1e-14)]
     assert optimize.brentq(lambda x: x, 0.0, 2.0, xtol=1e-14) == 0.0
+
+
+def test_brentq_empty_batch_calls_nothing():
+    def f(x):
+        raise AssertionError("f called on an empty batch")
+    roots = brentq(f, [], [], xtol=1e-14)
+    assert roots.shape == (0,) and roots.dtype == float
 
 
 def test_brentq_same_sign_bracket_is_value_error():
     with pytest.raises(ValueError, match="different signs"):
-        brentq(lambda x: x + 5.0, -1.0, 2.0, xtol=1e-14)
+        brentq(lambda x: x + 5.0, [-1.0], [2.0], xtol=1e-14)
+    # one bad lane in a batch fails the call
+    with pytest.raises(ValueError, match="different signs"):
+        brentq(lambda x, c: x - c, [-1.0, -1.0, -1.0], [2.0, 2.0, 2.0], xtol=1e-14,
+               args=(np.array([0.5, 3.0, 1.0]),))
 
 
 def test_brentq_nan_value_is_value_error():
     with pytest.raises(ValueError, match="NaN"):
-        brentq(lambda x: math.nan if x > 0.4 else x - 0.5, -1.0, 2.0, xtol=1e-14)
+        brentq(lambda x: np.where(x > 0.4, np.nan, x - 0.5), [-1.0], [2.0], xtol=1e-14)
+    # a lane that meets a NaN inside its bracket fails the whole batch
+    f = lambda x, c: np.where((c == 1.0) & (0.0 < x) & (x < 1.0), np.nan, x - c * 0.5)
     with pytest.raises(ValueError, match="NaN"):
-        brentq(lambda x: math.nan if 0.0 < x < 1.0 else x - 0.5, -1.0, 2.0, xtol=1e-14)
+        brentq(f, [-1.0, -1.0], [2.0, 2.0], xtol=1e-14, args=(np.array([2.0, 1.0]),))
 
 
 def test_brentq_without_convergence_is_runtime_error():
     # |f| never shrinks, so every step bisects; from a 2e300 bracket to the
     # 1e-16 tolerance near 0.3 takes about 1050 halvings, past the 100 allowed.
     f = lambda x: -1.0 if x < 0.3 else 1.0
-    xs = {}
-    for solver in (brentq, optimize.brentq):
-        xs[solver] = []
-        with pytest.raises(RuntimeError, match="converge"):
-            solver(lambda x: xs[solver].append(x) or f(x), -1e300, 1e300, xtol=1e-300)
-    assert len(xs[brentq]) == 102
-    assert xs[brentq] == xs[optimize.brentq]
+    ours, ref = [], []
+    with pytest.raises(RuntimeError, match="converge"):
+        brentq(lambda x: np.array([_record(f, ours)(xk) for xk in x.tolist()]),
+               [-1e300], [1e300], xtol=1e-300)
+    with pytest.raises(RuntimeError, match="converge"):
+        optimize.brentq(_record(f, ref), -1e300, 1e300, xtol=1e-300)
+    assert len(ours) == 102
+    assert ours == ref
+    # a converging lane beside it does not save the batch
+    with pytest.raises(RuntimeError, match="converge"):
+        brentq(lambda x: np.where(x < 0.3, -1.0, 1.0), [-1e300, 0.0], [1e300, 1.0],
+               xtol=1e-300)

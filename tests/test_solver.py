@@ -1,13 +1,16 @@
 """Branch solving, stability classification, transition location, barriers."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy import optimize
 
 from conftest import branch_ms
+from mfspin import certification as C
 from mfspin import models as M
 from mfspin import solver as S
 from mfspin.errors import BracketInvalid, MFSpinError
-from mfspin.roots import brentq
 
 J_MF_Q3 = 4 * np.log(2)
 J_MF_Q10 = 2 * 9 / 8 * np.log(9)
@@ -94,11 +97,13 @@ def test_branch_completeness_vs_dense_scan():
 
 
 def test_sign_scan_matches_the_interval_walk():
-    # reference: the per-interval walk of the scan grid that the vectorized
-    # sign test replaced; the roots must agree bit for bit
+    # reference: a walk over the cells of the scan grid (the two ends, then
+    # 400 interior points) with scipy's brentq on each sign change; the roots
+    # must agree bit for bit
     for model, J in ((M.potts(10), 4.9), (M.cubic(4), 3.79), (M.nematic(3), 6.81)):
         lo, hi = model.m_bounds()
-        grid = np.linspace(lo + 1e-9 * (hi - lo), hi - 1e-9 * (hi - lo), 400)
+        grid = np.concatenate(([lo], np.linspace(lo + 1e-9 * (hi - lo),
+                                                 hi - 1e-9 * (hi - lo), 400), [hi]))
         f = lambda m: model.g_prime(J * m) - m
         fv = model.g_prime(J * grid) - grid
         walk = []
@@ -106,20 +111,20 @@ def test_sign_scan_matches_the_interval_walk():
             if fa == 0.0:
                 walk.append(float(a))
             elif fa * fb < 0.0:
-                walk.append(brentq(f, a, b, xtol=S._ROOT_XTOL, rtol=8.9e-16))
+                walk.append(optimize.brentq(f, a, b, xtol=S._ROOT_XTOL, rtol=8.9e-16))
         scan = [p.m for p in S.solve_branches(model, J).points]
         assert len(walk) >= 3
         assert [m for m in scan if abs(m) > 1e-8] == [m for m in walk if abs(m) > 1e-8]
 
 
 # ---------------------------------------------------------------------------
-# branches over J: one root scan per coupling
+# branches over J
 # ---------------------------------------------------------------------------
 
 def test_trace_q3_nondecreasing_and_value_at_transition():
     ms = branch_ms(M.potts(3), np.linspace(2.78, 2.98, 41), S.BranchSet.max_stable_root)
     assert all(b >= a - 1e-9 for a, b in zip(ms, ms[1:]))
-    bp = S.max_stable_root(M.potts(3), J_MF_Q3)
+    bp = S.solve_branches(M.potts(3), J_MF_Q3).max_stable_root()
     assert bp.m == pytest.approx(1 / 3, abs=1e-6)
 
 
@@ -159,9 +164,75 @@ def test_global_minimizer_magnitude_nondecreasing():
 def test_nematic_large_N_branch_value():
     """Maximal stable branch at scaled coupling 3N approaches the large-N
     fixed point (1 + sqrt(1 - 2/3))/2 = 0.78868."""
-    bp = S.max_stable_root(M.nematic(1000), 3000.0, scan_resolution=160)
+    bp = S.solve_branches(M.nematic(1000), 3000.0, scan_resolution=160).max_stable_root()
     assert bp is not None
     assert bp.m == pytest.approx(0.5 * (1 + np.sqrt(1 / 3)), abs=0.01)
+
+
+def test_roots_next_to_the_ends_are_found():
+    # the ordered roots sit within 1e-9 (hi - lo) of the upper end, in the
+    # cell between the last interior scan point and the end itself
+    bs = S.solve_branches(M.potts(3), 30.0)
+    assert abs(bs.max_stable_root().m - 2 / 3) < 1e-12
+    for J in (22.0, 24.0, 25.0, 26.0):
+        stable = [p.m for p in S.solve_branches(M.cubic(4), J).stable()]
+        assert min(stable) < -0.999999 and max(stable) > 0.999999
+
+
+# ---------------------------------------------------------------------------
+# one solve over an array of couplings
+# ---------------------------------------------------------------------------
+
+@pytest.mark.filterwarnings("ignore::mfspin.errors.ScanTooCoarse")
+@pytest.mark.parametrize("model", [M.potts(3), M.potts(10), M.cubic(2), M.cubic(4),
+                                   M.nematic(3), M.nematic(4)], ids=str)
+def test_array_calls_have_the_bits_of_the_per_J_calls(model):
+    # J = 0, then couplings across both spinodals
+    J2 = 1.0 / model.g_second(0.0)
+    Js = np.concatenate(([0.0], np.linspace(0.6 * J2, 1.4 * J2, 9)))
+    sets = S.solve_branches(model, Js, 300)
+    assert isinstance(sets, list)
+    assert repr(sets) == repr([S.solve_branches(model, J, 300) for J in Js.tolist()])
+    barriers = S.barrier_height(model, Js)
+    assert repr(barriers.tolist()) == repr([S.barrier_height(model, J) for J in Js.tolist()])
+    dj = C.compute_DJ(model, Js, 1e-3, grid=300)
+    assert repr(dj.tolist()) == repr([C.compute_DJ(model, J, 1e-3, grid=300)
+                                      for J in Js.tolist()])
+    assert type(S.barrier_height(model, 1.0)) is float
+    assert type(C.compute_DJ(model, 1.0, 1e-3, grid=300)) is float
+
+
+def test_array_call_with_a_coupling_without_bracket():
+    # at J = 0 the cubic scan of 399 points meets f = 0 exactly at m = 0, so
+    # no cell brackets a root: alone, no Brent lane runs at all
+    model = M.cubic(4)
+    alone = S.solve_branches(model, np.array([0.0]), 399)
+    assert [(p.m, p.stability) for p in alone[0].points] == [(0.0, S.STABLE)]
+    Js = [0.0, 3.9, 0.0]
+    assert repr(S.solve_branches(model, np.array(Js), 399)) == repr(
+        [S.solve_branches(model, J, 399) for J in Js])
+
+
+def test_array_calls_on_no_coupling():
+    model = M.nematic(3)
+    assert S.solve_branches(model, np.array([])) == []
+    assert S.barrier_height(model, np.array([])).shape == (0,)
+    assert C.compute_DJ(model, np.array([]), 1e-3).shape == (0,)
+    with pytest.raises(ValueError, match="non-negative"):
+        S.solve_branches(model, np.array([1.0, -1.0]))
+
+
+def test_array_solve_evaluates_the_grid_in_blocks():
+    # the whole 2000 x 20002 grid of f would take 320 MB at once; blocks of
+    # about 2^16 entries keep the peak to a few MB
+    tracemalloc.start()
+    try:
+        sets = S.solve_branches(M.cubic(4), np.linspace(0.5, 5.0, 2000), 20000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(sets) == 2000
+    assert peak < 32 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +287,9 @@ def fider_residuals(model, J_lo, J_hi, n, dJ=1e-3):
     out = []
     for J in np.linspace(J_lo, J_hi, n):
         J = float(J)
-        bp = S.max_stable_root(model, J)
-        hi = S.max_stable_root(model, J + dJ)
-        lo = S.max_stable_root(model, J - dJ)
+        bp = S.solve_branches(model, J).max_stable_root()
+        hi = S.solve_branches(model, J + dJ).max_stable_root()
+        lo = S.solve_branches(model, J - dJ).max_stable_root()
         dphi = (hi.phi - lo.phi) / (2 * dJ)
         out.append(abs(dphi + bp.m ** 2 / 2))
     return out
