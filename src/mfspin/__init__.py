@@ -4,23 +4,55 @@ Free-energy profiles, mean-field-equation branches, first-order transition
 location, hypercubic infrared integrals, forbidden-band certificates, and a
 complete-graph Monte Carlo sampler for validating the large-deviation rate
 function.
+
+The package loads lazily, so that a command compiles only the modules it
+runs.  The submodules the CLI dispatches to are bound here, and entered in
+``sys.modules``, as lazy modules whose code runs at their first attribute
+access; each public name below resolves from its home module on first use
+(PEP 562).
 """
 
-from .models import (ModelSpec, potts, cubic, nematic, potts_phi, scalar_phi,
-                     phi_full_scale, ising_theta, legendre_entropy)
-from .lattice import IdEstimate, compute_id
-from .solver import (BranchPoint, BranchSet, TransitionPoint, solve_branches,
-                     find_transition, barrier_height)
-from .certification import Certificate, allowed_bands, compute_DJ, certify
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ModelSpec", "potts", "cubic", "nematic",
-    "potts_phi", "scalar_phi", "phi_full_scale",
-    "ising_theta", "legendre_entropy",
-    "IdEstimate", "compute_id",
-    "BranchPoint", "BranchSet", "TransitionPoint", "solve_branches",
-    "find_transition", "barrier_height",
-    "Certificate", "allowed_bands", "compute_DJ", "certify",
-]
+# every public name and the submodule that defines it
+_HOMES = {
+    "ModelSpec": "models", "potts": "models", "cubic": "models", "nematic": "models",
+    "potts_phi": "models", "scalar_phi": "models", "phi_full_scale": "models",
+    "ising_theta": "models", "legendre_entropy": "models",
+    "IdEstimate": "lattice", "compute_id": "lattice",
+    "BranchPoint": "solver", "BranchSet": "solver", "TransitionPoint": "solver",
+    "solve_branches": "solver", "find_transition": "solver", "barrier_height": "solver",
+    "Certificate": "certification", "allowed_bands": "certification",
+    "compute_DJ": "certification", "certify": "certification",
+}
+
+__all__ = list(_HOMES)
+
+
+def _lazy(name: str):
+    """mfspin.<name>, entered in sys.modules unexecuted; its code runs when
+    an attribute of it is first read."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# in sys.modules, not only deferred: a tool that looks a layer up there after
+# importing the CLI (perfbench's tracer) finds it and, by reading it, loads it
+certification, lattice, mc, models, oracle, solver = map(
+    _lazy, ("certification", "lattice", "mc", "models", "oracle", "solver"))
+
+
+def __getattr__(name: str):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(globals()[_HOMES[name]], name)
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_HOMES))

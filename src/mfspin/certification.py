@@ -24,7 +24,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .errors import WindowExcludesTransition
-from .lattice import compute_id
 from .models import ModelSpec
 from .solver import barrier_height, find_transition, solve_branches
 
@@ -156,6 +155,7 @@ def certify(model: ModelSpec, d: int, J_window: Tuple[float, float],
         raise ValueError(f"J_grid and DJ_J_grid must be at least 1, "
                          f"got {J_grid} and {DJ_J_grid}")
     if I_d is None:
+        from .lattice import compute_id     # on first use: bands and figures need no I_d
         I_d = compute_id(d, "bessel", 1e-10).value
     delta_d = float(model.delta_factor * I_d)    # the slack at coupling J is J*delta_d
 

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial import legendre
 
 from .errors import DimensionTooSmall, MethodInfeasible, QuadratureFailure
 
@@ -77,7 +78,6 @@ def _check_args(d: int, method: str, tol: float):
 @lru_cache(maxsize=None)
 def _gauss_legendre(order: int):
     """Gauss-Legendre nodes and weights of one order, mapped to [0, 1]; read only."""
-    from numpy.polynomial import legendre   # on first use: numpy loads it lazily
     x, w = legendre.leggauss(order)
     return (x + 1.0) / 2.0, w / 2.0
 

@@ -334,7 +334,7 @@ def ising_theta(J: float, mu):
 def _nematic_moments(N: int, end, h, order: int):
     """`watson.moments`: g - e h (order 0), g' - e (1) or g'' (2), e an end
     of m's range (end = 0, 1) or, for g', 0 (end = None)."""
-    from .watson import moments         # on first use: only nematic commands need it
+    from .watson import moments         # on first use: no Potts or cubic command needs it
     return moments(N, end, h, order)
 
 

@@ -25,6 +25,7 @@ from typing import Optional, Tuple
 import numpy as np
 import warnings
 
+from . import neldermead
 from .errors import BudgetExceeded, NoStableRoot, SamplingNoise
 from .models import (ModelSpec, _xlogx, ising_theta, phi_full_scale, potts_phi,
                      scalar_phi)
@@ -85,7 +86,6 @@ def _polish(fun, z0: np.ndarray, grid_val: float) -> Tuple[np.ndarray, float]:
     it converges (a restart rebuilds a collapsed simplex), kept only if the
     last run converges and does not end above the grid value; else
     (z0, grid_val).  `fun` is inf outside the domain."""
-    from . import neldermead    # on first use: the CLI imports oracle for every command
     res = neldermead.minimize(fun, z0, xatol=1e-10, fatol=1e-13, maxiter=4000)
     if res.success:
         res = neldermead.minimize(fun, res.x, xatol=1e-10, fatol=1e-13, maxiter=4000)

@@ -406,7 +406,10 @@ def test_criterion_11_certificate_sweep_as_stated(q3_certificates):
 
 def test_criterion_11_corrected_pass_flip_at_large_d(q3_certificates):
     """Verified form of the existence claim: the certificate flips from fail
-    to pass at finite d (first passing dimension d* = 820)."""
+    to pass at finite d.  On this test's grids (J_grid=9, m_grid=1500,
+    DJ_J_grid=13) the first passing dimension is d* = 872, as on the default
+    grids.  d = 820 is where I_d first clears the barrier at J_MF alone; the
+    barrier is lower towards the window's ends (0.0010619 at J = 2.7715)."""
     certs, _ = q3_certificates
     assert not certs[64].passed
     lo = C.certify(M.potts(3), 256, WINDOW_Q3, J_grid=9, m_grid=1500, DJ_J_grid=13)

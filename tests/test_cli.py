@@ -475,6 +475,88 @@ for argv in (['mc', '--model', 'potts', '--param', '3', '--J', '2', '--N', '10',
     assert run_python(probe).split("\n") == [""] * 15
 
 
+# the mfspin modules whose code has run: a lazy module becomes a plain module
+# when it is first read
+_RUN_MODULES = ("sorted(n[7:] for n, m in list(sys.modules.items()) "
+                "if n.startswith('mfspin.') and type(m) is types.ModuleType)")
+_WINDOW = ["--J-grid", "3", "--m-grid", "400"]
+_TRANSITION = {"cli", "errors", "models", "roots", "solver"}
+
+
+@pytest.mark.parametrize("modules, commands", [
+    ({"cli", "errors", "lattice"},
+     [["id", "--dim", "1024", "--method", "bessel"],
+      ["id", "--dim", "4", "--method", "quad", "--tol", "1e-6"]]),
+    ({"cli", "errors", "models", "mc"},
+     [["mc", "--model", "potts", "--param", "3", "--J", "2", "--N", "10", "--sweeps", "20"],
+      ["mc", "--model", "nematic", "--param", "3", "--J", "2", "--N", "10", "--sweeps", "20"],
+      ["rate", "--model", "potts", "--param", "3", "--J", "2.5", "--Ns", "10,20,40",
+       "--sweeps", "400", "--burn-in", "10"]]),
+    (_TRANSITION,
+     [["transition", "--model", "potts", "--param", "3"],
+      ["branches", "--model", "cubic", "--param", "4", "--Jmin", "3.7", "--Jmax", "3.8",
+       "--steps", "3"]]),
+    (_TRANSITION | {"watson"},
+     [["transition", "--model", "nematic", "--param", "3"],
+      ["branches", "--model", "nematic", "--param", "3", "--Jmin", "6.5", "--Jmax", "7",
+       "--steps", "3"]]),
+    (_TRANSITION | {"certification"},
+     [["bands", "--model", "potts", "--param", "3", "--J", "2.77", "--slack", "0.001"],
+      ["reproduce-figures", "--grid", "20", "--outdir", "figs"]]),
+    (_TRANSITION | {"certification", "lattice"},
+     [["certify", "--model", "potts", "--param", "3", "--dim", "256",
+       "--Jlo", "2.7715", "--Jhi", "2.7735", *_WINDOW]]),
+    (_TRANSITION | {"oracle", "neldermead"},
+     [["oracle", "--model", "potts", "--param", "3", "--J", "2.7725887",
+       "--resolution", "40"]]),
+], ids=["id", "mc-rate", "transition", "nematic", "bands-figures", "certify", "oracle"])
+def test_commands_load_only_the_mfspin_modules_they_run(modules, commands, tmp_path):
+    # each command compiles the modules it computes with and no other, so
+    # its start-up pays for no module it never runs
+    probe = f"""
+import contextlib, io, os, sys, types
+os.chdir({str(tmp_path)!r})
+import mfspin
+print({_RUN_MODULES})
+from mfspin.cli import dispatch
+for argv in {commands!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert dispatch(argv) == 0
+    print({_RUN_MODULES})
+"""
+    lines = run_python(probe).splitlines()
+    assert lines[0] == "[]"
+    assert lines[1:] == [str(sorted(modules))] * len(commands)
+
+
+def test_lazy_namespace_serves_the_home_modules_objects():
+    import sys
+    import types
+
+    import mfspin
+    for name in mfspin.__all__:
+        obj = getattr(mfspin, name)
+        assert getattr(sys.modules[obj.__module__], name) is obj
+    assert set(mfspin.__all__) <= set(dir(mfspin))
+    with pytest.raises(AttributeError, match="nope"):
+        mfspin.nope
+    assert not hasattr(mfspin, "nope")
+    from mfspin import solver, watson
+    assert solver is sys.modules["mfspin.solver"] and type(solver) is types.ModuleType
+    assert watson is sys.modules["mfspin.watson"]
+
+
+def test_method_choices_are_the_lattice_methods():
+    import argparse
+
+    from mfspin import lattice
+    from mfspin.cli import build_parser
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    method = next(a for a in sub.choices["id"]._actions if a.dest == "method")
+    assert tuple(method.choices) == lattice.METHODS
+
+
 def test_cubic_oracle_peak_memory():
     # r = 4 at resolution 200 searches C(203, 3) = 1 373 701 compositions.
     # Linux keeps ru_maxrss across fork and exec, so a child of a large test
