@@ -47,7 +47,8 @@ class InsufficientSamples(MFSpinError):
 
 
 class CouplingOverflow(MFSpinError):
-    """Coupling beyond ln(DBL_MAX): the heat-bath weights exp((J/N) k) overflow."""
+    """Coupling too large for floating point: the heat-bath weights exp((J/N) k)
+    overflow (J beyond ln(DBL_MAX)), or the cubic oracle's Ising coupling 2J does."""
 
 
 class ScanTooCoarse(UserWarning):

@@ -198,9 +198,9 @@ def potts_g_prime(q: int, h):
     Composed as m -> potts_g_prime(q, J*m) this is the fixed-point right-hand
     side of the scalar mean-field equation.
     """
-    t = np.asarray(h, dtype=float) * q / (q - 1.0)
-    # (e^t - 1)/(e^t + q - 1) = (1 - e^{-t})/(1 + (q-1)e^{-t}),  stable for t>0
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):     # |h| near DBL_MAX: t = +-inf, g' = its limit
+        t = np.asarray(h, dtype=float) * q / (q - 1.0)
+        # (e^t - 1)/(e^t + q - 1) = (1 - e^{-t})/(1 + (q-1)e^{-t}),  stable for t>0
         em = np.exp(-np.abs(t))
     pos = (1.0 - em) / (1.0 + (q - 1.0) * em)
     neg = (em - 1.0) / (em + q - 1.0)
@@ -210,8 +210,8 @@ def potts_g_prime(q: int, h):
 
 def potts_g_second(q: int, h):
     """q e^t/(e^t + q - 1)^2 with t = h q/(q-1)."""
-    t = np.asarray(h, dtype=float) * q / (q - 1.0)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):     # |h| near DBL_MAX: t = +-inf, g'' = 0
+        t = np.asarray(h, dtype=float) * q / (q - 1.0)
         em = np.exp(-np.abs(t))
     # q e^t/(e^t+q-1)^2 = q e^{-t}/(1+(q-1)e^{-t})^2 for t >= 0
     pos = q * em / (1.0 + (q - 1.0) * em) ** 2
@@ -291,17 +291,22 @@ def _cubic_entropy(r: int, m):
     """Closed-form Legendre data for the cubic chain.
 
     Inverts g'(h) = m: u = e^h solves (1-m)u^2 - 2m(r-1)u - (1+m) = 0.
-    Elementwise on an ndarray m; a scalar m gives a pair of floats.
+    The ends m = +-1 take the limits s = -log(4r), h = +-inf, as the Potts
+    simplex corners do.  Elementwise on an ndarray m; a scalar m gives a
+    pair of floats.
     """
     m = np.asarray(m, dtype=float)
-    bad = np.abs(m) >= 1.0
+    bad = np.abs(m) > 1.0
     if np.any(bad):
         raise BoundaryMagnetization(
-            f"|m|={np.abs(m[bad].flat[0])} at/beyond the cubic range")
+            f"|m|={np.abs(m[bad].flat[0])} beyond the cubic range")
+    end = np.abs(m) == 1.0
+    mi = np.where(end, 0.0, m)          # the ends are filled in below
     c = r - 1.0
-    u = (m * c + np.sqrt(m * m * c * c + 1.0 - m * m)) / (1.0 - m)
+    u = (mi * c + np.sqrt(mi * mi * c * c + 1.0 - mi * mi)) / (1.0 - mi)
     h = np.log(u)
-    s = cubic_g(r, h) - m * h
+    s = np.where(end, -np.log(4.0 * r), cubic_g(r, h) - mi * h)
+    h = np.where(end, np.copysign(np.inf, m), h)
     if m.ndim:
         return s, h
     return float(s), float(h)

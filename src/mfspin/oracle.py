@@ -26,7 +26,7 @@ import numpy as np
 import warnings
 
 from . import neldermead
-from .errors import BudgetExceeded, NoStableRoot, SamplingNoise
+from .errors import BudgetExceeded, CouplingOverflow, NoStableRoot, SamplingNoise
 from .models import (ModelSpec, _xlogx, ising_theta, phi_full_scale, potts_phi,
                      scalar_phi)
 from .solver import solve_branches
@@ -68,17 +68,43 @@ def _compositions(total: int, parts: int) -> np.ndarray:
     return np.column_stack([lead, rest])
 
 
+def _first_min(blocks):
+    """(block, index, value) of the least value over the (values, block) pairs
+    of `blocks`, taken in order: argmin's first index within a block, and a
+    later block wins only when strictly lower, so ties go to the earliest
+    entry, as argmin over all the values at once would give it."""
+    best = None
+    for vals, block in blocks:
+        i = int(np.argmin(vals))
+        if best is None or vals[i] < best[2]:
+            best = block, i, float(vals[i])
+    return best
+
+
 def _simplex_grid_min(t: np.ndarray, parts: int, resolution: int
                       ) -> Tuple[np.ndarray, float]:
     """Lexicographically first composition c of `resolution` into `parts`
     minimizing sum_k t[c_k], and that sum, added left to right (see
-    docs/decisions.md: the order and the tie-break are part of the output)."""
-    comps = _compositions(resolution, parts)
-    vals = t[comps[:, 0]]
-    for k in range(1, parts):
-        vals += t[comps[:, k]]
-    i0 = int(np.argmin(vals))
-    return comps[i0], float(vals[i0])
+    docs/decisions.md: the order and the tie-break are part of the output).
+
+    One block per first part c0 = 0..resolution, in order: the compositions
+    of `resolution` into parts - 1 whose last part (the slack) is at least
+    c0, with c0 taken off it, are those of resolution - c0, still in
+    lexicographic order, so only one block is ever held."""
+    if parts == 1:
+        return np.array([resolution], dtype=np.int32), float(t[resolution])
+    tails = _compositions(resolution, parts - 1)
+
+    def blocks():
+        for c0 in range(resolution + 1):
+            rows = tails[tails[:, -1] >= c0]
+            rows[:, -1] -= c0
+            vals = t[c0] + t[rows[:, 0]]
+            for k in range(1, parts - 1):
+                vals += t[rows[:, k]]
+            yield vals, (c0, rows)
+    (c0, rows), i, val = _first_min(blocks())
+    return np.concatenate([np.array([c0], dtype=np.int32), rows[i]]), val
 
 
 def _polish(fun, z0: np.ndarray, grid_val: float) -> Tuple[np.ndarray, float]:
@@ -145,6 +171,8 @@ def cubic_fullspace_min(r: int, J: float, resolution: int = 200) -> OracleResult
     if comb(resolution + r - 1, r - 1) > _MAX_GRID_POINTS:
         raise BudgetExceeded(
             f"occupation grid would have {comb(resolution + r - 1, r - 1)} points")
+    if not np.isfinite(2.0 * J):
+        raise CouplingOverflow(f"J = {J}: the Ising coupling 2 J y overflows at y = 1")
     mu_resolution = 2 * resolution + 1
     mus = np.linspace(-1.0, 1.0, mu_resolution)
     ys = np.arange(resolution + 1) / resolution
@@ -239,19 +267,19 @@ def nematic_dual_min(N: int, J: float, resolution: int = 120,
 
     X2, W, batches = _sphere_x2_nodes(N, sphere_samples)
     lo, hi = -1.3 * J / (N - 1), 1.1 * J
-    axes = [np.linspace(lo, hi, resolution)] * (N - 1)
-    mesh = np.meshgrid(*axes, indexing="ij")
-    hfree = np.stack([m.ravel() for m in mesh], axis=-1)
-    h_all = np.hstack([hfree, -hfree.sum(axis=1, keepdims=True)])
+    axis = np.linspace(lo, hi, resolution)
+    shape, n, chunk = (resolution,) * (N - 1), resolution ** (N - 1), 500
 
-    vals = np.empty(h_all.shape[0])
-    chunk = 500
-    for i in range(0, h_all.shape[0], chunk):
-        H = h_all[i:i + chunk]
-        vals[i:i + chunk] = (H * H).sum(axis=1) / (2.0 * J) - _g_diag(H, X2, W)
-    i0 = int(np.argmin(vals))
-    h0 = h_all[i0]
-    grid_val = float(vals[i0])
+    def blocks():
+        # the grid is the meshgrid of `axis` (ij order) with the trace closed
+        # by the last entry, built one chunk of flat indices at a time
+        for i in range(0, n, chunk):
+            idx = np.unravel_index(np.arange(i, min(i + chunk, n)), shape)
+            hfree = axis[np.stack(idx, axis=-1)]
+            H = np.hstack([hfree, -hfree.sum(axis=1, keepdims=True)])
+            yield (H * H).sum(axis=1) / (2.0 * J) - _g_diag(H, X2, W), H
+    H, i0, grid_val = _first_min(blocks())
+    h0 = H[i0]
 
     noise = 0.0
     if batches is not None:

@@ -617,6 +617,30 @@ def test_oracle_finds_the_ordered_root_next_to_the_end(capsys):
     assert json.loads(out)["matched_scalar"] is True
 
 
+def test_oracle_takes_the_ordered_root_at_the_end(capsys):
+    # above J ~ 38 g'(J) rounds to 1 and the solver's ordered root is m = 1
+    # itself, where the cubic entropy is its limit -log(4r)
+    code, out, _ = run_cli(capsys, "oracle", "--model", "cubic", "--param", "4",
+                           "--J", "40")
+    assert code == 0
+    assert json.loads(out)["matched_scalar"] is True
+
+
+def test_oracle_at_the_largest_couplings(capsys):
+    # cubic: 2J = inf would put nan in Theta_{2Jy}(0), so it is a typed error;
+    # Potts: g' saturates without an overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "oracle", "--model", "cubic", "--param", "4",
+                                 "--J", "1e308", "--resolution", "20")
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "CouplingOverflow"
+        code, out, err = run_cli(capsys, "oracle", "--model", "potts", "--param", "3",
+                                 "--J", "1e308", "--resolution", "20")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["matched_scalar"] is True
+
+
 @pytest.mark.parametrize("argv, solves", [
     (("certify", "--model", "nematic", "--param", "3", "--dim", "512",
       "--Jlo", "6.80", "--Jhi", "6.82", "--J-grid", "3", "--m-grid", "200"), 3),

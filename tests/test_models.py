@@ -105,6 +105,16 @@ def test_potts_g_prime_large_field_saturates():
     assert M.potts_g_prime(3, -500.0) == pytest.approx(-1 / 3, abs=1e-12)
 
 
+def test_potts_derivatives_at_the_largest_fields_are_silent_limits():
+    # t = h q/(q-1) overflows to +-inf; the Potts oracle at J = 1e308 gets here
+    h = np.array([-1e308, 1e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert M.potts_g_prime(3, h).tolist() == [-1 / 3, 2 / 3]
+        assert M.potts_g_second(3, h).tolist() == [0.0, 0.0]
+        assert M.potts_g_prime(3, 1e308) == 2 / 3
+
+
 # ---------------------------------------------------------------------------
 # cubic closed forms
 # ---------------------------------------------------------------------------
@@ -135,6 +145,21 @@ def test_cubic_g_prime_inflection():
 def test_cubic_g_large_field_stable():
     assert M.cubic_g_prime(4, 200.0) == pytest.approx(1.0, abs=1e-12)
     assert M.cubic_g(4, 100.0) == pytest.approx(100.0 - np.log(16), abs=1e-10)
+
+
+@pytest.mark.parametrize("r", [1, 2, 4])
+def test_cubic_entropy_ends_are_its_limits(r):
+    # s(m) = g(h) - m h -> -log 2r - log 2 as h -> inf; above J ~ 38 the solver
+    # reports the ordered root at m = 1 exactly
+    ms = np.array([-1.0, 1.0, np.nextafter(1.0, 0.0), 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s, h = M.cubic(r).entropy(ms)
+    assert s[0] == s[1] == -np.log(4.0 * r)
+    assert h[0] == -np.inf and h[1] == np.inf
+    assert abs(s[2] + np.log(4.0 * r)) <= 1e-14 and h[2] > 18.0
+    for i, m in enumerate(ms):
+        assert M.cubic(r).entropy(float(m)) == (s[i], h[i])
 
 
 # ---------------------------------------------------------------------------

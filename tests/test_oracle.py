@@ -1,6 +1,7 @@
 """Full-space brute-force oracles vs the scalar reductions."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from mfspin import models as M
 from mfspin import oracle as O
 from mfspin import solver as S
-from mfspin.errors import BudgetExceeded
+from mfspin.errors import BudgetExceeded, CouplingOverflow
 from mfspin.models import _xlogx
 
 J_MF_Q3 = 4 * np.log(2)
@@ -17,6 +18,16 @@ J_MF_Q3 = 4 * np.log(2)
 def scalar_min(model, J):
     bp = S.solve_branches(model, J, 600).global_minimum()
     return bp.m
+
+
+def traced_peak_mib(fn, *args):
+    """Largest traced allocation total while fn(*args) runs, in MiB."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
 
 
 # ---------------------------------------------------------------------------
@@ -184,6 +195,18 @@ def test_cubic_budget_guard():
         O.cubic_fullspace_min(5, 2.0, 50)
 
 
+def test_cubic_grid_search_holds_one_block():
+    # r = 4 at resolution 200 searches C(203, 3) = 1 373 701 compositions;
+    # holding them all, with their gathered sums, peaked at 58 MiB
+    assert traced_peak_mib(O.cubic_fullspace_min, 4, 3.7852, 200) < 16.0
+
+
+def test_cubic_coupling_overflow_is_typed():
+    # 2J = inf would make Theta_{2Jy}(0) = inf * 0 = nan
+    with pytest.raises(CouplingOverflow):
+        O.cubic_fullspace_min(4, 1e308, 20)
+
+
 # ---------------------------------------------------------------------------
 # nematic sphere rules and G
 # ---------------------------------------------------------------------------
@@ -297,6 +320,40 @@ def test_nematic_n4_sobol_path_runs():
     res2 = O.nematic_dual_min(4, 4.0, resolution=40, sphere_samples=2048)
     assert np.array_equal(res.minimizer, res2.minimizer)
     assert res.value == res2.value
+
+
+def whole_dual_grid_min(N, J, resolution):
+    """The grid minimizer and value of nematic_dual_min's search, from the
+    whole grid at once, in the same 500-row chunks."""
+    X2, W, _ = O._sphere_x2_nodes(N, 4096)
+    axes = [np.linspace(-1.3 * J / (N - 1), 1.1 * J, resolution)] * (N - 1)
+    hfree = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    h_all = np.hstack([hfree, -hfree.sum(axis=1, keepdims=True)])
+    vals = np.concatenate([
+        (H * H).sum(axis=1) / (2.0 * J) - O._g_diag(H, X2, W)
+        for H in (h_all[i:i + 500] for i in range(0, len(h_all), 500))])
+    i0 = int(np.argmin(vals))
+    return h_all[i0], vals[i0], int(np.sum(vals == vals[i0]))
+
+
+@pytest.mark.parametrize("N,J,resolution,tied", [
+    (3, 6.8122, 61, False), (3, 6.8122, 40, True), (3, 20.0, 60, True),
+    (4, 9.5, 11, False)])
+def test_dual_grid_chunks_walk_the_whole_grid(monkeypatch, N, J, resolution, tied):
+    # two grid points tie exactly at J = 6.8122, resolution 40 (flat indices
+    # 575 and 614, one chunk) and at J = 20, resolution 60 (762 and 2532, two
+    # chunks); without the polish the minimizer is the grid point itself
+    monkeypatch.setattr(O, "_polish", lambda fun, z0, grid_val: (z0, grid_val))
+    res = O.nematic_dual_min(N, J, resolution)
+    h0, grid_val, ties = whole_dual_grid_min(N, J, resolution)
+    assert res.grid_value == grid_val == res.value
+    assert res.minimizer[:-1].tolist() == h0[:-1].tolist()
+    assert (ties > 1) == tied
+
+
+def test_dual_grid_search_holds_one_chunk():
+    # 160 000 grid points; the whole grid and its values peaked at 11 MiB
+    assert traced_peak_mib(O.nematic_dual_min, 3, 6.8122, 400) < 4.0
 
 
 def test_nematic_budget_guard():
