@@ -290,7 +290,8 @@ def cubic_g_second(r: int, h):
 def _cubic_entropy(r: int, m):
     """Closed-form Legendre data for the cubic chain.
 
-    Inverts g'(h) = m: u = e^h solves (1-m)u^2 - 2m(r-1)u - (1+m) = 0.
+    Inverts g'(h) = m: u = e^|h| solves (1-a)u^2 - 2a(r-1)u - (1+a) = 0
+    with a = |m|, and h takes the sign of m, as g' is odd.
     The ends m = +-1 take the limits s = -log(4r), h = +-inf, as the Potts
     simplex corners do.  Elementwise on an ndarray m; a scalar m gives a
     pair of floats.
@@ -302,9 +303,10 @@ def _cubic_entropy(r: int, m):
             f"|m|={np.abs(m[bad].flat[0])} beyond the cubic range")
     end = np.abs(m) == 1.0
     mi = np.where(end, 0.0, m)          # the ends are filled in below
-    c = r - 1.0
-    u = (mi * c + np.sqrt(mi * mi * c * c + 1.0 - mi * mi)) / (1.0 - mi)
-    h = np.log(u)
+    a, c = np.abs(mi), r - 1.0
+    # u(|m|) never divides by a cancelled 1 - m, and g is even, so s(-m) == s(m)
+    u = (a * c + np.sqrt(a * a * c * c + 1.0 - a * a)) / (1.0 - a)
+    h = np.sign(mi) * np.log(u)
     s = np.where(end, -np.log(4.0 * r), cubic_g(r, h) - mi * h)
     h = np.where(end, np.copysign(np.inf, m), h)
     if m.ndim:
@@ -392,10 +394,13 @@ def legendre_entropy(g: Callable, g_prime: Callable, m):
 
     Returns (s, argmin_h): floats for a float m, arrays for an ndarray m.
     g and g_prime act elementwise; each point keeps its own bracket (from
-    [-1, 1], doubled outward) and stops on its own, so an ndarray gives the
-    bits of the scalar calls.  BoundaryMagnetization (s = -infinity) when g'
-    stops changing in floating point, or turns non-finite, before reaching m.
+    [-1, 1], doubled outward), which one lockstep `roots.brentq` call
+    refines to a width below 1e-13 + 4 eps |h|; every lane stops on its own,
+    so an ndarray gives the bits of the scalar calls.  BoundaryMagnetization
+    (s = -infinity) when g' stops changing in floating point, or turns
+    non-finite, before reaching m.
     """
+    from .roots import brentq           # on first use: no closed-form entropy needs it
     m_arr = np.asarray(m, dtype=float)
     target = np.atleast_1d(m_arr)
     lo, hi = np.full(target.shape, -1.0), np.full(target.shape, 1.0)
@@ -413,12 +418,7 @@ def legendre_entropy(g: Callable, g_prime: Callable, m):
             todo[todo] = sign * (gnew - target[todo]) < 0.0
     h = np.where(glo == target, lo, hi)
     act = (glo < target) & (ghi > target)
-    while np.any(act):                      # bisection
-        x = lo[act] + 0.5 * (hi[act] - lo[act])
-        fx = g_prime(x) - target[act]
-        h[act] = x
-        lo[act], hi[act] = np.where(fx < 0.0, x, lo[act]), np.where(fx > 0.0, x, hi[act])
-        act[act] = (np.abs(fx) > 0.0) & (hi[act] - lo[act] > 1e-13 + 8.9e-16 * np.abs(x))
+    h[act] = brentq(lambda x, t: g_prime(x) - t, lo[act], hi[act], 1e-13, args=(target[act],))
     s = g(h) - target * h
     return (s, h) if m_arr.ndim else (float(s[0]), float(h[0]))
 

@@ -265,8 +265,12 @@ def nematic_dual_min(N: int, J: float, resolution: int = 120,
         raise BudgetExceeded(
             f"dual grid would have {resolution ** (N - 1)} points")
 
-    X2, W, batches = _sphere_x2_nodes(N, sphere_samples)
     lo, hi = -1.3 * J / (N - 1), 1.1 * J
+    # no entry of the box, the trace-closing one included, exceeds (N - 1) hi
+    # in size, so N ((N - 1) hi)^2 bounds every |h|^2 the search forms
+    if not np.isfinite(N * ((N - 1) * hi) * ((N - 1) * hi)):
+        raise CouplingOverflow(f"J = {J}: |h|^2 overflows on the dual grid's box")
+    X2, W, batches = _sphere_x2_nodes(N, sphere_samples)
     axis = np.linspace(lo, hi, resolution)
     shape, n, chunk = (resolution,) * (N - 1), resolution ** (N - 1), 500
 

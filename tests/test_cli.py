@@ -487,6 +487,11 @@ _TRANSITION = {"cli", "errors", "models", "roots", "solver"}
     ({"cli", "errors", "lattice"},
      [["id", "--dim", "1024", "--method", "bessel"],
       ["id", "--dim", "4", "--method", "quad", "--tol", "1e-6"]]),
+    ({"cli", "errors", "models"},
+     [["profile", "--model", "potts", "--param", "3", "--J", "2.76", "--grid", "50"],
+      ["profile", "--model", "cubic", "--param", "4", "--J", "3.785", "--grid", "50"]]),
+    ({"cli", "errors", "models", "roots", "watson"},
+     [["profile", "--model", "nematic", "--param", "3", "--J", "6.8", "--grid", "50"]]),
     ({"cli", "errors", "models", "mc"},
      [["mc", "--model", "potts", "--param", "3", "--J", "2", "--N", "10", "--sweeps", "20"],
       ["mc", "--model", "nematic", "--param", "3", "--J", "2", "--N", "10", "--sweeps", "20"],
@@ -509,7 +514,8 @@ _TRANSITION = {"cli", "errors", "models", "roots", "solver"}
     (_TRANSITION | {"oracle", "neldermead"},
      [["oracle", "--model", "potts", "--param", "3", "--J", "2.7725887",
        "--resolution", "40"]]),
-], ids=["id", "mc-rate", "transition", "nematic", "bands-figures", "certify", "oracle"])
+], ids=["id", "profile", "profile-nematic", "mc-rate", "transition", "nematic",
+        "bands-figures", "certify", "oracle"])
 def test_commands_load_only_the_mfspin_modules_they_run(modules, commands, tmp_path):
     # each command compiles the modules it computes with and no other, so
     # its start-up pays for no module it never runs
@@ -639,6 +645,23 @@ def test_oracle_at_the_largest_couplings(capsys):
                                  "--J", "1e308", "--resolution", "20")
     assert (code, err) == (0, "")
     assert json.loads(out)["matched_scalar"] is True
+
+
+def test_nematic_oracle_coupling_overflow_is_typed(capsys):
+    # above J ~ 3.5e153 the square of the box's trace-closing entry (2.2 J)
+    # overflows, and |h|^2/(2J) would put inf in the grid and the value
+    argv = ("oracle", "--model", "nematic", "--param", "3", "--resolution", "20")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for J in ("1e300", "1e160", "5.5e153"):
+            code, out, err = run_cli(capsys, *argv, "--J", J)
+            assert (code, out) == (1, "")
+            assert json.loads(err) == {
+                "schema_version": 1, "error": "CouplingOverflow",
+                "message": f"J = {float(J)}: |h|^2 overflows on the dual grid's box"}
+        code, out, err = run_cli(capsys, *argv, "--J", "1e150")
+    assert (code, err) == (0, "")
+    assert np.isfinite(json.loads(out)["value"])
 
 
 @pytest.mark.parametrize("argv, solves", [
