@@ -16,12 +16,17 @@ states) their cumulative weights are tabulated once, and each site reads its
 row by an integer key of the counts instead of summing the weights.
 Otherwise a site sums its row, and the sites of the same state reuse it
 until a decision changes the counts.  Both keep the bits of the plain sum.
+The sweeps run in blocks: one draw gives a block's uniforms, and each
+block's fields (from its count keys, or recorded by the loop) are projected
+with array operations once per block.
 
 Nematic spins are unit vectors updated by Metropolis proposals with a step
 size auto-tuned to 30-50% acceptance during burn-in.  A spin changes only at
-its own update, so each sweep forms all its proposals at once, and only the
-terms that read the second-moment matrix stay per site; the samples keep the
-bits of a loop that forms each proposal at its site.  Every sweep costs O(N)
+its own update, so each sweep forms all its proposals at once, and the terms
+that read the second-moment matrix are formed for a window of sites, up to
+the first accept, sized from the running acceptance; the samples keep the
+bits of a loop that forms each proposal at its site.  Each block of measured
+sweeps is projected with one stacked eigvalsh.  Every sweep costs O(N)
 thanks to the maintained fields, count keys and second-moment matrix.
 
 The empirical magnetization is projected onto a scalar per model: Potts uses
@@ -108,15 +113,17 @@ def _batch_stderr(x: np.ndarray, n_batches: int = 50) -> float:
 
 # ---------------------------------------------------------------------------
 # per-model chains: each generator owns its state, its random stream and its
-# site update, and yields (scalar m, |m_N|^2, field vector) once per measured
-# sweep; run_mc does the bookkeeping common to all of them
+# site update, and yields, for each block of sweeps that holds measured ones,
+# their scalar m, |m_N|^2 and field vectors as arrays over those sweeps;
+# run_mc does the bookkeeping common to all of them, and folds each block's
+# field vectors in place
 # ---------------------------------------------------------------------------
 
 class _SpinSet(NamedTuple):
     """A finite spin set for the heat bath, as functions of the model param."""
     pair: Callable[[int], List[int]]   # per state, the state whose field moves against it
     initial: Callable                  # (rng, param, N) -> start-up states
-    project: Callable                  # (field, param, N) -> sample
+    project: Callable                  # (fields, param, N) -> samples, a row each
 
 
 def _cubic_initial(rng, r: int, N: int) -> List[int]:
@@ -125,16 +132,22 @@ def _cubic_initial(rng, r: int, N: int) -> List[int]:
     return (2 * axis + 1 - rng.integers(0, 2, size=N)).tolist()
 
 
-def _potts_project(field: List[int], q: int, N: int):
-    """Max state fraction - 1/q; the field vector is the state fractions."""
-    fr = [(f - N) / N for f in field[:q]]
-    return max(fr) - 1.0 / q, sum(f * f for f in fr) - 1.0 / q, fr
+def _potts_project(field: np.ndarray, q: int, N: int):
+    """Max state fraction - 1/q; the field vector is the state fractions.
+    Rows are sweeps; |m_N|^2 sums the squares left to right, as sum() does."""
+    fr = (field - N) / N
+    sq = fr * fr
+    return fr.max(axis=1) - 1.0 / q, np.cumsum(sq, axis=1, out=sq)[:, -1] - 1.0 / q, fr
 
 
-def _cubic_project(field: List[int], r: int, N: int):
-    """Signed largest component; the field vector is the magnetization."""
-    mhat = [(f - N) / N for f in field[0:2 * r:2]]
-    return max(mhat, key=abs), sum(m * m for m in mhat), mhat
+def _cubic_project(field: np.ndarray, r: int, N: int):
+    """Signed largest component (the first of equal magnitudes, as max(key=abs)
+    takes); the field vector is the magnetization.  Rows are sweeps."""
+    mhat = (field[:, 0:2 * r:2] - N) / N
+    top = np.abs(mhat).argmax(axis=1)
+    sq = mhat * mhat
+    return (mhat[np.arange(len(mhat)), top], np.cumsum(sq, axis=1, out=sq)[:, -1],
+            mhat)
 
 
 _POTTS = _SpinSet(lambda q: [q] * q,
@@ -147,6 +160,32 @@ _CUBIC = _SpinSet(lambda r: [s ^ 1 for s in range(2 * r)], _cubic_initial,
 # the count-keyed table holds n (N+1)^(n-1) cumulative weights; while it is
 # built and read, each costs at most 40 bytes (8 in numpy, 32 as a list float)
 _TABLE_ENTRIES = 1 << 20
+
+
+# a chain hands run_mc its samples a block of sweeps at a time: at most
+# _BLOCK sweeps, whose uniforms (heat bath) or T matrices (nematic) hold at
+# most _BLOCK_VALUES numbers, and whose heat-bath fields at most _BLOCK_FIELDS
+_BLOCK = 64
+_BLOCK_VALUES = 1 << 13
+_BLOCK_FIELDS = 1 << 8
+
+
+def _block(*limits: int) -> int:
+    """Sweeps per block: at most _BLOCK and each limit, and at least one."""
+    return max(1, min(_BLOCK, *limits))
+
+
+# the nematic chain forms the energies of at most _WINDOW sites at once
+_WINDOW = 8
+
+
+def _window(p: float) -> int:
+    """Sites per window at acceptance p, at most _WINDOW.  A window of k
+    sites ends at its first accept, so it serves (1 - (1-p)^k) / p sites on
+    average, and costs about two numpy calls plus a fifteenth of that per
+    site; the cost per served site is least near k = 1.5 / p, and at one
+    site when p is near 1."""
+    return min(_WINDOW, int(1.5 / max(p, 1.5 / _WINDOW)))
 
 
 def _field(pair: List[int], counts, N: int) -> list:
@@ -162,10 +201,14 @@ def _field(pair: List[int], counts, N: int) -> list:
 def _use_table(n: int, N: int, sweeps: int) -> bool:
     """Whether a heat-bath run of N sites and n states reads the count-keyed
     table: its n (N+1)^(n-1) entries (Python ints, so a large N never
-    allocates a table it is too big for) are at most _TABLE_ENTRIES and fewer
-    than the run's N * sweeps site updates, which each read one of them."""
+    allocates a table it is too big for) are at most _TABLE_ENTRIES, and the
+    run's N * sweeps site updates repay them.  An entry costs about (n - 2)/2
+    updates: every spin set builds an entry in about 45 ns, but a decision
+    read from a larger table saves less against the loop's (docs/decisions.md),
+    so a two-state table always pays and a three-state one from half an
+    update per entry."""
     entries = n * (N + 1) ** (n - 1)
-    return entries <= _TABLE_ENTRIES and entries < N * sweeps
+    return entries <= _TABLE_ENTRIES and (n - 2) * entries < 2 * N * sweeps
 
 
 def _heat_bath_sweeps(spins: _SpinSet, cfg: MCConfig, extras: Dict, record_joint: bool):
@@ -181,6 +224,10 @@ def _heat_bath_sweeps(spins: _SpinSet, cfg: MCConfig, extras: Dict, record_joint
     the counts last changed (_loop_sweeps).  numpy's cumsum adds left to
     right from the first weight, as the loop does, so both paths take every
     decision with the same bits (docs/decisions.md).
+
+    The sweeps run in blocks (_block): one draw gives a block's uniforms, the
+    stream of as many draws of N, and each block's fields are projected at
+    once.
     """
     param, J, N = cfg.model.param, cfg.J, cfg.N
     pair = spins.pair(param)
@@ -194,16 +241,22 @@ def _heat_bath_sweeps(spins: _SpinSet, cfg: MCConfig, extras: Dict, record_joint
     rng = np.random.default_rng(cfg.seed)
     sigma = spins.initial(rng, param, N)
     joint = extras.setdefault("joint_counts", {}) if record_joint else None
-    uniforms = (rng.random(N).tolist() for _ in range(cfg.sweeps))
+    block = _block(_BLOCK_VALUES // N, _BLOCK_FIELDS // n)
+    uniforms = (rng.random((min(block, cfg.sweeps - start), N)).tolist()
+                for start in range(0, cfg.sweeps, block))
     sweeps = _table_sweeps if _use_table(n, N, cfg.sweeps) else _loop_sweeps
-    for sweep, field in enumerate(sweeps(pair, weights, sigma, uniforms, joint)):
-        if sweep >= cfg.burn_in:
-            yield spins.project(field, param, N)
+    done = 0
+    for fields in sweeps(pair, weights, sigma, uniforms, joint):
+        burn = cfg.burn_in - done
+        done += len(fields)
+        if done > cfg.burn_in:
+            yield spins.project(fields[max(burn, 0):], param, N)
 
 
 def _loop_sweeps(pair, weights, sigma, uniforms, joint):
     """Each site sums its row of cumulative weights, or reuses its state's
-    row while the counts stand; yields the field after each sweep.
+    row while the counts stand; yields, per block of uniforms, the n fields
+    after each of its sweeps as the rows of an int array.
 
     The row of a site in state s depends only on the counts less one spin of
     s, so one row per state serves every site of that state until a decision
@@ -227,107 +280,109 @@ def _loop_sweeps(pair, weights, sigma, uniforms, joint):
     rows = [none] * n
     live, cap = 0, min(n, N)
     epoch = 1
-    for us in uniforms:
-        for x in range(N):
-            s = sigma[x]
-            row = rows[s]
-            if row[n] == epoch:
-                # the first state whose cumulative weight reaches u
-                t = bisect_left(row, us[x] * row[last], 0, last)
-                if t != s:
+    for block in uniforms:
+        fields = []
+        for us in block:
+            for x in range(N):
+                s = sigma[x]
+                row = rows[s]
+                if row[n] == epoch:
+                    # the first state whose cumulative weight reaches u
+                    t = bisect_left(row, us[x] * row[last], 0, last)
+                    if t != s:
+                        field[s] -= 1
+                        field[pair[s]] += 1
+                        field[t] += 1
+                        field[pair[t]] -= 1
+                        # t takes the row just used, s takes t's stale one
+                        rows[s] = rows[t]
+                        rows[t] = row
+                        epoch += 1
+                        row[n] = epoch
+                        sigma[x] = t
+                else:
+                    if row is none:
+                        if live == cap:
+                            # the current rows belong to occupied states
+                            # other than s, so at least one row is stale
+                            rows = [r if r[n] == epoch else none for r in rows]
+                            live = sum(r is not none for r in rows)
+                        row = rows[s] = [0.0] * (n + 1)
+                        live += 1
                     field[s] -= 1
                     field[pair[s]] += 1
+                    tot = 0.0
+                    for k in states:
+                        tot += table[field[k]]
+                        row[k] = tot
+                    t = bisect_left(row, us[x] * tot, 0, last)
                     field[t] += 1
                     field[pair[t]] -= 1
-                    # t takes the row just used, s takes t's stale one
-                    rows[s] = rows[t]
-                    rows[t] = row
-                    epoch += 1
+                    if t != s:
+                        rows[s] = rows[t]
+                        rows[t] = row
+                        epoch += 1
+                        sigma[x] = t
                     row[n] = epoch
-                    sigma[x] = t
-            else:
-                if row is none:
-                    if live == cap:
-                        # the current rows belong to occupied states other
-                        # than s, so at least one row is stale
-                        rows = [r if r[n] == epoch else none for r in rows]
-                        live = sum(r is not none for r in rows)
-                    row = rows[s] = [0.0] * (n + 1)
-                    live += 1
-                field[s] -= 1
-                field[pair[s]] += 1
-                tot = 0.0
-                for k in states:
-                    tot += table[field[k]]
-                    row[k] = tot
-                t = bisect_left(row, us[x] * tot, 0, last)
-                field[t] += 1
-                field[pair[t]] -= 1
-                if t != s:
-                    rows[s] = rows[t]
-                    rows[t] = row
-                    epoch += 1
-                    sigma[x] = t
-                row[n] = epoch
-            if joint is not None:
-                code = 0
-                for t in sigma:
-                    code = code * n + t
-                joint[code] = joint.get(code, 0) + 1
-        yield field
+                if joint is not None:
+                    code = 0
+                    for t in sigma:
+                        code = code * n + t
+                    joint[code] = joint.get(code, 0) + 1
+            fields.append(field[:n])
+        yield np.array(fields)
 
 
-def _cumulative_weights(pair: List[int], weights: np.ndarray, N: int) -> np.ndarray:
-    """Row k holds the n cumulative weights at the counts that key k encodes:
-    c_0..c_{n-2} in radix N + 1, and c_{n-1} = N - 1 less their sum.  Keys
-    whose counts cannot occur clip their fields into range; no site reads
-    them."""
-    n, radix = len(pair), N + 1
-    key = np.arange(radix ** (n - 1))
+def _counts(key: np.ndarray, n: int, radix: int, total: int) -> list:
+    """The n occupation counts that each key encodes: c_0..c_{n-2} in radix
+    `radix`, and c_{n-1} = total less their sum."""
     counts = []
     for _ in range(n - 1):
         key, c = np.divmod(key, radix)
         counts.append(c)
-    counts.append(N - 1 - sum(counts))
-    field = _field(pair, counts, N)
+    counts.append(total - sum(counts))
+    return counts
+
+
+def _cumulative_weights(pair: List[int], weights: np.ndarray, N: int) -> np.ndarray:
+    """Row k holds the n cumulative weights at the counts of the N - 1 other
+    spins that key k encodes.  Keys whose counts cannot occur clip their
+    fields into range; no site reads them."""
+    n, radix = len(pair), N + 1
+    field = _field(pair, _counts(np.arange(radix ** (n - 1)), n, radix, N - 1), N)
     w = np.take(weights, np.stack(field[:n], axis=1), mode="clip")
     return np.cumsum(w, axis=1, out=w)
 
 
 def _table_sweeps(pair, weights, sigma, uniforms, joint):
-    """Each site reads its row from the count-keyed table; yields the field
-    after each sweep.  The key is kept times n, so the counts less the
-    leaving spin give the row's offset in the flat table: the stride of
-    state s is n (N+1)^s, and 0 for the last state, whose count is implied."""
+    """Each site reads its row from the count-keyed table; yields, per block
+    of uniforms, the n fields after each of its sweeps as the rows of an int
+    array, decoded from the sweeps' keys at once.  The key is kept times n,
+    so the counts less the leaving spin give the row's offset in the flat
+    table: the stride of state s is n (N+1)^s, and 0 for the last state,
+    whose count is implied."""
     n, N = len(pair), len(sigma)
     radix, last = N + 1, n - 1
     cums = _cumulative_weights(pair, weights, N).ravel().tolist()
     stride = [n * radix ** s for s in range(last)] + [0]
     key = sum(stride[s] for s in sigma)
-    for us in uniforms:
-        for x in range(N):
-            row = key - stride[sigma[x]]
-            # the first state whose cumulative weight reaches u
-            s = bisect_left(cums, us[x] * cums[row + last], row, row + last) - row
-            key = row + stride[s]
-            sigma[x] = s
-            if joint is not None:
-                code = 0
-                for t in sigma:
-                    code = code * n + t
-                joint[code] = joint.get(code, 0) + 1
-        # the field from the decoded counts, as _field forms it; inlined,
-        # since at small N this is a large share of a sweep's cost
-        field = [N] * (n + 1)
-        c_last = N
-        for s in range(last):
-            c = key // stride[s] % radix
-            c_last -= c
-            field[s] += c
-            field[pair[s]] -= c
-        field[last] += c_last
-        field[pair[last]] -= c_last
-        yield field
+    for block in uniforms:
+        keys = []
+        for us in block:
+            for x in range(N):
+                row = key - stride[sigma[x]]
+                # the first state whose cumulative weight reaches u
+                s = bisect_left(cums, us[x] * cums[row + last], row, row + last) - row
+                key = row + stride[s]
+                sigma[x] = s
+                if joint is not None:
+                    code = 0
+                    for t in sigma:
+                        code = code * n + t
+                    joint[code] = joint.get(code, 0) + 1
+            keys.append(key)
+        field = _field(pair, _counts(np.array(keys) // n, n, radix, N), N)
+        yield np.stack(field[:n], axis=1)
 
 
 def _nematic_sweeps(cfg: MCConfig, extras: Dict, record_joint: bool):
@@ -337,31 +392,43 @@ def _nematic_sweeps(cfg: MCConfig, extras: Dict, record_joint: bool):
     Proposals are formed per sweep.  This is exact: a spin changes only at
     its own update, so every proposal of a sweep is known when the sweep
     starts, and w = (v + step * noise) / |.| and the overlap v . w are formed
-    for all sites at once.  Only the terms that read T stay per site.  Every
-    norm, overlap and quadratic form is a stacked matmul, which numpy hands
-    to the same BLAS dot (and T w to the same gemv) as the one-vector calls,
-    so the chain keeps the bits of a loop that forms each proposal at its
-    site; norm(axis=1) and einsum round differently (docs/decisions.md).
-    The sweep holds O(N Ns) floats.
+    for all sites at once.  The terms that read T, T (w, vx) and the two
+    quadratic forms, are formed for a window of upcoming sites at the T they
+    have until the next accept, which moves T and ends the window; the next
+    window starts at the next site.  The window holds about the 1/p sites up
+    to an accept at the running acceptance p (_window).  Every norm, overlap
+    and quadratic form is a stacked matmul, which numpy hands to the same
+    BLAS dot (and T w to the same gemv) as the one-vector calls, so the chain
+    keeps the bits of a loop that forms each proposal at its site;
+    norm(axis=1) and einsum round differently (docs/decisions.md).  A site
+    reads only its own spin, so the accepted proposals are copied into v once
+    per sweep.  The sweep holds O(N Ns) floats, and a block of measured
+    sweeps their T matrices.
     """
     Ns, J, N = cfg.model.param, cfg.J, cfg.N
     rng = np.random.default_rng(cfg.seed)
-    Wv = np.empty((2, N, Ns))         # the sweep's proposals W and the spins v
-    W, v = Wv
+    # the sweep's proposals W and the spins v, padded so that a window that
+    # runs past the last site still has its rows (zeros, never read)
+    Wv = np.zeros((2, N + _WINDOW - 1, Ns))
+    W, v = Wv[:, :N]
     v[...] = rng.normal(size=(N, Ns))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     T = v.T @ v
     step = 0.5
     accepted = 0
     proposed = 0
-    eye = np.eye(Ns)
     scale = -(J / N)
     # sites[x] = (w, vx) as rows; its vx is the live v[x], which only the
     # site's own update changes
     sites = Wv.transpose(1, 0, 2)
     rows, cols = sites[:, :, None, :], sites[:, :, :, None]
-    Tu = np.empty((2, Ns, 1))         # T w and T vx
-    forms = np.empty((2, 1, 1))       # w^T T w and vx^T T vx
+    outer = np.empty((2, Ns, Ns))     # w w^T and vx vx^T
+    ww, vv = outer
+    dT = np.empty((Ns, Ns))
+    block = _block(_BLOCK_VALUES // (Ns * Ns), cfg.sweeps - cfg.burn_in)
+    Ts = np.empty((block, Ns, Ns))    # T after each measured sweep of a block
+    kept = 0
+    window = 0
 
     for sweep in range(cfg.sweeps):
         noise = rng.normal(size=(N, Ns))
@@ -372,21 +439,36 @@ def _nematic_sweeps(cfg: MCConfig, extras: Dict, record_joint: bool):
         # floats, squared per site: float ** 2 calls pow, as the np.float64
         # scalar does, and an array's ** 2 (x * x) can differ in the last bit
         overlaps = (v[:, None, :] @ W[:, :, None]).ravel().tolist()
-        for x in range(N):
-            row, col = rows[x], cols[x]
+        size = _window(accepted / proposed if proposed else 1.0)
+        if size != window:
+            window = size
+            Tu = np.empty((window, 2, Ns, 1))         # T w and T vx
+            forms = np.empty((window, 2, 1, 1))       # w^T T w and vx^T T vx
+            flat = forms.reshape(-1)
+        taken = []
+        x = 0
+        while x < N:
             # energy against the field of the other spins:
             # sum_y!=x (u.v_y)^2 = u^T (T - vx vx^T) u, for u = w and u = vx
-            np.matmul(T, col, out=Tu)
-            np.matmul(row, Tu, out=forms)
-            [[wTw]], [[vTv]] = forms.tolist()
-            e_new = wTw - overlaps[x] ** 2
-            e_old = vTv - 1.0
-            dE = scale * (e_new - e_old)
-            if dE <= 0.0 or us[x] < np.exp(-dE):
-                accepted += 1
-                ww, vv = col * row    # the outer products w w^T and vx vx^T
-                T += ww - vv
-                v[x] = W[x]
+            end = x + window
+            np.matmul(T, cols[x:end], out=Tu)
+            np.matmul(rows[x:end], Tu, out=forms)
+            fs = iter(flat.tolist())
+            for x, wTw, vTv in zip(range(x, end if end < N else N), fs, fs):
+                e_new = wTw - overlaps[x] ** 2
+                e_old = vTv - 1.0
+                dE = scale * (e_new - e_old)
+                if dE <= 0.0 or us[x] < np.exp(-dE):
+                    accepted += 1
+                    np.multiply(cols[x], rows[x], out=outer)
+                    np.subtract(ww, vv, out=dT)
+                    T += dT
+                    taken.append(x)
+                    break             # T moved: the window's later forms are stale
+            x += 1
+        # a site reads only its own spin, so the accepted proposals become
+        # spins at the end of the sweep
+        v[taken] = W[taken]
         proposed += N
         if sweep < cfg.burn_in and sweep % 25 == 24:
             rate = accepted / proposed
@@ -396,8 +478,13 @@ def _nematic_sweeps(cfg: MCConfig, extras: Dict, record_joint: bool):
                 step = max(step * 0.8, 1e-3)
             accepted = proposed = 0
         if sweep >= cfg.burn_in:
-            Qbar = T / N - eye / Ns
-            yield float(np.linalg.eigvalsh(Qbar)[-1]), float(np.sum(Qbar * Qbar)), Qbar
+            Ts[kept] = T
+            kept += 1
+            if kept == block or sweep == cfg.sweeps - 1:
+                Qbar = Ts[:kept] / N - np.eye(Ns) / Ns
+                yield (np.linalg.eigvalsh(Qbar)[:, -1], np.sum(Qbar * Qbar, axis=(1, 2)),
+                       Qbar)
+                kept = 0
     extras["acceptance_rate"] = accepted / max(proposed, 1)
     extras["step"] = step
 
@@ -428,11 +515,14 @@ def run_mc(config: MCConfig, record_joint_states: bool = False) -> MCResult:
     msq = np.empty(n_meas)            # |m_N|^2 per sample
     vec_sum = 0.0
     extras: Dict = {}
-    samples = chain.sweeps(config, extras, record_joint_states)
-    for i, (m, m_sq, vec) in enumerate(samples):
-        scalar[i] = m
-        msq[i] = m_sq
-        vec_sum = vec_sum + np.asarray(vec)
+    i = 0
+    for m, m_sq, vecs in chain.sweeps(config, extras, record_joint_states):
+        scalar[i:i + len(m)] = m
+        msq[i:i + len(m)] = m_sq
+        i += len(m)
+        # the left fold vec_sum + vec over the samples, carried across blocks
+        vecs[0] += vec_sum
+        vec_sum = np.cumsum(vecs, axis=0, out=vecs)[-1].copy()
     mean_vec = vec_sum / n_meas
     pair = (N * N * msq - N * model.kappa) / (N * (N - 1.0))
     lo, hi = model.m_bounds()

@@ -135,7 +135,8 @@ def test_nematic_ordered_phase_and_step_tuning():
 
 
 def _per_site_nematic_sweeps(cfg, extras, record_joint):
-    """The nematic chain with each proposal formed at its own site: the
+    """The nematic chain with each proposal formed at its own site and each
+    sample projected on its own, handed over in blocks of one sweep: the
     reference that mc._nematic_sweeps must match bit for bit."""
     Ns, J, N = cfg.model.param, cfg.J, cfg.N
     rng = np.random.default_rng(cfg.seed)
@@ -172,16 +173,19 @@ def _per_site_nematic_sweeps(cfg, extras, record_joint):
             accepted = proposed = 0
         if sweep >= cfg.burn_in:
             Qbar = T / N - eye / Ns
-            yield float(np.linalg.eigvalsh(Qbar)[-1]), float(np.sum(Qbar * Qbar)), Qbar
+            yield ([float(np.linalg.eigvalsh(Qbar)[-1])], [float(np.sum(Qbar * Qbar))],
+                   Qbar[None])
     extras["acceptance_rate"] = accepted / max(proposed, 1)
     extras["step"] = step
 
 
 def _recording(sweeps, samples):
+    """The chain, recording each measured sweep's (m, |m_N|^2, vector) before
+    run_mc folds the block's vectors in place."""
     def run(cfg, extras, record_joint):
-        for sample in sweeps(cfg, extras, record_joint):
-            samples.append(sample)
-            yield sample
+        for m, m_sq, vecs in sweeps(cfg, extras, record_joint):
+            samples.extend(zip(m, m_sq, np.copy(vecs)))
+            yield m, m_sq, vecs
     return run
 
 
@@ -212,6 +216,111 @@ def test_nematic_sweep_matches_the_per_site_loop_bitwise(monkeypatch, Ns, J):
         assert set(got.extras) == {"acceptance_rate", "step"}
         if J == 0.0:    # every proposal is taken, so each tuning point raises the step
             assert got.extras["step"] == 0.5 * 1.25 ** 2
+
+
+@pytest.mark.parametrize("window", [1, 2, 3, 4, 5, 6, 7, 8, None])
+@pytest.mark.parametrize("Ns, J", [(3, 0.0), (8, 40.0)])
+def test_nematic_windows_match_the_per_site_loop_bitwise(monkeypatch, window, Ns, J):
+    # J = 0 accepts every proposal, so each window ends at its first site;
+    # Ns = 8 at J = 40 accepts about 6 % of them, so windows run to their
+    # end.  None is the window the chain derives from its acceptance
+    if window is not None:
+        monkeypatch.setattr(mc, "_window", lambda p: window)
+    chain = mc._CHAINS["nematic"]
+    cfg = mc.MCConfig(model=M.nematic(Ns), J=J, N=16, sweeps=90, burn_in=60, seed=3,
+                      histogram_bins=20)
+    runs = []
+    for sweeps in (chain.sweeps, _per_site_nematic_sweeps):
+        samples = []
+        monkeypatch.setitem(mc._CHAINS, "nematic",
+                            chain._replace(sweeps=_recording(sweeps, samples)))
+        runs.append((mc.run_mc(cfg), samples))
+    (got, got_samples), (want, want_samples) = runs
+    assert len(got_samples) == len(want_samples) == 30
+    for (m, m_sq, Q), (m_ref, m_sq_ref, Q_ref) in zip(got_samples, want_samples):
+        assert m == m_ref and m_sq == m_sq_ref and np.array_equal(Q, Q_ref)
+    assert got.as_dict() == want.as_dict()
+    assert np.array_equal(got.rate_estimates, want.rate_estimates, equal_nan=True)
+    rate = got.extras["acceptance_rate"]
+    assert rate == 1.0 if J == 0.0 else rate < 0.1
+
+
+@pytest.mark.parametrize("model, N", [(M.potts(3), 30), (M.cubic(4), 30), (M.potts(10), 12),
+                                      (M.nematic(3), 16)], ids=str)
+def test_samples_do_not_depend_on_the_block_size(monkeypatch, model, N):
+    # Potts q = 3 reads the count table, cubic r = 4 and Potts q = 10 run the
+    # loop; 151 sweeps with burn-in 23 are no multiple of any block size
+    cfg = mc.MCConfig(model=model, J=3.0, N=N, sweeps=151, burn_in=23, seed=5,
+                      histogram_bins=20)
+    runs = []
+    for block in (1, 2, 7, mc._BLOCK):
+        monkeypatch.setattr(mc, "_BLOCK", block)
+        runs.append(mc.run_mc(cfg))
+    want = runs[0]
+    for got in runs[1:]:
+        assert got.as_dict() == want.as_dict()
+        assert np.array_equal(got.histogram, want.histogram)
+        assert np.array_equal(got.rate_estimates, want.rate_estimates, equal_nan=True)
+
+
+def test_a_block_of_uniforms_is_the_stream_of_one_sweep_draws():
+    # the heat bath draws B sweeps' uniforms at once
+    for B, N in ((1, 5), (7, 30), (64, 200)):
+        block = np.random.default_rng(B).random((B, N))
+        rng = np.random.default_rng(B)
+        assert np.array_equal(block, [rng.random(N) for _ in range(B)])
+
+
+@pytest.mark.parametrize("Ns", [3, 4, 8, 20])
+def test_stacked_projection_rounds_like_the_one_matrix_calls(Ns):
+    # run_mc projects a block of order-parameter matrices with one eigvalsh
+    # and one sum over the last two axes
+    rng = np.random.default_rng(Ns)
+    V = rng.normal(size=(3000, 4 * Ns, Ns))
+    V /= np.linalg.norm(V, axis=2, keepdims=True)
+    Q = (V.transpose(0, 2, 1) @ V) / (4 * Ns) - np.eye(Ns) / Ns
+    assert np.array_equal(np.linalg.eigvalsh(Q)[:, -1],
+                          [np.linalg.eigvalsh(q)[-1] for q in Q])
+    assert np.array_equal(np.sum(Q * Q, axis=(1, 2)), [np.sum(q * q) for q in Q])
+
+
+def test_heat_bath_projections_round_like_the_sweep_by_sweep_forms():
+    # the block projections against the per-sweep Python forms they replace:
+    # fractions (f - N) / N, max (first of equal magnitudes for cubic) and a
+    # left-to-right sum of squares
+    rng = np.random.default_rng(1)
+    for N in (7, 200, 10 ** 6 + 3):
+        for n in (2, 3, 8, 10):
+            fields = N + rng.integers(-N, N + 1, size=(300, n))
+            fields[:20] = N        # ties at zero magnetization
+            m, m_sq, fr = mc._potts_project(fields, n, N)
+            for i, f in enumerate(fields.tolist()):
+                want = [(x - N) / N for x in f]
+                assert fr[i].tolist() == want
+                assert m[i] == max(want) - 1.0 / n
+                assert m_sq[i] == sum(x * x for x in want) - 1.0 / n
+            if n % 2 == 0:
+                m, m_sq, mhat = mc._cubic_project(fields, n // 2, N)
+                for i, f in enumerate(fields.tolist()):
+                    want = [(x - N) / N for x in f[0:n:2]]
+                    assert mhat[i].tolist() == want
+                    assert m[i] == max(want, key=abs)
+                    assert m_sq[i] == sum(x * x for x in want)
+
+
+def test_carried_cumsum_is_the_running_sum():
+    # run_mc folds each block's vectors with cumsum after adding the sum so
+    # far to its first row: the left fold vec_sum = vec_sum + vec
+    vecs = np.random.default_rng(2).normal(size=(1000, 5)) * 10.0 ** np.arange(-8, 17, 5)
+    want = 0.0
+    for vec in vecs:
+        want = want + vec
+    got = 0.0
+    for start in range(0, len(vecs), 7):
+        block = vecs[start:start + 7].copy()
+        block[0] += got
+        got = np.cumsum(block, axis=0, out=block)[-1].copy()
+    assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("Ns", [3, 4, 7, 20])
@@ -349,12 +458,13 @@ def test_count_table_memory_is_bounded_by_its_cap(monkeypatch):
 
 def _summing_loop_sweeps(pair, weights, sigma, uniforms, joint):
     """The per-site loop without row reuse: every site sums its row and takes
-    the first state whose cumulative weight reaches u by a linear search."""
+    the first state whose cumulative weight reaches u by a linear search;
+    hands over its fields in blocks of one sweep."""
     n, N = len(pair), len(sigma)
     field = mc._field(pair, np.bincount(sigma, minlength=n).tolist(), N)
     table = weights.tolist()
     cum = [0.0] * n
-    for us in uniforms:
+    for us in (us for block in uniforms for us in block):
         for x in range(N):
             s = sigma[x]
             field[s] -= 1
@@ -375,7 +485,7 @@ def _summing_loop_sweeps(pair, weights, sigma, uniforms, joint):
                 for t in sigma:
                     code = code * n + t
                 joint[code] = joint.get(code, 0) + 1
-        yield field
+        yield np.array([field[:n]])
 
 
 LOOP_MODELS = [M.potts(2), M.potts(3), M.potts(10), M.cubic(1), M.cubic(3), M.cubic(4)]
