@@ -202,13 +202,12 @@ def _use_table(n: int, N: int, sweeps: int) -> bool:
     """Whether a heat-bath run of N sites and n states reads the count-keyed
     table: its n (N+1)^(n-1) entries (Python ints, so a large N never
     allocates a table it is too big for) are at most _TABLE_ENTRIES, and the
-    run's N * sweeps site updates repay them.  An entry costs about (n - 2)/2
-    updates: every spin set builds an entry in about 45 ns, but a decision
-    read from a larger table saves less against the loop's (docs/decisions.md),
-    so a two-state table always pays and a three-state one from half an
-    update per entry."""
+    run's N * sweeps site updates repay them.  An entry costs min(n - 2, 2)/2
+    updates, as timed for n <= 4 (docs/decisions.md): a two-state table
+    always pays, a three-state one from half an update per entry, and four
+    or more states from one."""
     entries = n * (N + 1) ** (n - 1)
-    return entries <= _TABLE_ENTRIES and (n - 2) * entries < 2 * N * sweeps
+    return entries <= _TABLE_ENTRIES and min(n - 2, 2) * entries < 2 * N * sweeps
 
 
 def _heat_bath_sweeps(spins: _SpinSet, cfg: MCConfig, extras: Dict, record_joint: bool):

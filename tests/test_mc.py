@@ -541,13 +541,15 @@ def test_row_reuse_memory_is_bounded_by_the_occupied_states():
 
 def test_overflowing_coupling_is_a_typed_error():
     # exp(J) overflows a double beyond J = ln(DBL_MAX) = 709.78; the Potts
-    # chain reads the table, cubic r = 4 the per-site loop
-    for model, N in ((M.potts(3), 5), (M.cubic(4), 30)):
+    # chain reads the table (108 entries against 150 updates), cubic r = 4
+    # the per-site loop
+    assert mc._use_table(3, 5, 30) and not mc._use_table(8, 30, 4)
+    for model, N, sweeps in ((M.potts(3), 5, 30), (M.cubic(4), 30, 4)):
         with pytest.raises(CouplingOverflow):
-            mc.run_mc(mc.MCConfig(model=model, J=710.0, N=N, sweeps=4))
+            mc.run_mc(mc.MCConfig(model=model, J=710.0, N=N, sweeps=sweeps))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            mc.run_mc(mc.MCConfig(model=model, J=709.0, N=N, sweeps=4))
+            mc.run_mc(mc.MCConfig(model=model, J=709.0, N=N, sweeps=sweeps))
 
 
 def _sweep_cost_ratio(model, J):
