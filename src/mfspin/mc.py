@@ -13,21 +13,24 @@ opposite sign s ^ 1, for Potts a spare slot that is never read.  The fields,
 and so each site's decision, depend only on the occupation counts of the
 other spins; when the count vectors are few (n (N+1)^(n-1) <= 2^20 for n
 states) their cumulative weights are tabulated once, and each site reads its
-row by an integer key of the counts instead of summing the weights.
-Otherwise a site sums its row, and the sites of the same state reuse it
-until a decision changes the counts.  Both keep the bits of the plain sum.
-The sweeps run in blocks: one draw gives a block's uniforms, and each
-block's fields (from its count keys, or recorded by the loop) are projected
-with array operations once per block.
+row by an integer key of the counts instead of summing the weights, and
+scans it for the drawn state.  Otherwise a site sums its row, and the sites
+of the same state reuse it until a decision changes the counts.  Both keep
+the bits of the plain sum.  The sweeps run in blocks: one draw gives a
+block's uniforms, and each block's fields (from its count keys, or recorded
+by the loop) are projected with array operations once per block.
 
 Nematic spins are unit vectors updated by Metropolis proposals with a step
 size auto-tuned to 30-50% acceptance during burn-in.  A spin changes only at
 its own update, so each sweep forms all its proposals at once, and the terms
 that read the second-moment matrix are formed for a window of sites, up to
 the first accept, sized from the running acceptance; the samples keep the
-bits of a loop that forms each proposal at its site.  Each block of measured
-sweeps is projected with one stacked eigvalsh.  Every sweep costs O(N)
-thanks to the maintained fields, count keys and second-moment matrix.
+bits of a loop that forms each proposal at its site.  Where the acceptance
+repays it, the first accept of a run of sites forms the rank-two updates of
+the second-moment matrix for the whole run, and a later accept in the run
+only adds its own.  Each block of measured sweeps is projected with one
+stacked eigvalsh.  Every sweep costs O(N) thanks to the maintained fields,
+count keys and second-moment matrix.
 
 The empirical magnetization is projected onto a scalar per model: Potts uses
 the fraction of the most-populated state minus 1/q (matching the x_1 = 1/q+m
@@ -188,6 +191,17 @@ def _window(p: float) -> int:
     return min(_WINDOW, int(1.5 / max(p, 1.5 / _WINDOW)))
 
 
+def _run(p: float, Ns: int, longest: int) -> int:
+    """Sites per run of rank-two updates at acceptance p: the longest run,
+    or one site.  A run of k sites costs two numpy calls plus k times the
+    products of one site, and serves 1 + p (k - 1) accepts.  Its cost per
+    accept is monotone in k, and falls when p times what an accept saves by
+    reading its update formed exceeds the cost of forming one site's update,
+    which grows with Ns.  As timed, that holds from about p = Ns/35
+    (docs/decisions.md)."""
+    return longest if 35 * p > Ns else 1
+
+
 def _field(pair: List[int], counts, N: int) -> list:
     """field[s] = N + sum_y (S_y, s) from the occupation counts; counts may
     be ints or numpy arrays of them."""
@@ -202,12 +216,12 @@ def _use_table(n: int, N: int, sweeps: int) -> bool:
     """Whether a heat-bath run of N sites and n states reads the count-keyed
     table: its n (N+1)^(n-1) entries (Python ints, so a large N never
     allocates a table it is too big for) are at most _TABLE_ENTRIES, and the
-    run's N * sweeps site updates repay them.  An entry costs min(n - 2, 2)/2
-    updates, as timed for n <= 4 (docs/decisions.md): a two-state table
-    always pays, a three-state one from half an update per entry, and four
-    or more states from one."""
+    run's N * sweeps site updates repay them.  An entry costs ((n > 2) +
+    (n > 4))/2 updates, as timed for n <= 4 (docs/decisions.md): a two-state
+    table always pays, a three- or four-state one from half an update per
+    entry, and five or more states, not timed, from one."""
     entries = n * (N + 1) ** (n - 1)
-    return entries <= _TABLE_ENTRIES and min(n - 2, 2) * entries < 2 * N * sweeps
+    return entries <= _TABLE_ENTRIES and ((n > 2) + (n > 4)) * entries < 2 * N * sweeps
 
 
 def _heat_bath_sweeps(spins: _SpinSet, cfg: MCConfig, extras: Dict, record_joint: bool):
@@ -359,7 +373,15 @@ def _table_sweeps(pair, weights, sigma, uniforms, joint):
     array, decoded from the sweeps' keys at once.  The key is kept times n,
     so the counts less the leaving spin give the row's offset in the flat
     table: the stride of state s is n (N+1)^s, and 0 for the last state,
-    whose count is implied."""
+    whose count is implied.
+
+    A site draws u = U W_{n-1} and scans its row from the first entry to the
+    first cumulative weight that reaches u: bisect_left's index on a
+    nondecreasing row, ties included, and a NaN u stops at the first entry
+    as bisect_left does.  U < 1, so fl(U W_{n-1}) <= W_{n-1} and the scan
+    needs no bound; it stops at the last entry at the latest.  The table fits
+    only for few states, and a scan of a short row costs less than the call
+    to bisect_left (docs/decisions.md)."""
     n, N = len(pair), len(sigma)
     radix, last = N + 1, n - 1
     cums = _cumulative_weights(pair, weights, N).ravel().tolist()
@@ -370,8 +392,13 @@ def _table_sweeps(pair, weights, sigma, uniforms, joint):
         for us in block:
             for x in range(N):
                 row = key - stride[sigma[x]]
-                # the first state whose cumulative weight reaches u
-                s = bisect_left(cums, us[x] * cums[row + last], row, row + last) - row
+                # the first state whose cumulative weight reaches u; u < 1,
+                # so the scan stops at the row's last entry at the latest
+                u = us[x] * cums[row + last]
+                s = row
+                while cums[s] < u:
+                    s += 1
+                s -= row
                 key = row + stride[s]
                 sigma[x] = s
                 if joint is not None:
@@ -401,14 +428,26 @@ def _nematic_sweeps(cfg: MCConfig, extras: Dict, record_joint: bool):
     keeps the bits of a loop that forms each proposal at its site;
     norm(axis=1) and einsum round differently (docs/decisions.md).  A site
     reads only its own spin, so the accepted proposals are copied into v once
-    per sweep.  The sweep holds O(N Ns) floats, and a block of measured
-    sweeps their T matrices.
+    per sweep.
+
+    An accept adds w w^T - vx vx^T to T.  These rank-two updates are formed
+    for a run of sites from the accepting one, by one multiply and one
+    subtract (the elementwise products and differences np.outer and its
+    difference make), and a later accept within the run reads its own; the
+    next accept past the run starts another.  This is exact because W is
+    fixed for the sweep and v changes only at its end.  The run is the
+    longest that _BLOCK_VALUES allows where the running acceptance repays
+    it, and one site elsewhere (_run).  The sweep holds O(N Ns) floats, and a
+    block of measured sweeps their T matrices.
     """
     Ns, J, N = cfg.model.param, cfg.J, cfg.N
     rng = np.random.default_rng(cfg.seed)
-    # the sweep's proposals W and the spins v, padded so that a window that
-    # runs past the last site still has its rows (zeros, never read)
-    Wv = np.zeros((2, N + _WINDOW - 1, Ns))
+    # the longest run of sites whose rank-two updates are formed at once:
+    # its buffers hold 3 run Ns^2 floats, at most 3/4 of _BLOCK_VALUES
+    longest = max(1, min(N, _BLOCK_VALUES // (4 * Ns * Ns)))
+    # the sweep's proposals W and the spins v, padded so that a window or a
+    # run that goes past the last site still has its rows (zeros, never read)
+    Wv = np.zeros((2, N + max(_WINDOW, longest) - 1, Ns))
     W, v = Wv[:, :N]
     v[...] = rng.normal(size=(N, Ns))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
@@ -421,13 +460,10 @@ def _nematic_sweeps(cfg: MCConfig, extras: Dict, record_joint: bool):
     # site's own update changes
     sites = Wv.transpose(1, 0, 2)
     rows, cols = sites[:, :, None, :], sites[:, :, :, None]
-    outer = np.empty((2, Ns, Ns))     # w w^T and vx vx^T
-    ww, vv = outer
-    dT = np.empty((Ns, Ns))
     block = _block(_BLOCK_VALUES // (Ns * Ns), cfg.sweeps - cfg.burn_in)
     Ts = np.empty((block, Ns, Ns))    # T after each measured sweep of a block
     kept = 0
-    window = 0
+    window = run = 0
 
     for sweep in range(cfg.sweeps):
         noise = rng.normal(size=(N, Ns))
@@ -438,14 +474,18 @@ def _nematic_sweeps(cfg: MCConfig, extras: Dict, record_joint: bool):
         # floats, squared per site: float ** 2 calls pow, as the np.float64
         # scalar does, and an array's ** 2 (x * x) can differ in the last bit
         overlaps = (v[:, None, :] @ W[:, :, None]).ravel().tolist()
-        size = _window(accepted / proposed if proposed else 1.0)
-        if size != window:
-            window = size
+        p = accepted / proposed if proposed else 1.0
+        sizes = _window(p), _run(p, Ns, longest)
+        if sizes != (window, run):
+            window, run = sizes
             Tu = np.empty((window, 2, Ns, 1))         # T w and T vx
             forms = np.empty((window, 2, 1, 1))       # w^T T w and vx^T T vx
             flat = forms.reshape(-1)
+            outers = np.empty((run, 2, Ns, Ns))       # w w^T and vx vx^T
+            wws, vvs = outers.transpose(1, 0, 2, 3)
+            dTs = np.empty((run, Ns, Ns))
         taken = []
-        x = 0
+        x = hi = 0
         while x < N:
             # energy against the field of the other spins:
             # sum_y!=x (u.v_y)^2 = u^T (T - vx vx^T) u, for u = w and u = vx
@@ -459,9 +499,11 @@ def _nematic_sweeps(cfg: MCConfig, extras: Dict, record_joint: bool):
                 dE = scale * (e_new - e_old)
                 if dE <= 0.0 or us[x] < np.exp(-dE):
                     accepted += 1
-                    np.multiply(cols[x], rows[x], out=outer)
-                    np.subtract(ww, vv, out=dT)
-                    T += dT
+                    if x >= hi:
+                        lo, hi = x, x + run
+                        np.multiply(cols[lo:hi], rows[lo:hi], out=outers)
+                        np.subtract(wws, vvs, out=dTs)
+                    T += dTs[x - lo]
                     taken.append(x)
                     break             # T moved: the window's later forms are stale
             x += 1

@@ -78,7 +78,8 @@ def _mixture_side(sums, p, q, b, x, K, step):
     if step < 0:
         need = np.where(K > 0.0, np.minimum(need, K), 0.0)
     first = np.minimum(8.0 * np.ceil(need / 8.0), _BLOCK)
-    sizes = np.unique(first) if first.size > 1 else first
+    # a sorted set, not np.unique, whose first call imports numpy.ma
+    sizes = np.array(sorted(set(first.tolist()))) if first.size > 1 else first
     for size in sizes[sizes > 0.0]:
         _side_blocks(sums, p, q, b, x, K, step, np.flatnonzero(first == size), int(size))
 

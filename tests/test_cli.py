@@ -437,42 +437,64 @@ def test_every_exported_name_resolves(module):
     assert [n for n in mod.__all__ if not hasattr(mod, n)] == []
 
 
+# a command of every kind that computes, for the probes of what they load
+_COMPUTING = """
+window = ['--J-grid', '3', '--m-grid', '400']
+commands = (
+    ['mc', '--model', 'potts', '--param', '3', '--J', '2', '--N', '10', '--sweeps', '20'],
+    ['mc', '--model', 'nematic', '--param', '3', '--J', '2', '--N', '10', '--sweeps', '20'],
+    ['id', '--dim', '1024', '--method', 'bessel'],
+    ['id', '--dim', '4', '--method', 'quad', '--tol', '1e-6'],
+    ['certify', '--model', 'potts', '--param', '3', '--dim', '256',
+     '--Jlo', '2.7715', '--Jhi', '2.7735', *window],
+    ['certify', '--model', 'cubic', '--param', '4', '--dim', '512',
+     '--Jlo', '3.78', '--Jhi', '3.79', *window],
+    ['transition', '--model', 'potts', '--param', '3'],
+    ['transition', '--model', 'nematic', '--param', '3'],
+    ['transition', '--model', 'nematic', '--param', '200', '--Jlo', '460', '--Jhi', '520'],
+    ['branches', '--model', 'nematic', '--param', '3', '--Jmin', '6.5', '--Jmax', '7',
+     '--steps', '3'],
+    ['certify', '--model', 'nematic', '--param', '3', '--dim', '512',
+     '--Jlo', '6.80', '--Jhi', '6.82', *window],
+    ['oracle', '--model', 'nematic', '--param', '3', '--J', '6.8122',
+     '--resolution', '40'],
+    ['oracle', '--model', 'potts', '--param', '3', '--J', '2.7725887',
+     '--resolution', '40'],
+    ['oracle', '--model', 'cubic', '--param', '4', '--J', '3.7852',
+     '--resolution', '40'])
+"""
+
+
 def test_commands_load_only_the_scipy_they_compute_with():
     # Monte Carlo needs no scipy; roots come from mfspin.roots, the lattice
     # integrals from in-package Bessel series and numpy's Gauss-Legendre
     # nodes, the nematic moments from an in-package Kummer series and every
     # oracle's polish from the in-package Nelder-Mead, so none of these
     # commands loads a scipy module
-    probe = """
+    probe = _COMPUTING + """
 import contextlib, io, sys
 from mfspin.cli import dispatch
-window = ['--J-grid', '3', '--m-grid', '400']
-for argv in (['mc', '--model', 'potts', '--param', '3', '--J', '2', '--N', '10', '--sweeps', '20'],
-             ['mc', '--model', 'nematic', '--param', '3', '--J', '2', '--N', '10', '--sweeps', '20'],
-             ['id', '--dim', '1024', '--method', 'bessel'],
-             ['id', '--dim', '4', '--method', 'quad', '--tol', '1e-6'],
-             ['certify', '--model', 'potts', '--param', '3', '--dim', '256',
-              '--Jlo', '2.7715', '--Jhi', '2.7735', *window],
-             ['certify', '--model', 'cubic', '--param', '4', '--dim', '512',
-              '--Jlo', '3.78', '--Jhi', '3.79', *window],
-             ['transition', '--model', 'potts', '--param', '3'],
-             ['transition', '--model', 'nematic', '--param', '3'],
-             ['transition', '--model', 'nematic', '--param', '200', '--Jlo', '460', '--Jhi', '520'],
-             ['branches', '--model', 'nematic', '--param', '3', '--Jmin', '6.5', '--Jmax', '7',
-              '--steps', '3'],
-             ['certify', '--model', 'nematic', '--param', '3', '--dim', '512',
-              '--Jlo', '6.80', '--Jhi', '6.82', *window],
-             ['oracle', '--model', 'nematic', '--param', '3', '--J', '6.8122',
-              '--resolution', '40'],
-             ['oracle', '--model', 'potts', '--param', '3', '--J', '2.7725887',
-              '--resolution', '40'],
-             ['oracle', '--model', 'cubic', '--param', '4', '--J', '3.7852',
-              '--resolution', '40']):
+for argv in commands:
     with contextlib.redirect_stdout(io.StringIO()):
         assert dispatch(argv) == 0
     print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))
 """
     assert run_python(probe).split("\n") == [""] * 15
+
+
+def test_no_command_loads_numpy_ma():
+    # numpy 2.4's np.unique imports numpy.ma on its first call, 11-14 ms of
+    # start-up; the nematic moments group their points by a sorted set
+    probe = _COMPUTING + """
+import contextlib, io, sys
+from mfspin.cli import dispatch
+for argv in commands:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert dispatch(argv) == 0
+    print(' '.join(argv[:3]), 'numpy.ma' in sys.modules)
+"""
+    lines = run_python(probe).splitlines()
+    assert len(lines) == 14 and all(line.endswith(" False") for line in lines), lines
 
 
 # the mfspin modules whose code has run: a lazy module becomes a plain module

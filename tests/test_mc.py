@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 import time
 import tracemalloc
 import warnings
@@ -218,17 +219,10 @@ def test_nematic_sweep_matches_the_per_site_loop_bitwise(monkeypatch, Ns, J):
             assert got.extras["step"] == 0.5 * 1.25 ** 2
 
 
-@pytest.mark.parametrize("window", [1, 2, 3, 4, 5, 6, 7, 8, None])
-@pytest.mark.parametrize("Ns, J", [(3, 0.0), (8, 40.0)])
-def test_nematic_windows_match_the_per_site_loop_bitwise(monkeypatch, window, Ns, J):
-    # J = 0 accepts every proposal, so each window ends at its first site;
-    # Ns = 8 at J = 40 accepts about 6 % of them, so windows run to their
-    # end.  None is the window the chain derives from its acceptance
-    if window is not None:
-        monkeypatch.setattr(mc, "_window", lambda p: window)
+def _matches_the_per_site_chain(monkeypatch, cfg):
+    """run_mc of the nematic chain against _per_site_nematic_sweeps, sample by
+    sample and in every output; returns the chain's result."""
     chain = mc._CHAINS["nematic"]
-    cfg = mc.MCConfig(model=M.nematic(Ns), J=J, N=16, sweeps=90, burn_in=60, seed=3,
-                      histogram_bins=20)
     runs = []
     for sweeps in (chain.sweeps, _per_site_nematic_sweeps):
         samples = []
@@ -236,13 +230,49 @@ def test_nematic_windows_match_the_per_site_loop_bitwise(monkeypatch, window, Ns
                             chain._replace(sweeps=_recording(sweeps, samples)))
         runs.append((mc.run_mc(cfg), samples))
     (got, got_samples), (want, want_samples) = runs
-    assert len(got_samples) == len(want_samples) == 30
+    assert len(got_samples) == len(want_samples) == cfg.sweeps - cfg.burn_in
     for (m, m_sq, Q), (m_ref, m_sq_ref, Q_ref) in zip(got_samples, want_samples):
         assert m == m_ref and m_sq == m_sq_ref and np.array_equal(Q, Q_ref)
     assert got.as_dict() == want.as_dict()
     assert np.array_equal(got.rate_estimates, want.rate_estimates, equal_nan=True)
-    rate = got.extras["acceptance_rate"]
+    return got
+
+
+@pytest.mark.parametrize("window", [1, 2, 3, 4, 5, 6, 7, 8, None])
+@pytest.mark.parametrize("Ns, J", [(3, 0.0), (8, 40.0)])
+def test_nematic_windows_match_the_per_site_loop_bitwise(monkeypatch, window, Ns, J):
+    # J = 0 accepts every proposal, so each window ends at its first site;
+    # Ns = 8 at J = 40 accepts about 6 % of them, so windows run to their
+    # end.  None is the window (and the run of rank-two updates) the chain
+    # derives from its acceptance
+    if window is not None:
+        monkeypatch.setattr(mc, "_window", lambda p: window)
+    cfg = mc.MCConfig(model=M.nematic(Ns), J=J, N=16, sweeps=90, burn_in=60, seed=3,
+                      histogram_bins=20)
+    rate = _matches_the_per_site_chain(monkeypatch, cfg).extras["acceptance_rate"]
     assert rate == 1.0 if J == 0.0 else rate < 0.1
+
+
+@pytest.mark.parametrize("run", [1, 2, 3])
+@pytest.mark.parametrize("Ns, J", [(3, 0.0), (8, 40.0)])
+def test_nematic_runs_match_the_per_site_loop_bitwise(monkeypatch, run, Ns, J):
+    # an accept forms the rank-two updates of a run of sites; runs of 1, 2
+    # and 3 sites end mid-sweep, and past the last of N = 16 sites.  J = 0
+    # accepts every proposal, so every update of a run is read; at Ns = 8,
+    # J = 40 most are not, and the chain itself would form one site's
+    monkeypatch.setattr(mc, "_BLOCK_VALUES", 4 * Ns * Ns * run)
+    monkeypatch.setattr(mc, "_run", lambda p, Ns, longest: longest)
+    _matches_the_per_site_chain(monkeypatch, mc.MCConfig(
+        model=M.nematic(Ns), J=J, N=16, sweeps=90, burn_in=60, seed=3, histogram_bins=20))
+
+
+def test_run_rule_forms_runs_only_where_the_acceptance_repays_them():
+    # the workload chain (Ns = 3, acceptance 0.36) forms the longest runs;
+    # Ns = 8 at 0.1 and Ns = 20 at 0.5 form one site at a time
+    assert mc._run(0.36, 3, 100) == 100
+    assert mc._run(1.0, 20, 5) == 5
+    assert mc._run(0.1, 8, 32) == 1 and mc._run(0.5, 20, 5) == 1
+    assert mc._run(1.0, 40, 1) == 1
 
 
 @pytest.mark.parametrize("model, N", [(M.potts(3), 30), (M.cubic(4), 30), (M.potts(10), 12),
@@ -391,6 +421,49 @@ def test_count_table_matches_the_per_site_loop_bitwise(monkeypatch, model, N):
     assert len(calls) == 8
 
 
+@pytest.mark.parametrize("model", HEAT_BATH_MODELS, ids=str)
+@pytest.mark.parametrize("N", [2, 3, 7, 30])
+def test_count_table_matches_the_summing_loop_at_tied_weights(monkeypatch, model, N):
+    # at J = 700 a weight can fall below half an ulp of the running sum (as
+    # at counts (N-1, 0, 0)), so rows hold tied cumulative weights; the
+    # table's scan must take the first of them, as the loop's search does
+    spins = {"potts": mc._POTTS, "cubic": mc._CUBIC}[model.kind]
+    J = 700.0
+    weights = np.exp((J / N) * np.arange(-N, N + 1, dtype=np.float64))
+    cums = mc._cumulative_weights(spins.pair(model.param), weights, N)
+    assert (np.diff(cums, axis=1) == 0.0).any()
+    use_table = mc._use_table
+    monkeypatch.setattr(mc, "_use_table", lambda n, N, sweeps: use_table(n, N, math.inf))
+    monkeypatch.setattr(mc, "_loop_sweeps", _summing_loop_sweeps)
+    cap = mc._TABLE_ENTRIES
+    for seed in (3, 11):
+        cfg = mc.MCConfig(model=model, J=J, N=N, sweeps=150, burn_in=30, seed=seed,
+                          histogram_bins=20)
+        runs = []
+        for entries in (cap, 0):
+            monkeypatch.setattr(mc, "_TABLE_ENTRIES", entries)
+            runs.append(mc.run_mc(cfg, record_joint_states=N <= 3))
+        got, want = runs
+        assert got.as_dict() == want.as_dict()
+        assert np.array_equal(got.histogram, want.histogram)
+        assert np.array_equal(got.rate_estimates, want.rate_estimates, equal_nan=True)
+
+
+def test_the_largest_uniform_times_a_total_stays_within_it():
+    # the table's scan has no bound check: a uniform U < 1 gives u = fl(U W)
+    # <= W, so the scan stops at the row's last entry W at the latest.  The
+    # largest uniform numpy draws is 1 - 2^-53; rounding is monotone, so
+    # checking it checks every U
+    u = 1.0 - 2.0 ** -53
+    assert u < 1.0 and np.nextafter(u, 2.0) == 1.0
+    rng = np.random.default_rng(7)
+    big, tiny = sys.float_info.max, 5e-324
+    totals = (rng.random(10 ** 5) * 2.0 ** rng.integers(-1074, 1024, 10 ** 5)).tolist()
+    totals += [tiny, 2 * tiny, 3 * tiny, sys.float_info.min, sys.float_info.min - tiny,
+               1.0, 1.5, 2.0, 3.0, big, float(np.nextafter(big, 0.0)), big / 2]
+    assert all(u * w <= w for w in totals)
+
+
 def test_short_runs_skip_the_count_table(monkeypatch):
     # cubic r = 2 at N = 60 has 4 * 61^3 = 907 924 table entries, under the
     # cap, but 300 sweeps update only 18 000 sites: the run takes the loop.
@@ -406,6 +479,11 @@ def test_short_runs_skip_the_count_table(monkeypatch):
     assert mc._use_table(3, 200, 20000)
     assert all(mc._use_table(3, N, 10000) for N in (50, 100, 200))
     assert not mc._use_table(4, 60, 300)
+    # three and four states repay a table from half an update per entry
+    # (907 924 entries for cubic r = 2 at N = 60), five or more from one
+    # (972 405 entries for Potts q = 5 at N = 20)
+    assert mc._use_table(4, 60, 7600) and not mc._use_table(4, 60, 7500)
+    assert mc._use_table(5, 20, 48700) and not mc._use_table(5, 20, 36000)
 
 
 @pytest.mark.parametrize("model", HEAT_BATH_MODELS, ids=str)
