@@ -12,11 +12,13 @@ A spin entering or leaving s moves field[s] and field[pair[s]]: for cubic the
 opposite sign s ^ 1, for Potts a spare slot that is never read.  The fields,
 and so each site's decision, depend only on the occupation counts of the
 other spins; when the count vectors are few (n (N+1)^(n-1) <= 2^20 for n
-states) their cumulative weights are tabulated once, and each site reads its
-row by an integer key of the counts instead of summing the weights, and
-scans it for the drawn state.  Otherwise a site sums its row, and the sites
-of the same state reuse it until a decision changes the counts.  Both keep
-the bits of the plain sum.  The sweeps run in blocks: one draw gives a
+states) their cumulative weights are tabulated once, each as a threshold:
+the least uniform whose product with the row's total exceeds it.  Each site
+reads its row by an integer key of the counts instead of summing the
+weights, and scans it for the first threshold above its uniform.  Otherwise
+a site sums its row, and the sites of the same state reuse it until a
+decision changes the counts.  Both keep the bits of the plain sum, and take
+the same decisions.  The sweeps run in blocks: one draw gives a
 block's uniforms, and each block's fields (from its count keys, or recorded
 by the loop) are projected with array operations once per block.
 
@@ -24,8 +26,9 @@ Nematic spins are unit vectors updated by Metropolis proposals with a step
 size auto-tuned to 30-50% acceptance during burn-in.  A spin changes only at
 its own update, so each sweep forms all its proposals at once, and the terms
 that read the second-moment matrix are formed for a window of sites, up to
-the first accept, sized from the running acceptance; the samples keep the
-bits of a loop that forms each proposal at its site.  Where the acceptance
+the first accept, sized from the running acceptance, through views of each
+site's window made once per size; the samples keep the bits of a loop that
+forms each proposal at its site.  Where the acceptance
 repays it, the first accept of a run of sites forms the rank-two updates of
 the second-moment matrix for the whole run, and a later accept in the run
 only adds its own.  Each block of measured sweeps is projected with one
@@ -41,6 +44,7 @@ deterministic functions of the configuration, including the seed.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import partial
@@ -70,8 +74,9 @@ class MCConfig:
             raise ValueError("N must be at least 2")
         if not (self.burn_in >= 0 and self.sweeps >= self.burn_in + 2):
             raise ValueError("need burn_in >= 0 and sweeps >= burn_in + 2 (two measured sweeps)")
-        if self.J < 0:
-            raise ValueError("J must be non-negative")
+        # J = NaN passes J < 0, and an infinite J has no finite weights
+        if not (math.isfinite(self.J) and self.J >= 0):
+            raise ValueError(f"J must be finite and non-negative, got {self.J}")
 
 
 @dataclass
@@ -367,44 +372,116 @@ def _cumulative_weights(pair: List[int], weights: np.ndarray, N: int) -> np.ndar
     return np.cumsum(w, axis=1, out=w)
 
 
+# the bit patterns of the doubles U in [0, 1), which the uniforms are, are the
+# integers 0 .. _ONE - 1 in the order of U; the pattern -1 is a NaN
+_ONE = int(np.float64(1.0).view(np.int64))
+_INF = int(np.float64(np.inf).view(np.int64))
+
+
+def _passes(bits: np.ndarray, totals, cums) -> np.ndarray:
+    """Whether fl(U W) > c for the U of each bit pattern: numpy's multiply
+    rounds as a Python float's does.  False for the pattern -1."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return bits.view(np.float64) * totals > cums
+
+
+def _misses(bits: np.ndarray, totals, cums) -> np.ndarray:
+    """Where the pattern is not the least U with fl(U W) > c: its predecessor
+    passes, or it fails.  _ONE stands for "no U < 1 passes", and passes."""
+    return _passes(bits - 1, totals, cums) | ((bits != _ONE) & ~_passes(bits, totals, cums))
+
+
+def _thresholds(cums: np.ndarray) -> np.ndarray:
+    """The rows of cumulative weights c (total W, the last entry) in U-space:
+    entry s becomes the least double U with fl(U W) > c_s, and +inf where no
+    U < 1 has it, as for the last entry.  For W = inf a finite c_s gives the
+    least positive double.
+
+    fl(U W) is nondecreasing in U (U = 0 gives NaN only for W = inf, and fails
+    like every U below the threshold), so fl(U W) > c_s exactly when U >= t_s,
+    and the first threshold above a draw U marks the first state whose c_s
+    reaches fl(U W).  Each entry starts one ulp above fl(c_s / W), where nine
+    entries in ten have the property (Potts q = 3); the rest gallop in ulps
+    away from there until the property is bracketed, then bisect the
+    bracket.  Every entry is checked, and one that misses raises."""
+    totals = cums[:, -1:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        thr = cums / totals
+    bits = thr.view(np.int64)
+    # NaN (c = W = inf, or a NaN row) clips to the largest U, and fails
+    np.clip(bits, -1, _ONE - 2, out=bits)
+    bits += 1
+    bits[:, -1] = _ONE
+    fix = np.flatnonzero(_misses(bits, totals, cums))
+    if len(fix):
+        flat = bits.reshape(-1)
+        c = cums.reshape(-1)[fix]
+        W = cums[fix // cums.shape[1], -1]
+        b = flat[fix]
+        up = ~_passes(b, W, c)
+        # the pattern lo fails and hi passes: -1 (a NaN) fails for every W
+        lo, hi = np.where(up, b, -1), np.where(up, _ONE, b - 1)
+        step = 1
+        while True:
+            todo = hi - lo > 1
+            if not todo.any():
+                break
+            # gallop away from the guess while the far end is open, then bisect
+            probe = np.where(up & (hi == _ONE), lo + step,
+                             np.where(~up & (lo == -1), hi - step, (lo + hi) >> 1))
+            np.clip(probe, lo + 1, hi - 1, out=probe)
+            ok = _passes(probe, W, c)
+            hi = np.where(todo & ok, probe, hi)
+            lo = np.where(todo & ~ok, probe, lo)
+            step = min(2 * step, _ONE)
+        if _misses(hi, W, c).any():
+            raise ArithmeticError("a count-table threshold misses the least U "
+                                  "with fl(U W) > c")
+        flat[fix] = np.where(hi == _ONE, _INF, hi)
+    bits[:, -1] = _INF
+    return thr
+
+
 def _table_sweeps(pair, weights, sigma, uniforms, joint):
     """Each site reads its row from the count-keyed table; yields, per block
     of uniforms, the n fields after each of its sweeps as the rows of an int
     array, decoded from the sweeps' keys at once.  The key is kept times n,
     so the counts less the leaving spin give the row's offset in the flat
     table: the stride of state s is n (N+1)^s, and 0 for the last state,
-    whose count is implied.
+    whose count is implied.  A site keeps its state as its stride, st[x], and
+    the list ps gives the stride of each table position's state, so a
+    decision reads no state.
 
-    A site draws u = U W_{n-1} and scans its row from the first entry to the
-    first cumulative weight that reaches u: bisect_left's index on a
-    nondecreasing row, ties included, and a NaN u stops at the first entry
-    as bisect_left does.  U < 1, so fl(U W_{n-1}) <= W_{n-1} and the scan
-    needs no bound; it stops at the last entry at the latest.  The table fits
-    only for few states, and a scan of a short row costs less than the call
-    to bisect_left (docs/decisions.md)."""
+    The rows are held in U-space (_thresholds): a site draws U and scans its
+    row from the first entry to the first threshold above U, which is the
+    first state whose cumulative weight reaches fl(U W), ties included, so
+    the chain keeps the bits of the loop's decisions and forms no product.
+    The last threshold is +inf, so the scan needs no bound.  The table fits
+    only for few states, and a scan of a short row costs less than a call to
+    bisect_left (docs/decisions.md)."""
     n, N = len(pair), len(sigma)
-    radix, last = N + 1, n - 1
-    cums = _cumulative_weights(pair, weights, N).ravel().tolist()
-    stride = [n * radix ** s for s in range(last)] + [0]
-    key = sum(stride[s] for s in sigma)
+    radix = N + 1
+    thr = _thresholds(_cumulative_weights(pair, weights, N)).ravel().tolist()
+    stride = [n * radix ** s for s in range(n - 1)] + [0]
+    ps = stride * radix ** (n - 1)
+    state = {d: s for s, d in enumerate(stride)}
+    st = [stride[s] for s in sigma]
+    key = sum(st)
     for block in uniforms:
         keys = []
         for us in block:
-            for x in range(N):
-                row = key - stride[sigma[x]]
-                # the first state whose cumulative weight reaches u; u < 1,
-                # so the scan stops at the row's last entry at the latest
-                u = us[x] * cums[row + last]
+            for x, u in enumerate(us):
+                row = key - st[x]
+                # the first state whose threshold exceeds u; the last is +inf
                 s = row
-                while cums[s] < u:
+                while thr[s] <= u:
                     s += 1
-                s -= row
-                key = row + stride[s]
-                sigma[x] = s
+                st[x] = d = ps[s]
+                key = row + d
                 if joint is not None:
                     code = 0
-                    for t in sigma:
-                        code = code * n + t
+                    for t in st:
+                        code = code * n + state[t]
                     joint[code] = joint.get(code, 0) + 1
             keys.append(key)
         field = _field(pair, _counts(np.array(keys) // n, n, radix, N), N)
@@ -422,7 +499,10 @@ def _nematic_sweeps(cfg: MCConfig, extras: Dict, record_joint: bool):
     quadratic forms, are formed for a window of upcoming sites at the T they
     have until the next accept, which moves T and ends the window; the next
     window starts at the next site.  The window holds about the 1/p sites up
-    to an accept at the running acceptance p (_window).  Every norm, overlap
+    to an accept at the running acceptance p (_window).  Each site's window
+    is a pair of views of the proposals and spins, made for every site
+    whenever the window size changes, so a window slices nothing; the views
+    are O(N) objects.  Every norm, overlap
     and quadratic form is a stacked matmul, which numpy hands to the same
     BLAS dot (and T w to the same gemv) as the one-vector calls, so the chain
     keeps the bits of a loop that forms each proposal at its site;
@@ -433,9 +513,10 @@ def _nematic_sweeps(cfg: MCConfig, extras: Dict, record_joint: bool):
     An accept adds w w^T - vx vx^T to T.  These rank-two updates are formed
     for a run of sites from the accepting one, by one multiply and one
     subtract (the elementwise products and differences np.outer and its
-    difference make), and a later accept within the run reads its own; the
-    next accept past the run starts another.  This is exact because W is
-    fixed for the sweep and v changes only at its end.  The run is the
+    difference make), and a later accept within the run reads its own from a
+    list of views of them, made with the buffers; the next accept past the
+    run starts another.  This is exact because W is fixed for the sweep and
+    v changes only at its end.  The run is the
     longest that _BLOCK_VALUES allows where the running acceptance repays
     it, and one site elsewhere (_run).  The sweep holds O(N Ns) floats, and a
     block of measured sweeps their T matrices.
@@ -466,9 +547,9 @@ def _nematic_sweeps(cfg: MCConfig, extras: Dict, record_joint: bool):
     window = run = 0
 
     for sweep in range(cfg.sweeps):
-        noise = rng.normal(size=(N, Ns))
+        # the noise is dropped once scaled, so that no sweep holds two draws
+        np.multiply(step, rng.normal(size=(N, Ns)), out=W)
         us = rng.random(N).tolist()
-        np.multiply(step, noise, out=W)
         W += v
         W /= np.sqrt(W[:, None, :] @ W[:, :, None])[:, 0]
         # floats, squared per site: float ** 2 calls pow, as the np.float64
@@ -484,14 +565,18 @@ def _nematic_sweeps(cfg: MCConfig, extras: Dict, record_joint: bool):
             outers = np.empty((run, 2, Ns, Ns))       # w w^T and vx vx^T
             wws, vvs = outers.transpose(1, 0, 2, 3)
             dTs = np.empty((run, Ns, Ns))
+            # each site's window as views made once, and the run's updates
+            wcols = [cols[i:i + window] for i in range(N)]
+            wrows = [rows[i:i + window] for i in range(N)]
+            dTl = list(dTs)
         taken = []
         x = hi = 0
         while x < N:
             # energy against the field of the other spins:
             # sum_y!=x (u.v_y)^2 = u^T (T - vx vx^T) u, for u = w and u = vx
             end = x + window
-            np.matmul(T, cols[x:end], out=Tu)
-            np.matmul(rows[x:end], Tu, out=forms)
+            np.matmul(T, wcols[x], out=Tu)
+            np.matmul(wrows[x], Tu, out=forms)
             fs = iter(flat.tolist())
             for x, wTw, vTv in zip(range(x, end if end < N else N), fs, fs):
                 e_new = wTw - overlaps[x] ** 2
@@ -503,7 +588,7 @@ def _nematic_sweeps(cfg: MCConfig, extras: Dict, record_joint: bool):
                         lo, hi = x, x + run
                         np.multiply(cols[lo:hi], rows[lo:hi], out=outers)
                         np.subtract(wws, vvs, out=dTs)
-                    T += dTs[x - lo]
+                    T += dTl[x - lo]
                     taken.append(x)
                     break             # T moved: the window's later forms are stale
             x += 1

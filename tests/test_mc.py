@@ -464,6 +464,103 @@ def test_the_largest_uniform_times_a_total_stays_within_it():
     assert all(u * w <= w for w in totals)
 
 
+_LARGEST_U = 1.0 - 2.0 ** -53       # the largest uniform numpy draws
+
+
+def _assert_least_uniforms(cums: np.ndarray, thr: np.ndarray):
+    """Each threshold t is the least double U with fl(U W) > c, for its
+    entry c and its row's total W, and +inf where no U < 1 has it; checked
+    with Python floats, whose products the chain's decisions were."""
+    assert thr.shape == cums.shape
+    for crow, trow in zip(cums.tolist(), thr.tolist()):
+        W = crow[-1]
+        assert trow[-1] == math.inf
+        for c, t in zip(crow, trow):
+            if t == math.inf:
+                assert not _LARGEST_U * W > c
+            else:
+                assert 0.0 < t < 1.0 and t * W > c
+                assert not math.nextafter(t, 0.0) * W > c
+
+
+def _scans_agree(cums: np.ndarray, thr: np.ndarray):
+    """The scan of a threshold row and the scan of its cumulative weights
+    stop at the same entry, at U = t and its predecessor for each entry, at
+    U = 0 and at the largest U."""
+    for crow, trow in zip(cums.tolist(), thr.tolist()):
+        W = crow[-1]
+        us = {0.0, _LARGEST_U}
+        us.update(t for t in trow if t < 1.0)
+        us.update(math.nextafter(t, 0.0) for t in trow if 0.0 < t < 1.0)
+        for U in us:
+            u, s = U * W, 0
+            while crow[s] < u:
+                s += 1
+            t = 0
+            while trow[t] <= U:
+                t += 1
+            assert s == t, (crow, U)
+
+
+def _workload_table(N: int, J: float, spins=mc._POTTS, param=3) -> np.ndarray:
+    weights = np.exp((J / N) * np.arange(-N, N + 1, dtype=np.float64))
+    return mc._cumulative_weights(spins.pair(param), weights, N)
+
+
+@pytest.mark.parametrize("J", [2.5, 3.2])
+@pytest.mark.parametrize("N", [50, 100, 200])
+def test_thresholds_are_the_least_uniforms_past_each_weight(N, J):
+    # the Potts q = 3 tables of the mc workload's chains (mc at N = 200,
+    # rate at N = 50, 100, 200)
+    cums = _workload_table(N, J)
+    thr = mc._thresholds(cums)
+    _assert_least_uniforms(cums, thr)
+    if N == 50:
+        _scans_agree(cums, thr)
+
+
+@pytest.mark.parametrize("model", HEAT_BATH_MODELS, ids=str)
+def test_thresholds_hold_at_tied_weights(model):
+    # at J = 700 rows hold entries tied with each other and with the total;
+    # those before the last get +inf too, and the scan takes the first
+    spins = {"potts": mc._POTTS, "cubic": mc._CUBIC}[model.kind]
+    for N in (2, 3, 7, 30):
+        cums = _workload_table(N, 700.0, spins, model.param)
+        thr = mc._thresholds(cums)
+        _assert_least_uniforms(cums, thr)
+        _scans_agree(cums, thr)
+        if N >= 7:
+            assert (np.diff(cums, axis=1) == 0.0).any()
+            assert np.isinf(thr[:, :-1]).any()
+
+
+def test_thresholds_hold_at_the_ends_of_the_doubles():
+    # rows no chain builds: subnormal totals (where fl(U W) is coarse and a
+    # threshold sits far from c/W), totals near DBL_MAX, infinite totals
+    # (a finite entry's threshold is then the least positive double) and a
+    # NaN row, whose every threshold is +inf as no U passes
+    rng = np.random.default_rng(5)
+    tiny, big = 5e-324, sys.float_info.max
+    rows = [rng.integers(1, 9, (200, 3)) * tiny,
+            rng.integers(1, 2 ** 20, (200, 3)) * tiny,
+            rng.random((200, 3)) * 2.0 ** 1023,
+            rng.random((200, 4)) * 2.0 ** rng.integers(-1074, 1024, (200, 1))]
+    with np.errstate(over="ignore"):
+        cums = [np.cumsum(w, axis=1) for w in rows]
+    cums.append(np.array([[tiny, tiny, 2 * tiny], [1.0, 1.0, 2.0],
+                          [1.0, float(np.nextafter(2.0, 0.0)), 2.0],
+                          [float(np.nextafter(big, 0.0)), big, big],
+                          [big, math.inf, math.inf], [1.0, math.inf, math.inf],
+                          [tiny, 1.0, math.inf], [math.inf] * 3, [math.nan] * 3]))
+    assert any(np.isinf(c[:, -1]).any() for c in cums)
+    for c in cums:
+        thr = mc._thresholds(c)
+        _assert_least_uniforms(c, thr)
+        _scans_agree(c, thr)
+    last = mc._thresholds(cums[-1])
+    assert last[5, 0] == tiny and np.isinf(last[-1]).all()
+
+
 def test_short_runs_skip_the_count_table(monkeypatch):
     # cubic r = 2 at N = 60 has 4 * 61^3 = 907 924 table entries, under the
     # cap, but 300 sweeps update only 18 000 sites: the run takes the loop.
@@ -615,6 +712,17 @@ def test_row_reuse_memory_is_bounded_by_the_occupied_states():
     finally:
         tracemalloc.stop()
     assert peak < 40 * q * (min(q, N) + 1) + 400 * N
+
+
+@pytest.mark.parametrize("J", [math.nan, math.inf, -1.0])
+def test_a_coupling_must_be_finite_and_non_negative(J):
+    # J = NaN passes J < 0: the heat baths then raised a misleading
+    # CouplingOverflow, and the nematic chain returned numbers
+    for model in (M.potts(3), M.cubic(2), M.nematic(3)):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            mc.run_mc(mc.MCConfig(model=model, J=J, N=5, sweeps=5))
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        mc.estimate_rate_function(M.potts(3), J, [5, 10, 20], sweeps=5, burn_in=1)
 
 
 def test_overflowing_coupling_is_a_typed_error():
