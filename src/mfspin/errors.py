@@ -14,8 +14,9 @@ class MethodInfeasible(MFSpinError):
 
 
 class QuadratureFailure(MFSpinError):
-    """An infrared integral missed its tolerance: no two successive orders of
-    its fixed rule agreed within tol/4, or the final error estimate exceeds tol."""
+    """No two successive orders of a fixed rule agreed within tol/4, or the final
+    error estimate exceeds tol: an infrared integral, or the nematic oracle's G
+    at the corners of its dual box (J above about 1e4 for N = 3, 1e5 for N = 4)."""
 
 
 class OutOfSimplex(MFSpinError):
@@ -54,7 +55,3 @@ class CouplingOverflow(MFSpinError):
 
 class ScanTooCoarse(UserWarning):
     """Two roots closer than two grid cells; scan resolution should be raised."""
-
-
-class SamplingNoise(UserWarning):
-    """Monte Carlo estimate of G is noisier than the oracle grid scale."""

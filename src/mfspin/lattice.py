@@ -165,7 +165,7 @@ def _scaled_bessel(x, lo, hi):
 
 
 def _i0e(x):
-    """e^-x I0(x) on an array x > 0."""
+    """e^-x I0(x) on an array x >= 0."""
     return _scaled_bessel(x, _I0E_LO, _I0E_HI)
 
 

@@ -8,25 +8,26 @@ They run at coarse resolution by design; tolerances scale like 1/resolution.
 
 Deterministic by construction: grids are enumerated in lexicographic order,
 exact ties in the minimum resolve to the first (lexicographically smallest)
-grid index, the N = 3 nematic sphere rule is a fixed product quadrature and
-the N = 4 one a fixed-seed scrambled Sobol sequence, so outputs are
-reproducible bit-for-bit for fixed inputs.  The nematic dual grid is mapped
-onto itself by swapping h_1 and h_2, so at ordered couplings two mirror-image
-minimizers tie in exact arithmetic and the rounding of G, not the
-lexicographic tie-break, decides which one is reported (docs/decisions.md).
+grid index, and the nematic G(diag h) = log E exp(sum_a h_a v_a^2) is the
+Bingham normalising constant, summed as a 1-D integral by one Gauss-Legendre
+rule whose order is picked once per call from the box's corners, so outputs
+are reproducible bit-for-bit for fixed inputs.  G sorts h before it sums, so
+it is exactly permutation-invariant: the two mirror-image minimizers the
+dual grid holds at ordered couplings (it is mapped onto itself by swapping
+h_1 and h_2) tie to the bit, and the lexicographic tie-break decides.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import comb
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
-import warnings
 
 from . import neldermead
-from .errors import BudgetExceeded, CouplingOverflow, NoStableRoot, SamplingNoise
+from .errors import BudgetExceeded, CouplingOverflow, NoStableRoot
 from .models import (ModelSpec, _xlogx, ising_theta, phi_full_scale, potts_phi,
                      scalar_phi)
 from .solver import solve_branches
@@ -202,54 +203,63 @@ def cubic_fullspace_min(r: int, J: float, resolution: int = 200) -> OracleResult
 # nematic dual field
 # ---------------------------------------------------------------------------
 
-def _sphere_x2_nodes(N: int, sphere_samples: int, seed: int = 20240913
-                     ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """(squared-coordinate nodes, weights, batch index) on the unit sphere.
-
-    N = 3 uses a deterministic product quadrature: 48 Gauss-Legendre nodes in
-    u = cos psi times 48 midpoint angles theta.  Its squared coordinates
-    (s^2 cos^2 theta, s^2 sin^2 theta, u^2), s^2 = 1 - u^2, are the same under
-    u <-> -u and theta <-> pi - theta, pi + theta, 2 pi - theta, so only the
-    24 positive u times the 12 first-quadrant theta are built, each node
-    carrying the weight of its 8 images.  Other N use a fixed-seed scrambled
-    Sobol sequence mapped through the Gaussian-normalization construction.
-    """
-    if N == 3:
-        u, wu = np.polynomial.legendre.leggauss(48)   # symmetric: u[24:] = -u[23::-1]
-        u, wu = u[24:], wu[24:]
-        th = (np.arange(12) + 0.5) * (2 * np.pi / 48)
-        s2 = 1.0 - u ** 2
-        X2 = np.column_stack([np.outer(s2, np.cos(th) ** 2).ravel(),
-                              np.outer(s2, np.sin(th) ** 2).ravel(),
-                              np.repeat(u ** 2, 12)])
-        W = np.repeat(wu / 12.0, 12)   # 8 product-rule nodes of weight wu / 2 / 48
-        return X2, W, None
-    from scipy import special       # on first use: scipy.stats takes about 0.9 s
-    from scipy.stats import qmc     # to import, scipy.special 0.26 s of it
-    sob = qmc.Sobol(d=N, scramble=True, seed=seed)
-    m = int(np.ceil(np.log2(max(sphere_samples, 64))))
-    pts = sob.random_base2(m)
-    g = special.ndtri(np.clip(pts, 1e-12, 1 - 1e-12))
-    g /= np.linalg.norm(g, axis=1, keepdims=True)
-    X2 = g ** 2
-    W = np.full(X2.shape[0], 1.0 / X2.shape[0])
-    batches = np.arange(X2.shape[0]) % 8
-    return X2, W, batches
+_G_ORDERS = range(16, 1025, 8)   # Gauss-Legendre orders tried for G, in turn
 
 
-def _g_diag(h: np.ndarray, X2: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """G(diag h) = log E[exp(sum_a h_a v_a^2)] for a batch of h rows, as
-    log(exp(E - max) @ W) + max with E = h X2^T: shifting each row by its
-    largest exponent keeps exp from overflowing, and the row's largest term
-    is then its positive weight times exp(0) = 1, so the log is finite."""
-    expo = h @ X2.T  # (n_h, n_nodes)
-    top = expo.max(axis=1)
-    expo -= top[:, None]
-    return np.log(np.exp(expo, out=expo) @ W) + top
+def _log_mean_exp(h: np.ndarray, order: int) -> np.ndarray:
+    """log E[exp(sum_a (h_a - h_N) v_a^2)] over the unit sphere, N = 3 or 4,
+    for rows h sorted ascending: the Bingham normalising constant as a 1-D
+    integral over x in [0, 1], summed by `order`-point Gauss-Legendre.  N = 3:
+    x = |v_1| is uniform and the azimuth averages to a Bessel factor;
+    N = 4: x^2 = v_1^2 + v_2^2 is uniform and both phases average out.  The
+    smallest entries sit on x, so the peak is a Gaussian at x = 0, where the
+    nodes crowd (docs/decisions.md).  No factor exceeds 1; a sum that
+    underflows gives -inf."""
+    from . import lattice       # on first use: the Potts and cubic oracles never run it
+    x, w = lattice._gauss_legendre(order)
+    x2, top = x * x, h[:, -1:]
+    f = lattice._i0e((top - h[:, -2:-1]) / 2.0 * (1.0 - x2))
+    if h.shape[1] == 3:
+        f *= np.exp((h[:, :1] - top) * x2)
+    else:
+        f *= 2.0 * x * np.exp((h[:, 1:2] - top) * x2) * lattice._i0e(
+            (h[:, 1:2] - h[:, :1]) / 2.0 * x2)
+    with np.errstate(divide="ignore"):
+        return np.log(f @ w)
 
 
-def nematic_dual_min(N: int, J: float, resolution: int = 120,
-                     sphere_samples: int = 4096) -> OracleResult:
+def _g_diag(H: np.ndarray, order: int) -> np.ndarray:
+    """G(diag h) = log E[exp(sum_a h_a v_a^2)] for a batch of rows h, each row
+    sorted first, so that G is the same to the bit under every permutation."""
+    h = np.sort(H, axis=1)
+    return _log_mean_exp(h, order) + h[:, -1]
+
+
+def _close_trace(hfree: np.ndarray) -> np.ndarray:
+    """Rows of free entries with the trace-closing last entry appended."""
+    return np.hstack([hfree, -hfree.sum(axis=1, keepdims=True)])
+
+
+def _g_order(N: int, lo: float, hi: float) -> int:
+    """The first order of _G_ORDERS whose log E agrees with the previous
+    order's within 1e-13 at all 2^(N-1) corners of the dual box [lo, hi]^(N-1),
+    where the spread max h - min h that narrows the peak is largest (it is
+    convex); QuadratureFailure if no two successive orders agree."""
+    from . import lattice
+    corners = np.sort(_close_trace(np.array(list(product((lo, hi), repeat=N - 1)))), axis=1)
+    tried = []
+
+    def at(order):
+        tried.append(order)
+        e = _log_mean_exp(corners, order)
+        # a corner whose sum underflows agrees with no order
+        return np.where(np.all(np.isfinite(e)), e, np.nan).tolist()
+    lattice._converge(_G_ORDERS, at, f"nematic G on the dual box [{lo:.6g}, {hi:.6g}]^{N - 1}",
+                      4e-13)
+    return tried[-1]
+
+
+def nematic_dual_min(N: int, J: float, resolution: int = 120) -> OracleResult:
     """Minimize Psi_J(h) = |h|^2/(2J) - G(h) over traceless diagonal h.
 
     The first N-1 diagonal entries run over a box covering the on-axis
@@ -270,7 +280,7 @@ def nematic_dual_min(N: int, J: float, resolution: int = 120,
     # in size, so N ((N - 1) hi)^2 bounds every |h|^2 the search forms
     if not np.isfinite(N * ((N - 1) * hi) * ((N - 1) * hi)):
         raise CouplingOverflow(f"J = {J}: |h|^2 overflows on the dual grid's box")
-    X2, W, batches = _sphere_x2_nodes(N, sphere_samples)
+    order = _g_order(N, lo, hi)
     axis = np.linspace(lo, hi, resolution)
     shape, n, chunk = (resolution,) * (N - 1), resolution ** (N - 1), 500
 
@@ -279,34 +289,18 @@ def nematic_dual_min(N: int, J: float, resolution: int = 120,
         # by the last entry, built one chunk of flat indices at a time
         for i in range(0, n, chunk):
             idx = np.unravel_index(np.arange(i, min(i + chunk, n)), shape)
-            hfree = axis[np.stack(idx, axis=-1)]
-            H = np.hstack([hfree, -hfree.sum(axis=1, keepdims=True)])
-            yield (H * H).sum(axis=1) / (2.0 * J) - _g_diag(H, X2, W), H
+            H = _close_trace(axis[np.stack(idx, axis=-1)])
+            yield (H * H).sum(axis=1) / (2.0 * J) - _g_diag(H, order), H
     H, i0, grid_val = _first_min(blocks())
-    h0 = H[i0]
-
-    noise = 0.0
-    if batches is not None:
-        # spread of batch estimates of G at the grid minimizer
-        ests = [float(_g_diag(h0[None, :], X2[batches == b],
-                              np.full((batches == b).sum(), 1.0 / (batches == b).sum()))[0])
-                for b in range(8)]
-        noise = float(np.std(ests) / np.sqrt(8))
-        cell = (hi - lo) / (resolution - 1)
-        if noise > max(cell, 1e-6):
-            warnings.warn(
-                f"G sampling stderr {noise:.2e} exceeds grid scale {cell:.2e}",
-                SamplingNoise)
 
     def fun(hf):
         h = np.concatenate([hf, [-np.sum(hf)]])
-        return float((h * h).sum() / (2.0 * J) - _g_diag(h[None, :], X2, W)[0])
-    hf, val = _polish(fun, h0[:-1], grid_val)
+        return float((h * h).sum() / (2.0 * J) - _g_diag(h[None, :], order)[0])
+    hf, val = _polish(fun, H[i0, :-1], grid_val)
     return OracleResult(minimizer=np.concatenate([hf, [-np.sum(hf)]]), value=val,
                         grid_value=grid_val,
                         meta={"N": N, "J": J, "resolution": resolution,
-                              "sphere_samples": int(X2.shape[0]),
-                              "sampling_stderr": noise})
+                              "quadrature_order": order})
 
 
 # ---------------------------------------------------------------------------

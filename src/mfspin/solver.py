@@ -107,7 +107,8 @@ def solve_branches(model: ModelSpec, J, scan_resolution: int = 400):
     2^16 entries.  The sign changes of every coupling are refined to well
     below 1e-10 in m by one lockstep Brent call, and all roots are classified
     by one array call each of g'' and g.  Roots closer than two grid cells
-    trigger a ScanTooCoarse warning.  m = 0 is always included when g'(0) = 0.
+    trigger a ScanTooCoarse warning.  When g'(0) = 0, m = 0 is a root, and
+    every root within _MERGE_TOL of it is reported as m = 0 exactly.
     """
     Js = np.atleast_1d(np.asarray(J, dtype=float))
     if np.any(Js < 0):
@@ -138,8 +139,9 @@ def solve_branches(model: ModelSpec, J, scan_resolution: int = 400):
     per_J: List[List[float]] = []
     for Jk, roots in zip(Js.tolist(), found):
         roots = roots.tolist()
-        if symmetric and not any(abs(r) < _MERGE_TOL for r in roots):
-            roots.append(0.0)
+        if symmetric:
+            # Brent leaves the root through 0 up to xtol off, where J m is far from 0 at huge J
+            roots = [r for r in roots if abs(r) >= _MERGE_TOL] + [0.0]
         merged: List[float] = []
         for r in sorted(roots):
             if not merged or abs(r - merged[-1]) >= _MERGE_TOL:

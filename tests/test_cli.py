@@ -132,6 +132,16 @@ def test_branches_csv_unstable_between_stable(capsys):
             assert all(stable[0] < u < stable[-1] for u in unstable)
 
 
+def test_branches_report_the_root_through_zero_as_zero_at_huge_couplings(capsys):
+    # Brent leaves the root through 0 within 1e-12 of it, where J m is -6627
+    # at J = 1e16 and the dual form of phi gave -1653.5
+    code, out, _ = run_cli(capsys, "branches", "--model", "nematic", "--param", "4",
+                           "--Jmin", "1e16", "--Jmax", "1e16", "--steps", "1")
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert [r[1:] for r in rows if abs(float(r[1])) < 0.1] == [["0", "unstable", "0"]]
+
+
 def test_mc_json_and_histogram(capsys, tmp_path):
     hist = tmp_path / "h.csv"
     code, out, _ = run_cli(capsys, "mc", "--model", "potts", "--param", "3",
@@ -468,18 +478,22 @@ commands = (
 def test_commands_load_only_the_scipy_they_compute_with():
     # Monte Carlo needs no scipy; roots come from mfspin.roots, the lattice
     # integrals from in-package Bessel series and numpy's Gauss-Legendre
-    # nodes, the nematic moments from an in-package Kummer series and every
-    # oracle's polish from the in-package Nelder-Mead, so none of these
-    # commands loads a scipy module
+    # nodes, the nematic moments from an in-package Kummer series, the
+    # nematic oracle's G from a 1-D Gauss-Legendre rule and every oracle's
+    # polish from the in-package Nelder-Mead, so none of these commands
+    # imports scipy: with scipy blocked, any import of it would raise
     probe = _COMPUTING + """
 import contextlib, io, sys
+sys.modules['scipy'] = None
 from mfspin.cli import dispatch
+commands += (['oracle', '--model', 'nematic', '--param', '4', '--J', '9.5',
+              '--resolution', '24'],)
 for argv in commands:
     with contextlib.redirect_stdout(io.StringIO()):
         assert dispatch(argv) == 0
-    print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))
+print(len(commands))
 """
-    assert run_python(probe).split("\n") == [""] * 15
+    assert run_python(probe).strip() == "15"
 
 
 def test_no_command_loads_numpy_ma():
@@ -536,8 +550,11 @@ _TRANSITION = {"cli", "errors", "models", "roots", "solver"}
     (_TRANSITION | {"oracle", "neldermead"},
      [["oracle", "--model", "potts", "--param", "3", "--J", "2.7725887",
        "--resolution", "40"]]),
+    (_TRANSITION | {"watson", "oracle", "neldermead", "lattice"},
+     [["oracle", "--model", "nematic", "--param", "3", "--J", "6.8122",
+       "--resolution", "40"]]),
 ], ids=["id", "profile", "profile-nematic", "mc-rate", "transition", "nematic",
-        "bands-figures", "certify", "oracle"])
+        "bands-figures", "certify", "oracle", "oracle-nematic"])
 def test_commands_load_only_the_mfspin_modules_they_run(modules, commands, tmp_path):
     # each command compiles the modules it computes with and no other, so
     # its start-up pays for no module it never runs
@@ -605,16 +622,37 @@ print(kib / 1024)
     assert peak_mib < 200.0
 
 
-def test_nematic_oracle_sums_the_folded_sphere_rule(capsys):
-    # meta.sphere_samples counts the 288 distinct nodes of the N = 3 rule;
-    # the 48 x 48 product rule they fold gave grid_value 1.0751748529236023e-06
+def test_nematic_oracle_reports_its_quadrature_order(capsys):
+    # 24 Gauss-Legendre nodes sum G on the J = 6.8122 box; the 48 x 48
+    # product rule on the sphere gave grid_value 1.0751748529236023e-06
     code, out, _ = run_cli(capsys, "oracle", "--model", "nematic", "--param", "3",
                            "--J", "6.8122", "--resolution", "200")
     assert code == 0
     payload = json.loads(out)
     assert payload["matched_scalar"] is True
-    assert payload["meta"]["sphere_samples"] == 288
+    assert payload["meta"]["quadrature_order"] == 24
     assert payload["grid_value"] == pytest.approx(1.0751748529236023e-06, rel=0, abs=1e-12)
+
+
+def test_nematic_oracle_matches_the_scalar_minimum_at_large_coupling(capsys):
+    # a fixed 288-node sphere rule could not resolve exp(h x^2) at |h| ~ 1000:
+    # it reported -325.1222 against the scalar minimum -325.7337
+    code, out, _ = run_cli(capsys, "oracle", "--model", "nematic", "--param", "3",
+                           "--J", "1000")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["matched_scalar"] is True
+    assert abs(payload["value"] - payload["scalar_min"]) <= 1e-9
+
+
+def test_nematic_n4_oracle_is_not_below_the_scalar_minimum(capsys):
+    # with G exact the full-space minimum cannot undercut the reduction's;
+    # a 4096-point Sobol rule's bias put it 2.3e-3 below
+    code, out, _ = run_cli(capsys, "oracle", "--model", "nematic", "--param", "4",
+                           "--J", "9.5", "--resolution", "24")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["value"] >= payload["scalar_min"] - 1e-12
 
 
 def test_nematic_oracle_at_a_tiny_coupling_is_silent(capsys):
@@ -671,7 +709,8 @@ def test_oracle_at_the_largest_couplings(capsys):
 
 def test_nematic_oracle_coupling_overflow_is_typed(capsys):
     # above J ~ 3.5e153 the square of the box's trace-closing entry (2.2 J)
-    # overflows, and |h|^2/(2J) would put inf in the grid and the value
+    # overflows, and |h|^2/(2J) would put inf in the grid and the value;
+    # below it, at J = 1e150, no order of G's rule resolves the box's peak
     argv = ("oracle", "--model", "nematic", "--param", "3", "--resolution", "20")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -682,8 +721,8 @@ def test_nematic_oracle_coupling_overflow_is_typed(capsys):
                 "schema_version": 1, "error": "CouplingOverflow",
                 "message": f"J = {float(J)}: |h|^2 overflows on the dual grid's box"}
         code, out, err = run_cli(capsys, *argv, "--J", "1e150")
-    assert (code, err) == (0, "")
-    assert np.isfinite(json.loads(out)["value"])
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "QuadratureFailure"
 
 
 @pytest.mark.parametrize("argv, solves", [

@@ -3,13 +3,14 @@
 import itertools
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
 from mfspin import models as M
 from mfspin import oracle as O
 from mfspin import solver as S
-from mfspin.errors import BudgetExceeded, CouplingOverflow
+from mfspin.errors import BudgetExceeded, CouplingOverflow, QuadratureFailure
 from mfspin.models import _xlogx
 
 J_MF_Q3 = 4 * np.log(2)
@@ -208,20 +209,8 @@ def test_cubic_coupling_overflow_is_typed():
 
 
 # ---------------------------------------------------------------------------
-# nematic sphere rules and G
+# nematic G: the Bingham normalising constant as a 1-D integral
 # ---------------------------------------------------------------------------
-
-def product_rule_x2_nodes():
-    """The unfolded N = 3 rule: all 48 x 48 Gauss-Legendre u by midpoint theta
-    nodes, each of weight w_u / 2 / 48."""
-    u, wu = np.polynomial.legendre.leggauss(48)
-    th = (np.arange(48) + 0.5) * (2 * np.pi / 48)
-    U, TH = np.meshgrid(u, th, indexing="ij")
-    s = np.sqrt(1 - U ** 2)
-    X2 = np.stack([(s * np.cos(TH)) ** 2, (s * np.sin(TH)) ** 2, U ** 2],
-                  axis=-1).reshape(-1, 3)
-    return X2, (np.outer(wu, np.full(48, 1.0 / 48)) / 2.0).reshape(-1)
-
 
 def traceless_fields(rng, N, radii):
     """Random traceless diagonal fields h in R^N, one of norm r per r in radii."""
@@ -230,50 +219,72 @@ def traceless_fields(rng, N, radii):
     return h * (radii / np.linalg.norm(h, axis=1))[:, None]
 
 
-def test_folded_sphere_rule_weights_sum_to_one():
-    X2, W, batches = O._sphere_x2_nodes(3, 4096)
-    assert X2.shape == (288, 3) and batches is None
-    assert abs(W.sum() - 1.0) <= 4 * np.spacing(1.0)
-    assert np.allclose(X2.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+def bingham_g(h):
+    """G(diag h) to 20 digits by mpmath, from another 1-D reduction than the
+    oracle's: for N = 3 the largest entry on the axis u = |v_3|, for N = 4
+    t = v_1^2 + v_3^2 with the sorted entries paired (h_1, h_3), (h_2, h_4),
+    each integrand's sharp ends split off at 2^-20, 2^-12 and 2^-6."""
+    with mpmath.workdps(20):
+        h = sorted(mpmath.mpf(float(v)) for v in h)
+        top = h[-1]
+        ends = [mpmath.mpf(2) ** -k for k in (20, 12, 6)]
+        points = [0, *ends, *(1 - e for e in reversed(ends)), 1]
+        i0 = lambda z: mpmath.besseli(0, z)
+        if len(h) == 3:
+            a, b = (h[0] + h[1]) / 2, (h[1] - h[0]) / 2
+            f = lambda u: (mpmath.exp(h[2] * u * u + a * (1 - u * u) - top)
+                           * i0(b * (1 - u * u)))
+        else:
+            a1, b1 = (h[0] + h[2]) / 2, (h[2] - h[0]) / 2
+            a2, b2 = (h[1] + h[3]) / 2, (h[3] - h[1]) / 2
+            f = lambda t: (mpmath.exp(a1 * t + a2 * (1 - t) - top)
+                           * i0(b1 * t) * i0(b2 * (1 - t)))
+        return float(mpmath.log(mpmath.quad(f, points)) + top)
 
 
-def test_folded_sphere_rule_matches_product_rule():
-    from scipy import special
-    X2, W, _ = O._sphere_x2_nodes(3, 4096)
-    X2_ref, W_ref = product_rule_x2_nodes()
-    rng = np.random.default_rng(1)
-    h = traceless_fields(rng, 3, rng.uniform(0, 100, 1000))
-    ref = special.logsumexp(h @ X2_ref.T, axis=1, b=W_ref[None, :])
-    assert np.max(np.abs(O._g_diag(h, X2, W) - ref)) <= 1e-13
-
-
-def test_folded_sphere_rule_on_axis_is_the_scalar_g():
-    # G(h omega) / |omega|^2 with omega = diag(1, -1/2, -1/2) is the scalar g
-    X2, W, _ = O._sphere_x2_nodes(3, 4096)
-    h = np.linspace(-10.0, 10.0, 401)
-    G = O._g_diag(h[:, None] * np.array([1.0, -0.5, -0.5]), X2, W) / 1.5
-    assert np.max(np.abs(G - M.nematic_g(3, h))) <= 1e-12
-
-
-def test_folded_sphere_rule_is_symmetric_in_h1_h2():
-    # swapping h_1 and h_2 maps the dual grid onto itself; G moves by rounding only
-    X2, W, _ = O._sphere_x2_nodes(3, 4096)
-    rng = np.random.default_rng(3)
-    h = traceless_fields(rng, 3, rng.uniform(0, 10, 1000))
-    assert np.max(np.abs(O._g_diag(h[:, [1, 0, 2]], X2, W) - O._g_diag(h, X2, W))) <= 1e-14
-
-
-def test_g_diag_matches_logsumexp_on_sobol_nodes():
-    from scipy import special
-    X2, W, _ = O._sphere_x2_nodes(4, 2048)
-    # up to |h| = 1e3 the largest exponent passes exp's overflow at 709.8
+@pytest.mark.parametrize("N, rtol", [(3, 1e-14), (4, 1e-13)])
+def test_g_diag_matches_mpmath(N, rtol):
+    # |h| from 1 to 1000, and the two uniaxial fields of norm 1000, whose
+    # largest entries (816 and 866) pass exp's overflow at 709.8; at the
+    # order the oracle sums for the box [-1000, 1000]^(N-1), which holds them
     rng = np.random.default_rng(5)
-    h = traceless_fields(rng, 4, 10.0 ** rng.uniform(0, 3, 1000))
-    assert np.max(h @ X2.T) > 710.0
-    G = O._g_diag(h, X2, W)
-    assert np.all(np.isfinite(G))
-    np.testing.assert_allclose(
-        G, special.logsumexp(h @ X2.T, axis=1, b=W[None, :]), rtol=1e-13, atol=0)
+    axis = np.append(np.full(N - 1, -1.0 / (N - 1)), 1.0)
+    h = np.vstack([traceless_fields(rng, N, 10.0 ** rng.uniform(0, 3, 12)),
+                   1000.0 * np.array([axis, -axis]) / np.linalg.norm(axis)])
+    assert np.max(h) > 710.0
+    G = O._g_diag(h, O._g_order(N, -1000.0, 1000.0))
+    ref = np.array([bingham_g(v) for v in h])
+    np.testing.assert_allclose(G, ref, rtol=rtol, atol=0)
+    # and within 1e-13 up to |h| = 100, as the folded N = 3 sphere rule was
+    # against the product rule it folded
+    assert np.max(np.abs(G - ref)[np.linalg.norm(h, axis=1) <= 100.0]) <= 1e-13
+
+
+@pytest.mark.parametrize("N", [3, 4])
+def test_g_diag_on_axis_is_the_scalar_g(N):
+    # G(h omega) / |omega|^2 with omega = diag(-1/(N-1), ..., 1) is the scalar g
+    omega = np.append(np.full(N - 1, -1.0 / (N - 1)), 1.0)
+    h = np.linspace(-10.0, 10.0, 401)
+    G = O._g_diag(h[:, None] * omega, O._g_order(N, -10.0, 10.0)) / (omega @ omega)
+    assert np.max(np.abs(G - M.nematic_g(N, h))) <= 1e-12
+
+
+@pytest.mark.parametrize("N", [3, 4])
+def test_g_diag_is_permutation_invariant_to_the_bit(N):
+    # swapping h_1 and h_2 maps the dual grid onto itself, so mirror-image
+    # grid points tie exactly and the lexicographic tie-break decides
+    rng = np.random.default_rng(3)
+    h = traceless_fields(rng, N, rng.uniform(0, 100, 200))
+    G = O._g_diag(h, 48)
+    for perm in itertools.permutations(range(N)):
+        assert O._g_diag(h[:, perm], 48).tolist() == G.tolist()
+
+
+def test_g_order_raises_when_no_two_orders_agree(monkeypatch):
+    # the J = 1000 box needs 80 nodes; stopped at 32, the oracle fails typed
+    monkeypatch.setattr(O, "_G_ORDERS", range(16, 33, 8))
+    with pytest.raises(QuadratureFailure, match="orders 24 and 32"):
+        O.nematic_dual_min(3, 1000.0, resolution=20)
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +323,13 @@ def test_nematic_reduction_valid_over_couplings(J):
     assert res.value == pytest.approx(M.phi_full_scale(model, J, lam), abs=1e-2)
 
 
-def test_nematic_n4_sobol_path_runs():
-    res = O.nematic_dual_min(4, 4.0, resolution=40, sphere_samples=2048)
-    assert res.meta["sphere_samples"] >= 2048
-    assert np.allclose(res.minimizer, 0.0, atol=0.3)
-    # determinism of the fixed-seed low-discrepancy sampling
-    res2 = O.nematic_dual_min(4, 4.0, resolution=40, sphere_samples=2048)
+def test_nematic_n4_is_deterministic_and_matches_the_scalar_reduction():
+    J, model = 9.5, M.nematic(4)
+    res = O.nematic_dual_min(4, J, resolution=24)
+    assert res.meta["quadrature_order"] == 32
+    assert res.value == pytest.approx(
+        M.phi_full_scale(model, J, scalar_min(model, J)), rel=0, abs=1e-12)
+    res2 = O.nematic_dual_min(4, J, resolution=24)
     assert np.array_equal(res.minimizer, res2.minimizer)
     assert res.value == res2.value
 
@@ -325,12 +337,13 @@ def test_nematic_n4_sobol_path_runs():
 def whole_dual_grid_min(N, J, resolution):
     """The grid minimizer and value of nematic_dual_min's search, from the
     whole grid at once, in the same 500-row chunks."""
-    X2, W, _ = O._sphere_x2_nodes(N, 4096)
-    axes = [np.linspace(-1.3 * J / (N - 1), 1.1 * J, resolution)] * (N - 1)
+    lo, hi = -1.3 * J / (N - 1), 1.1 * J
+    order = O._g_order(N, lo, hi)
+    axes = [np.linspace(lo, hi, resolution)] * (N - 1)
     hfree = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
     h_all = np.hstack([hfree, -hfree.sum(axis=1, keepdims=True)])
     vals = np.concatenate([
-        (H * H).sum(axis=1) / (2.0 * J) - O._g_diag(H, X2, W)
+        (H * H).sum(axis=1) / (2.0 * J) - O._g_diag(H, order)
         for H in (h_all[i:i + 500] for i in range(0, len(h_all), 500))])
     i0 = int(np.argmin(vals))
     return h_all[i0], vals[i0], int(np.sum(vals == vals[i0]))
