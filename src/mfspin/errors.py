@@ -15,8 +15,7 @@ class MethodInfeasible(MFSpinError):
 
 class QuadratureFailure(MFSpinError):
     """No two successive orders of a fixed rule agreed within tol/4, or the final
-    error estimate exceeds tol: an infrared integral, or the nematic oracle's G
-    at the corners of its dual box (J above about 1e4 for N = 3, 1e5 for N = 4)."""
+    error estimate exceeds tol, for an infrared integral."""
 
 
 class OutOfSimplex(MFSpinError):

@@ -8,20 +8,19 @@ They run at coarse resolution by design; tolerances scale like 1/resolution.
 
 Deterministic by construction: grids are enumerated in lexicographic order,
 exact ties in the minimum resolve to the first (lexicographically smallest)
-grid index, and the nematic G(diag h) = log E exp(sum_a h_a v_a^2) is the
-Bingham normalising constant, summed as a 1-D integral by one Gauss-Legendre
-rule whose order is picked once per call from the box's corners, so outputs
-are reproducible bit-for-bit for fixed inputs.  G sorts h before it sums, so
-it is exactly permutation-invariant: the two mirror-image minimizers the
-dual grid holds at ordered couplings (it is mapped onto itself by swapping
-h_1 and h_2) tie to the bit, and the lexicographic tie-break decides.
+grid index, and the nematic G(diag h) = log E exp(sum_a h_a v_a^2), the
+Bingham normalising constant, is summed by one fixed rule at every N and h
+(a trapezoid rule on a Laplace-inversion contour), so outputs are
+reproducible bit-for-bit for fixed inputs.  G sorts h before it sums, so it
+is exactly permutation-invariant: the two mirror-image minimizers the dual
+grid holds at ordered couplings (it is mapped onto itself by swapping h_1
+and h_2) tie to the bit, and the lexicographic tie-break decides.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from math import comb
+from math import comb, gamma
 from typing import Tuple
 
 import numpy as np
@@ -203,60 +202,37 @@ def cubic_fullspace_min(r: int, J: float, resolution: int = 200) -> OracleResult
 # nematic dual field
 # ---------------------------------------------------------------------------
 
-_G_ORDERS = range(16, 1025, 8)   # Gauss-Legendre orders tried for G, in turn
+# G's rule (docs/decisions.md): the trapezoid rule of step 1/8 on the contour
+# s = 2 (1 + iu)^2 at u_k = k/8, k = 0..35, where |e^s| falls to e^-36; _C
+# holds e^s s'(u) s^(-1/2), s^(-1/2) being the top entry's factor, with the
+# k = 0 term halved
+_U = np.arange(36) / 8.0
+_S = 2.0 * (1.0 + 1j * _U) ** 2
+_C = np.exp(_S) * 4j * (1.0 + 1j * _U) / np.sqrt(_S)
+_C[0] /= 2.0
 
 
-def _log_mean_exp(h: np.ndarray, order: int) -> np.ndarray:
-    """log E[exp(sum_a (h_a - h_N) v_a^2)] over the unit sphere, N = 3 or 4,
-    for rows h sorted ascending: the Bingham normalising constant as a 1-D
-    integral over x in [0, 1], summed by `order`-point Gauss-Legendre.  N = 3:
-    x = |v_1| is uniform and the azimuth averages to a Bessel factor;
-    N = 4: x^2 = v_1^2 + v_2^2 is uniform and both phases average out.  The
-    smallest entries sit on x, so the peak is a Gaussian at x = 0, where the
-    nodes crowd (docs/decisions.md).  No factor exceeds 1; a sum that
-    underflows gives -inf."""
-    from . import lattice       # on first use: the Potts and cubic oracles never run it
-    x, w = lattice._gauss_legendre(order)
-    x2, top = x * x, h[:, -1:]
-    f = lattice._i0e((top - h[:, -2:-1]) / 2.0 * (1.0 - x2))
-    if h.shape[1] == 3:
-        f *= np.exp((h[:, :1] - top) * x2)
-    else:
-        f *= 2.0 * x * np.exp((h[:, 1:2] - top) * x2) * lattice._i0e(
-            (h[:, 1:2] - h[:, :1]) / 2.0 * x2)
-    with np.errstate(divide="ignore"):
-        return np.log(f @ w)
-
-
-def _g_diag(H: np.ndarray, order: int) -> np.ndarray:
-    """G(diag h) = log E[exp(sum_a h_a v_a^2)] for a batch of rows h, each row
-    sorted first, so that G is the same to the bit under every permutation."""
+def _g_diag(H: np.ndarray) -> np.ndarray:
+    """G(diag h) = log E[exp(sum_a h_a v_a^2)] over the unit sphere of R^N,
+    for a batch of rows h.  The v_a^2 are Dirichlet(1/2, ..., 1/2), so
+    E = Gamma(N/2) L^-1[prod_a (s - h_a)^(-1/2)](1), the Bingham normalising
+    constant; after the shift by max h every branch point lies on (-inf, 0],
+    and one fixed trapezoid rule on a parabolic Bromwich contour sums it at
+    every h.  Each factor's |s - d|^(1/2) is scaled by an exact power of two
+    near (1 - d)^(-1/2), so no product overflows at any N or |h|.  Each row
+    is sorted first, so that G is the same to the bit under every
+    permutation."""
     h = np.sort(H, axis=1)
-    return _log_mean_exp(h, order) + h[:, -1]
+    d = h[:, :-1, None] - h[:, -1:, None]
+    e = np.frexp(1.0 - d)[1] // 2
+    f = np.prod(np.sqrt(_S - d) * np.ldexp(1.0, -e), axis=1)
+    return (np.log(gamma(h.shape[1] / 2.0) / (8.0 * np.pi) * (_C / f).imag.sum(axis=1))
+            - np.log(2.0) * e.sum(axis=(1, 2)) + h[:, -1])
 
 
 def _close_trace(hfree: np.ndarray) -> np.ndarray:
     """Rows of free entries with the trace-closing last entry appended."""
     return np.hstack([hfree, -hfree.sum(axis=1, keepdims=True)])
-
-
-def _g_order(N: int, lo: float, hi: float) -> int:
-    """The first order of _G_ORDERS whose log E agrees with the previous
-    order's within 1e-13 at all 2^(N-1) corners of the dual box [lo, hi]^(N-1),
-    where the spread max h - min h that narrows the peak is largest (it is
-    convex); QuadratureFailure if no two successive orders agree."""
-    from . import lattice
-    corners = np.sort(_close_trace(np.array(list(product((lo, hi), repeat=N - 1)))), axis=1)
-    tried = []
-
-    def at(order):
-        tried.append(order)
-        e = _log_mean_exp(corners, order)
-        # a corner whose sum underflows agrees with no order
-        return np.where(np.all(np.isfinite(e)), e, np.nan).tolist()
-    lattice._converge(_G_ORDERS, at, f"nematic G on the dual box [{lo:.6g}, {hi:.6g}]^{N - 1}",
-                      4e-13)
-    return tried[-1]
 
 
 def nematic_dual_min(N: int, J: float, resolution: int = 120) -> OracleResult:
@@ -269,8 +245,6 @@ def nematic_dual_min(N: int, J: float, resolution: int = 120) -> OracleResult:
     """
     if J <= 0:
         raise ValueError("J must be positive")
-    if N > 4:
-        raise BudgetExceeded(f"dual grid search limited to N <= 4, got {N}")
     if resolution ** (N - 1) > _MAX_GRID_POINTS:
         raise BudgetExceeded(
             f"dual grid would have {resolution ** (N - 1)} points")
@@ -280,7 +254,6 @@ def nematic_dual_min(N: int, J: float, resolution: int = 120) -> OracleResult:
     # in size, so N ((N - 1) hi)^2 bounds every |h|^2 the search forms
     if not np.isfinite(N * ((N - 1) * hi) * ((N - 1) * hi)):
         raise CouplingOverflow(f"J = {J}: |h|^2 overflows on the dual grid's box")
-    order = _g_order(N, lo, hi)
     axis = np.linspace(lo, hi, resolution)
     shape, n, chunk = (resolution,) * (N - 1), resolution ** (N - 1), 500
 
@@ -290,17 +263,16 @@ def nematic_dual_min(N: int, J: float, resolution: int = 120) -> OracleResult:
         for i in range(0, n, chunk):
             idx = np.unravel_index(np.arange(i, min(i + chunk, n)), shape)
             H = _close_trace(axis[np.stack(idx, axis=-1)])
-            yield (H * H).sum(axis=1) / (2.0 * J) - _g_diag(H, order), H
+            yield (H * H).sum(axis=1) / (2.0 * J) - _g_diag(H), H
     H, i0, grid_val = _first_min(blocks())
 
     def fun(hf):
         h = np.concatenate([hf, [-np.sum(hf)]])
-        return float((h * h).sum() / (2.0 * J) - _g_diag(h[None, :], order)[0])
+        return float((h * h).sum() / (2.0 * J) - _g_diag(h[None, :])[0])
     hf, val = _polish(fun, H[i0, :-1], grid_val)
     return OracleResult(minimizer=np.concatenate([hf, [-np.sum(hf)]]), value=val,
                         grid_value=grid_val,
-                        meta={"N": N, "J": J, "resolution": resolution,
-                              "quadrature_order": order})
+                        meta={"N": N, "J": J, "resolution": resolution})
 
 
 # ---------------------------------------------------------------------------
@@ -323,12 +295,13 @@ _ORACLES = {
 def check_reduction(model: ModelSpec, J: float,
                     resolution: int = 200) -> Tuple[OracleResult, float]:
     """Full-space minimum of `model` at coupling J, and the scalar reduction's
-    value at its global minimum m >= 0 in the same convention.  Raises
-    NoStableRoot, before any search, when no root m >= 0 is stable."""
+    value at its global minimum m >= 0 in the same convention.  The scalar
+    side comes first, so NoStableRoot, when no root m >= 0 is stable, or any
+    error of the scalar value, is raised before the search runs."""
     bp = solve_branches(model, J).global_minimum()
     if bp is None:
         raise NoStableRoot(f"no stable root m >= 0 of the mean-field equation "
                            f"for {model} at J={J}")
     search, scalar = _ORACLES[model.kind]
-    return (search(model.param, J, resolution),
-            float(scalar(model, J, bp.m)))
+    value = float(scalar(model, J, bp.m))
+    return search(model.param, J, resolution), value

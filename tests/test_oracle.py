@@ -10,7 +10,7 @@ import pytest
 from mfspin import models as M
 from mfspin import oracle as O
 from mfspin import solver as S
-from mfspin.errors import BudgetExceeded, CouplingOverflow, QuadratureFailure
+from mfspin.errors import BoundaryMagnetization, BudgetExceeded, CouplingOverflow
 from mfspin.models import _xlogx
 
 J_MF_Q3 = 4 * np.log(2)
@@ -209,7 +209,7 @@ def test_cubic_coupling_overflow_is_typed():
 
 
 # ---------------------------------------------------------------------------
-# nematic G: the Bingham normalising constant as a 1-D integral
+# nematic G: the Bingham normalising constant by one Laplace contour
 # ---------------------------------------------------------------------------
 
 def traceless_fields(rng, N, radii):
@@ -245,14 +245,13 @@ def bingham_g(h):
 @pytest.mark.parametrize("N, rtol", [(3, 1e-14), (4, 1e-13)])
 def test_g_diag_matches_mpmath(N, rtol):
     # |h| from 1 to 1000, and the two uniaxial fields of norm 1000, whose
-    # largest entries (816 and 866) pass exp's overflow at 709.8; at the
-    # order the oracle sums for the box [-1000, 1000]^(N-1), which holds them
+    # largest entries (816 and 866) pass exp's overflow at 709.8
     rng = np.random.default_rng(5)
     axis = np.append(np.full(N - 1, -1.0 / (N - 1)), 1.0)
     h = np.vstack([traceless_fields(rng, N, 10.0 ** rng.uniform(0, 3, 12)),
                    1000.0 * np.array([axis, -axis]) / np.linalg.norm(axis)])
     assert np.max(h) > 710.0
-    G = O._g_diag(h, O._g_order(N, -1000.0, 1000.0))
+    G = O._g_diag(h)
     ref = np.array([bingham_g(v) for v in h])
     np.testing.assert_allclose(G, ref, rtol=rtol, atol=0)
     # and within 1e-13 up to |h| = 100, as the folded N = 3 sphere rule was
@@ -260,31 +259,47 @@ def test_g_diag_matches_mpmath(N, rtol):
     assert np.max(np.abs(G - ref)[np.linalg.norm(h, axis=1) <= 100.0]) <= 1e-13
 
 
-@pytest.mark.parametrize("N", [3, 4])
+@pytest.mark.parametrize("N", [3, 4, 5, 6])
+def test_g_diag_at_huge_fields_is_the_leading_term(N):
+    # with every d_a = h_a - max h below -1e17, log E is
+    # log(Gamma(N/2)/sqrt(pi)) - sum_a log|d_a|/2 to far below an ulp, up to
+    # the largest |d| the dual box holds at its CouplingOverflow edge; the
+    # top entry is 0, since G(h + c) = G(h) + c would hide log E behind c
+    edge = N / (N - 1) * np.sqrt(np.finfo(float).max / N)
+    rng = np.random.default_rng(11)
+    d = -10.0 ** rng.uniform(17.0, np.log10(edge), (40, N - 1))
+    h = np.vstack([np.hstack([d, np.zeros((40, 1))]),
+                   np.append(np.full(N - 1, -edge), 0.0)])
+    with mpmath.workdps(30):
+        lead = [float(mpmath.loggamma(mpmath.mpf(N) / 2) - mpmath.log(mpmath.pi) / 2
+                      - sum(mpmath.log(-mpmath.mpf(float(x))) for x in row[:-1]) / 2)
+                for row in h]
+    np.testing.assert_allclose(O._g_diag(h), lead, rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 6])
+def test_g_diag_at_zero_field_is_zero(N):
+    assert abs(O._g_diag(np.zeros((1, N)))[0]) <= 1e-15
+
+
+@pytest.mark.parametrize("N", [3, 4, 5])
 def test_g_diag_on_axis_is_the_scalar_g(N):
     # G(h omega) / |omega|^2 with omega = diag(-1/(N-1), ..., 1) is the scalar g
     omega = np.append(np.full(N - 1, -1.0 / (N - 1)), 1.0)
     h = np.linspace(-10.0, 10.0, 401)
-    G = O._g_diag(h[:, None] * omega, O._g_order(N, -10.0, 10.0)) / (omega @ omega)
+    G = O._g_diag(h[:, None] * omega) / (omega @ omega)
     assert np.max(np.abs(G - M.nematic_g(N, h))) <= 1e-12
 
 
-@pytest.mark.parametrize("N", [3, 4])
+@pytest.mark.parametrize("N", [3, 4, 5])
 def test_g_diag_is_permutation_invariant_to_the_bit(N):
     # swapping h_1 and h_2 maps the dual grid onto itself, so mirror-image
     # grid points tie exactly and the lexicographic tie-break decides
     rng = np.random.default_rng(3)
     h = traceless_fields(rng, N, rng.uniform(0, 100, 200))
-    G = O._g_diag(h, 48)
+    G = O._g_diag(h)
     for perm in itertools.permutations(range(N)):
-        assert O._g_diag(h[:, perm], 48).tolist() == G.tolist()
-
-
-def test_g_order_raises_when_no_two_orders_agree(monkeypatch):
-    # the J = 1000 box needs 80 nodes; stopped at 32, the oracle fails typed
-    monkeypatch.setattr(O, "_G_ORDERS", range(16, 33, 8))
-    with pytest.raises(QuadratureFailure, match="orders 24 and 32"):
-        O.nematic_dual_min(3, 1000.0, resolution=20)
+        assert O._g_diag(h[:, perm]).tolist() == G.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +341,6 @@ def test_nematic_reduction_valid_over_couplings(J):
 def test_nematic_n4_is_deterministic_and_matches_the_scalar_reduction():
     J, model = 9.5, M.nematic(4)
     res = O.nematic_dual_min(4, J, resolution=24)
-    assert res.meta["quadrature_order"] == 32
     assert res.value == pytest.approx(
         M.phi_full_scale(model, J, scalar_min(model, J)), rel=0, abs=1e-12)
     res2 = O.nematic_dual_min(4, J, resolution=24)
@@ -338,12 +352,11 @@ def whole_dual_grid_min(N, J, resolution):
     """The grid minimizer and value of nematic_dual_min's search, from the
     whole grid at once, in the same 500-row chunks."""
     lo, hi = -1.3 * J / (N - 1), 1.1 * J
-    order = O._g_order(N, lo, hi)
     axes = [np.linspace(lo, hi, resolution)] * (N - 1)
     hfree = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
     h_all = np.hstack([hfree, -hfree.sum(axis=1, keepdims=True)])
     vals = np.concatenate([
-        (H * H).sum(axis=1) / (2.0 * J) - O._g_diag(H, order)
+        (H * H).sum(axis=1) / (2.0 * J) - O._g_diag(H)
         for H in (h_all[i:i + 500] for i in range(0, len(h_all), 500))])
     i0 = int(np.argmin(vals))
     return h_all[i0], vals[i0], int(np.sum(vals == vals[i0]))
@@ -370,10 +383,21 @@ def test_dual_grid_search_holds_one_chunk():
 
 
 def test_nematic_budget_guard():
+    # the grid budget alone bounds N: 42^4 = 3 111 696 points
     with pytest.raises(BudgetExceeded):
-        O.nematic_dual_min(5, 3.0, resolution=40)
+        O.nematic_dual_min(5, 3.0, resolution=42)
     with pytest.raises(BudgetExceeded):
         O.nematic_dual_min(4, 3.0, resolution=400)
+
+
+def test_check_reduction_fails_on_the_scalar_side_before_the_search(monkeypatch):
+    # from J ~ 1e13 the N = 4 solver's ordered root is m = 3/4, the end of the
+    # m interval, where the full-scale free energy is out of reach
+    def search(*args):
+        raise AssertionError("the dual search ran")
+    monkeypatch.setattr(O, "nematic_dual_min", search)
+    with pytest.raises(BoundaryMagnetization):
+        O.check_reduction(M.nematic(4), 1e16, resolution=20)
 
 
 @pytest.mark.parametrize("N", [3, 4])
