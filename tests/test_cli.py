@@ -441,7 +441,7 @@ def test_cli_import_leaves_scipy_stats_unloaded():
 @pytest.mark.parametrize("module", ["mfspin", "mfspin.models", "mfspin.lattice",
                                     "mfspin.solver", "mfspin.certification",
                                     "mfspin.oracle", "mfspin.mc", "mfspin.roots",
-                                    "mfspin.watson", "mfspin.neldermead"])
+                                    "mfspin.watson"])
 def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     assert [n for n in mod.__all__ if not hasattr(mod, n)] == []
@@ -479,8 +479,8 @@ def test_commands_load_only_the_scipy_they_compute_with():
     # Monte Carlo needs no scipy; roots come from mfspin.roots, the lattice
     # integrals from in-package Bessel series and numpy's Gauss-Legendre
     # nodes, the nematic moments from an in-package Kummer series, the
-    # nematic oracle's G from a 1-D Gauss-Legendre rule and every oracle's
-    # polish from the in-package Nelder-Mead, so none of these commands
+    # nematic oracle's G from a fixed contour rule and every oracle's polish
+    # from numpy's linear algebra, so none of these commands
     # imports scipy: with scipy blocked, any import of it would raise
     probe = _COMPUTING + """
 import contextlib, io, sys
@@ -547,10 +547,10 @@ _TRANSITION = {"cli", "errors", "models", "roots", "solver"}
     (_TRANSITION | {"certification", "lattice"},
      [["certify", "--model", "potts", "--param", "3", "--dim", "256",
        "--Jlo", "2.7715", "--Jhi", "2.7735", *_WINDOW]]),
-    (_TRANSITION | {"oracle", "neldermead"},
+    (_TRANSITION | {"oracle"},
      [["oracle", "--model", "potts", "--param", "3", "--J", "2.7725887",
        "--resolution", "40"]]),
-    (_TRANSITION | {"watson", "oracle", "neldermead"},
+    (_TRANSITION | {"watson", "oracle"},
      [["oracle", "--model", "nematic", "--param", "3", "--J", "6.8122",
        "--resolution", "40"]]),
 ], ids=["id", "profile", "profile-nematic", "mc-rate", "transition", "nematic",
@@ -638,14 +638,20 @@ def test_nematic_oracle_matches_the_scalar_minimum_at_large_coupling(capsys):
     # a fixed 288-node sphere rule could not resolve exp(h x^2) at |h| ~ 1000:
     # it reported -325.1222 against the scalar minimum -325.7337; a
     # Gauss-Legendre rule whose order was searched per call failed from
-    # J ~ 1.5e4 with QuadratureFailure
-    for J, resolution in (("1000", "200"), ("1e5", "20")):
+    # J ~ 1.5e4 with QuadratureFailure.  A simplex polish whose value
+    # tolerance was below one ulp of |Psi| >= 512 kept the grid value at
+    # J = 1e4 (5.4e-4 above) and at N = 4, J = 3000, resolution 16 (6.8 above)
+    for J, resolution in (("1000", "200"), ("1e5", "20"), ("1e4", "200")):
         code, out, _ = run_cli(capsys, "oracle", "--model", "nematic", "--param", "3",
                                "--J", J, "--resolution", resolution)
         assert code == 0
         payload = json.loads(out)
         assert payload["matched_scalar"] is True
         assert abs(payload["value"] - payload["scalar_min"]) <= 1e-9
+    # the command takes resolution >= 20, so resolution 16 goes by the API
+    from mfspin import models, oracle
+    res, scalar = oracle.check_reduction(models.nematic(4), 3000.0, 16)
+    assert abs(res.value - scalar) <= 1e-9
 
 
 def test_nematic_n5_oracle_matches_the_scalar_minimum(capsys):

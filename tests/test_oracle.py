@@ -2,6 +2,7 @@
 
 import itertools
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -78,10 +79,21 @@ def test_simplex_grid_min_matches_plain_enumeration(table, J, parts, resolution,
         values.append((v, c))
     best = min(values)[0]
     first = next(c for v, c in values if v == best)
-    comp, value = O._simplex_grid_min(t, parts, resolution)
+    (value, comp), _ = O._grid_min(O._simplex_blocks(t, parts, resolution))
     assert tuple(comp.tolist()) == first and value == best
     if tied:
         assert sum(v == best for v, _ in values) > 1
+
+
+def test_grid_min_seeds_are_the_blocks_below_their_neighbours():
+    # a seed is strictly below the previous block and no higher than the
+    # next, the ends comparing with inf; the grid minimum is the first least
+    def blocks(mins):
+        return [(np.array([9.0, v]), lambda i, k=k: (k, i)) for k, v in enumerate(mins)]
+    (value, point), seeds = O._grid_min(blocks([3.0, 1.0, 1.0, 2.0, 0.0, 5.0, 0.0]))
+    assert (value, point) == (0.0, (4, 1))
+    assert seeds == [(1, 1), (4, 1), (6, 1)]
+    assert O._grid_min(blocks([2.0, 2.0])) == ((2.0, (0, 1)), [(0, 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -181,14 +193,22 @@ def test_cubic_reduction_valid_over_couplings(J):
 
 @pytest.mark.parametrize("model,J", [(M.potts(3), 3.6), (M.potts(3), 5.2),
                                      (M.potts(3), 12.0), (M.cubic(4), 5.5),
-                                     (M.cubic(4), 7.5)])
+                                     (M.cubic(4), 7.5), (M.potts(3), J_MF_Q3),
+                                     (M.cubic(4), 3.7852), (M.nematic(3), 6.8122)])
 def test_polish_reaches_the_scalar_reduction(model, J):
-    # in the ordered phase the polish ends on the reduced minimum to rounding,
-    # whatever the grid's cell: Nelder-Mead restarted once from its result.
-    # At Potts J = 12 the grid minimizer has an occupation 0, and the polish
-    # must stay on the simplex from the edge (its objective is inf outside)
+    # the polish ends on the reduced minimum to rounding, whatever the grid's
+    # cell: Newton in the dual from each basin's seed.  At Potts J = 12 the
+    # grid minimizer has an occupation 0; at cubic 3.7852 and nematic 6.8122
+    # the grid's least point lies in the disordered basin, an exactly
+    # stationary point 4.3e-7 and 7.1e-7 above the ordered minimum
     res, scalar = O.check_reduction(model, J, 200)
     assert abs(res.value - scalar) <= 1e-12
+
+
+def test_potts_fixture_minimizer_is_uniform_to_the_ulp():
+    # the oracle_potts3.json input; a simplex polish left it 7.2e-9 off
+    res = O.potts_fullspace_min(3, 2.7725887, 200)
+    assert np.max(np.abs(res.minimizer - 1.0 / 3.0)) <= 1e-15
 
 
 def test_cubic_budget_guard():
@@ -303,6 +323,71 @@ def test_g_diag_is_permutation_invariant_to_the_bit(N):
 
 
 # ---------------------------------------------------------------------------
+# the dual's derivative layer: G, its gradient E_h[s] and Hessian Cov_h[s]
+# ---------------------------------------------------------------------------
+
+DUAL_G = ([(O._potts_g, q) for q in range(3, 7)] + [(O._cubic_g, r) for r in range(1, 5)]
+          + [(O._nematic_g, N) for N in range(3, 7)])
+DUAL_IDS = ([f"potts{q}" for q in range(3, 7)] + [f"cubic{r}" for r in range(1, 5)]
+            + [f"nematic{N}" for N in range(3, 7)])
+
+
+def dual_fields(n):
+    """Random fields of norm 0.1 to 30, and h = 0."""
+    rng = np.random.default_rng(7)
+    h = rng.standard_normal((12, n))
+    h *= (10.0 ** rng.uniform(-1, np.log10(30.0), 12) / np.linalg.norm(h, axis=1))[:, None]
+    return np.vstack([h, np.zeros((1, n))])
+
+
+@pytest.mark.parametrize("g,n", DUAL_G, ids=DUAL_IDS)
+def test_dual_derivatives_match_central_differences(g, n):
+    for h in dual_fields(n):
+        G, mean, cov = g(h)
+        eps = 1e-5 * max(1.0, np.abs(h).max())
+        steps = [(g(h + eps * e), g(h - eps * e)) for e in np.eye(n)]
+        np.testing.assert_allclose(mean, [(p[0] - m[0]) / (2 * eps) for p, m in steps],
+                                   rtol=0, atol=1e-8)
+        np.testing.assert_allclose(cov, [(p[1] - m[1]) / (2 * eps) for p, m in steps],
+                                   rtol=0, atol=1e-6)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_potts_and_cubic_g_are_the_log_partition_functions(r):
+    for h in dual_fields(r):
+        assert O._potts_g(h)[0] == pytest.approx(np.log(np.exp(h).sum()), rel=1e-15)
+        assert O._cubic_g(h)[0] == pytest.approx(np.log(2.0 * np.cosh(h).sum()), rel=1e-15)
+
+
+@pytest.mark.parametrize("g,n", DUAL_G[:4] + DUAL_G[8:], ids=DUAL_IDS[:4] + DUAL_IDS[8:])
+def test_dual_derivatives_keep_the_sum_rules(g, n):
+    # sum_a s_a = 1 on the Potts and nematic spins: the gradient sums to 1
+    # and the Hessian annihilates the vector of ones
+    for h in dual_fields(n):
+        G, mean, cov = g(h)
+        assert abs(mean.sum() - 1.0) <= 1e-13
+        assert np.max(np.abs(cov.sum(axis=1))) <= 1e-13
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 6])
+def test_nematic_derivatives_are_finite_at_the_coupling_overflow_edge(N):
+    # the fields of test_g_diag_at_huge_fields_is_the_leading_term: without
+    # the shared power-of-two scaling the product over the factors overflows
+    # (|d|^((N-1)/2) ~ 1e385 at N = 6); E[v_a^2] is then 1/(2|d_a|) below the top
+    edge = N / (N - 1) * np.sqrt(np.finfo(float).max / N)
+    rng = np.random.default_rng(11)
+    d = -10.0 ** rng.uniform(17.0, np.log10(edge), (10, N - 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for h in np.vstack([np.hstack([d, np.zeros((10, 1))]),
+                            np.append(np.full(N - 1, -edge), 0.0)]):
+            G, mean, cov = O._nematic_g(h)
+            assert np.isfinite(G) and np.all(np.isfinite(mean)) and np.all(np.isfinite(cov))
+            np.testing.assert_allclose(mean[:-1] * 2.0 * np.abs(h[:-1]), 1.0, rtol=1e-14)
+            assert abs(mean.sum() - 1.0) <= 1e-13
+
+
+# ---------------------------------------------------------------------------
 # nematic dual
 # ---------------------------------------------------------------------------
 
@@ -350,7 +435,7 @@ def test_nematic_n4_is_deterministic_and_matches_the_scalar_reduction():
 
 def whole_dual_grid_min(N, J, resolution):
     """The grid minimizer and value of nematic_dual_min's search, from the
-    whole grid at once, in the same 500-row chunks."""
+    whole grid at once, in 500-row chunks of flat indices."""
     lo, hi = -1.3 * J / (N - 1), 1.1 * J
     axes = [np.linspace(lo, hi, resolution)] * (N - 1)
     hfree = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=-1)
@@ -367,9 +452,10 @@ def whole_dual_grid_min(N, J, resolution):
     (4, 9.5, 11, False)])
 def test_dual_grid_chunks_walk_the_whole_grid(monkeypatch, N, J, resolution, tied):
     # two grid points tie exactly at J = 6.8122, resolution 40 (flat indices
-    # 575 and 614, one chunk) and at J = 20, resolution 60 (762 and 2532, two
-    # chunks); without the polish the minimizer is the grid point itself
-    monkeypatch.setattr(O, "_polish", lambda fun, z0, grid_val: (z0, grid_val))
+    # 575 and 614, rows 14 and 15) and at J = 20, resolution 60 (762 and
+    # 2532, rows 12 and 42); without the polish the minimizer is the grid
+    # point itself
+    monkeypatch.setattr(O, "_polish", lambda g, J, P, seeds, report, grid: grid)
     res = O.nematic_dual_min(N, J, resolution)
     h0, grid_val, ties = whole_dual_grid_min(N, J, resolution)
     assert res.grid_value == grid_val == res.value
