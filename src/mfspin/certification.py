@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import WindowExcludesTransition
 from .models import ModelSpec
-from .solver import barrier_height, find_transition, solve_branches
+from .solver import find_transition, solve_branches
 
 __all__ = ["Certificate", "allowed_bands", "compute_DJ", "certify"]
 
@@ -165,13 +165,13 @@ def certify(model: ModelSpec, d: int, J_window: Tuple[float, float],
             f"J_MF={tp.J_MF:.6f} outside window {J_window}")
 
     Js = np.linspace(J_lo, J_hi, int(J_grid))
-    barriers = barrier_height(model, Js, scan_resolution=m_grid // 2)
+    # one solve: the window's barriers and varkappa, and J_MF's minima for K
+    *window, at_mf = solve_branches(model, np.append(Js, tp.J_MF))
+    barriers = np.array([bs.barrier() for bs in window])
     margins = barriers - Js * delta_d
     forbidden: Dict[float, List[Tuple[float, float]]] = {
         J: _forbidden_from_allowed(allowed_bands(model, J, J * delta_d, grid=m_grid))
         for J in Js.tolist()}
-    # the window's roots for varkappa, and J_MF's last for K
-    *window, at_mf = solve_branches(model, np.append(Js, tp.J_MF))
     asym = [[p.m for p in bs.stable(nonnegative=True) if p.m > 1e-6] for bs in window]
     kappas = [min(a) for a in asym if a]
 

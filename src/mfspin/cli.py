@@ -85,15 +85,14 @@ def _cmd_profile(a) -> str:
                 zip(ms.tolist(), phi.tolist(), full.tolist()))
 
 
-def _branches_csv(model, Js, scan_resolution) -> str:
-    sets = solver.solve_branches(model, np.asarray(Js, dtype=float), scan_resolution)
+def _branches_csv(model, Js) -> str:
+    sets = solver.solve_branches(model, np.asarray(Js, dtype=float))
     return _csv(("J", "m", "stability", "phi"),
                 [(p.J, p.m, p.stability, p.phi) for bs in sets for p in bs.points])
 
 
 def _cmd_branches(a) -> str:
-    return _branches_csv(_model_from_args(a), np.linspace(a.Jmin, a.Jmax, a.steps),
-                         a.scan_resolution)
+    return _branches_csv(_model_from_args(a), np.linspace(a.Jmin, a.Jmax, a.steps))
 
 
 def _cmd_transition(a) -> str:
@@ -196,14 +195,14 @@ def _cmd_reproduce_figures(a) -> str:
     # branch structure and allowed bands of the 10-state model
     q10 = models.potts(_FIG2_Q)
     Js = [float(J) for J in np.linspace(*_FIG2_JRANGE, _FIG2_STEPS)]
-    _write(os.path.join(outdir, "fig2_q10_branches.csv"), _branches_csv(q10, Js, 600))
+    _write(os.path.join(outdir, "fig2_q10_branches.csv"), _branches_csv(q10, Js))
     band_rows = []
     for J in Js:
         band_rows.extend(_bands_rows(q10, J, J * q10.delta_factor * _FIG2_ID, 2000))
     _write(os.path.join(outdir, "fig2_q10_bands.csv"), _csv(_BANDS_HEADER, band_rows))
     files["fig2_q10_branches.csv"] = {
         "model": f"potts(q={_FIG2_Q})", "J_range": list(_FIG2_JRANGE),
-        "steps": _FIG2_STEPS, "scan_resolution": 600}
+        "steps": _FIG2_STEPS}
     files["fig2_q10_bands.csv"] = {
         "model": f"potts(q={_FIG2_Q})", "J_range": list(_FIG2_JRANGE),
         "steps": _FIG2_STEPS, "I_d": _FIG2_ID, "m_grid": 2000}
@@ -296,8 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--Jmin", type=_nonnegative, required=True)
     p.add_argument("--Jmax", type=_nonnegative, required=True)
     p.add_argument("--steps", type=_size(1), default=101)
-    p.add_argument("--scan-resolution", dest="scan_resolution", type=_size(2),
-                   default=400)
 
     p = sub.add_parser("transition", help="locate J_MF and m_c")
     _add_model_flags(p)

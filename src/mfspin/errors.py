@@ -50,7 +50,3 @@ class CouplingOverflow(MFSpinError):
     """Coupling too large for floating point: the heat-bath weights exp((J/N) k)
     overflow (J beyond ln(DBL_MAX)), the cubic oracle's Ising coupling 2J does,
     or the nematic oracle's |h|^2 does on its dual grid's box (J above about 2e153)."""
-
-
-class ScanTooCoarse(UserWarning):
-    """Two roots closer than two grid cells; scan resolution should be raised."""

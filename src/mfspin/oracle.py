@@ -113,7 +113,8 @@ def _polish(g, J: float, P: np.ndarray, seeds, report, grid):
     """Damped Newton on Psi_J(h) = |h|^2/(2J) - G(h), h = P z, from each seed
     z, with g(h) = (G, its gradient E_h[s], its Hessian Cov_h[s]).  A step is
     halved, up to 30 times, until Psi falls (a full step also when Psi stays
-    and the gradient shrinks; a value that is not finite is not lower).
+    and the gradient shrinks; a value that is not finite is not lower), and
+    no further once z - t step rounds to z, whose Psi and gradient are z's.
     Newton stops when no step is taken, when the Hessian has no Cholesky
     factor (z is in no convex basin, as at every z when J <= 0), or after 50
     steps.  `report` maps each result to (point, value); the least value
@@ -132,12 +133,15 @@ def _polish(g, J: float, P: np.ndarray, seeds, report, grid):
                 break
             step = np.linalg.solve(hess, grad)
             for t in 0.5 ** np.arange(31):
-                f1, grad1, hess1 = psi(z - t * step)
+                z1 = z - t * step
+                if np.array_equal(z1, z):   # and so does every shorter step: none is taken
+                    return report(P @ z)
+                f1, grad1, hess1 = psi(z1)
                 if f1 < f or t == 1.0 and f1 == f and grad1 @ grad1 < grad @ grad:
                     break
             else:
                 break
-            z, f, grad, hess = z - t * step, f1, grad1, hess1
+            z, f, grad, hess = z1, f1, grad1, hess1
         return report(P @ z)
     with np.errstate(all="ignore"):
         eye = np.eye(P.shape[0]) / J

@@ -50,6 +50,8 @@ def brentq(f: Callable, a, b, xtol: float, rtol: float = _RTOL, args=()) -> np.n
     fpre, fcur = _values(f, xpre, args), _values(f, xcur, args)
     root = np.where(fpre == 0.0, xpre, xcur)
     run = np.flatnonzero((fpre != 0.0) & (fcur != 0.0))
+    if not run.size:                        # every lane has a root at an end
+        return root
     if np.any((fpre[run] < 0.0) == (fcur[run] < 0.0)):
         raise ValueError("f(a) and f(b) must have different signs")
     xpre, xcur, fpre, fcur = xpre[run], xcur[run], fpre[run], fcur[run]

@@ -1,33 +1,32 @@
 """Scalar mean-field equation: roots, stability, transition point, barrier.
 
-All solutions of m = g'(J m) are located by a sign-change scan refined with
-Brent's method; a root m is dynamically stable (candidate local minimum of
-the scalar free energy) iff J g''(J m) < 1.  One scan takes an array of
-couplings: it refines the brackets of every J in one lockstep Brent call.
-
 At a stationary point s(m) = g(J m) - J m^2, so the free energy
 -J m^2/2 - s(m) has the dual closed form phi_J(m) = (J/2) m^2 - g(J m).  With
-h = J m the stationary branches are the explicit curve J = h / g'(h),
-m = g'(h), along which the degeneracy gap with the symmetric point is
+h = J m the stationary branches are the explicit curve J(h) = h / g'(h),
+m = g'(h), from J(0) = J2 = 1/g''(0), the m = 0 spinodal; a root m is stable
+(a candidate local minimum) iff J g''(J m) < 1.  m = 0 is a root at every J,
+and J(h) is monotone between its folds, the roots of g'(h) = h g''(h), found
+once per model: each piece holds at most one root of h - J g'(h), so the
+pieces, not a grid, make the roots complete.  Along the branch the
+degeneracy gap with the symmetric point is
 
     F(h) = phi_J(m) - phi_J(0) = h g'(h)/2 - g(h) + g(0).
 
 The first-order transition J_MF is the root of F on the stable part of that
-curve below the m = 0 spinodal J2 = 1/g''(0): one sign scan over a log grid
-in h and one Brent refinement, with no bracket in J and no root scan per
-coupling.
+curve below J2: one sign scan over a log grid in h and one Brent refinement,
+with no bracket in J and no root scan per coupling.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import BracketInvalid, ScanTooCoarse
+from .errors import BracketInvalid
 from .models import ModelSpec
 from .roots import brentq
 
@@ -41,10 +40,10 @@ UNSTABLE = "unstable"
 
 _ROOT_XTOL = 1e-12
 _MERGE_TOL = 1e-8
-_BLOCK = 2 ** 16            # (J, m) grid entries per evaluation of f
 
-# find_transition's log grid in h; below about 1e-3 the gap F ~ g'''(0) h^3/12
-# (h^4 for the symmetric models) is lost in the rounding of g
+# the log grid in |h| of find_transition and of the fold scan; below about 1e-3
+# the gap F ~ g'''(0) h^3/12 (h^4 for the symmetric models) is lost in the
+# rounding of g, and g' - h g'' in that of g' (cubic r = 3 to 3e-4)
 _H_MIN = 1e-3
 _H_POINTS = 400
 
@@ -85,6 +84,17 @@ class BranchSet:
         cand = self.stable(nonnegative=True)
         return min(cand, key=lambda p: p.phi) if cand else None
 
+    def barrier(self) -> float:
+        """Barrier Delta: the unstable ridge between the symmetric (smallest
+        nonnegative) and asymmetric (largest) stable minima less the HIGHER
+        of the two, times |omega|^2 (the infrared budget's full-Phi scale);
+        0 with a single minimum."""
+        mins = sorted(self.stable(nonnegative=True), key=lambda p: p.m)
+        ridge = [p.phi for p in self.unstable() if len(mins) > 1
+                 and mins[0].m + _MERGE_TOL < p.m < mins[-1].m - _MERGE_TOL]
+        delta = max(ridge) - max(mins[0].phi, mins[-1].phi) if ridge else 0.0
+        return self.model.omega_norm_sq * max(delta, 0.0)
+
 
 @dataclass(frozen=True)
 class TransitionPoint:
@@ -99,60 +109,59 @@ class TransitionPoint:
                 "degeneracy_residual": self.degeneracy_residual}
 
 
-def solve_branches(model: ModelSpec, J, scan_resolution: int = 400):
+@lru_cache(maxsize=None)
+def _folds(model: ModelSpec) -> np.ndarray:
+    """The folds of J(h) = h / g'(h), sorted: the roots of g'(h) - h g''(h),
+    the numerator of J'(h), by one sign scan of find_transition's log grid on
+    each side of 0 and one Brent refinement."""
+    d = lambda h: model.g_prime(h) - h * model.g_second(h)
+    grid = np.geomspace(_H_MIN, model.m_bounds()[1] * (1.0 / model.g_second(0.0)), _H_POINTS)
+    out = []
+    for h in (-grid[::-1], grid):
+        dv = d(h)
+        cells = np.flatnonzero((dv[:-1] < 0.0) != (dv[1:] < 0.0))
+        out.append(brentq(d, h[cells], h[cells + 1], xtol=1e-14))
+    return np.concatenate(out)
+
+
+def solve_branches(model: ModelSpec, J):
     """Find all roots of m = g'(J m) on the model's scalar interval: one
     BranchSet for a float J, a list of them for an array J.
 
-    f = g'(J m) - m is evaluated on the J x m scan grid in blocks of about
-    2^16 entries.  The sign changes of every coupling are refined to well
-    below 1e-10 in m by one lockstep Brent call, and all roots are classified
-    by one array call each of g'' and g.  Roots closer than two grid cells
-    trigger a ScanTooCoarse warning.  When g'(0) = 0, m = 0 is a root, and
-    every root within _MERGE_TOL of it is reported as m = 0 exactly.
+    Each monotone piece of J(h) between the folds whose ends bracket J holds
+    one root of h - J g'(h).  A piece is cut at |h| = J _MERGE_TOL (a root
+    nearer 0 has |m| < _MERGE_TOL) and closed at |h| = J |end| + 1, beyond
+    which h - J g'(h) has the sign of h.  One lockstep Brent call refines
+    every (J, piece) lane; m = g'(h), and roots within _MERGE_TOL of each
+    other or of 0 merge.
     """
     Js = np.atleast_1d(np.asarray(J, dtype=float))
     if np.any(Js < 0):
         raise ValueError("J must be non-negative")
-    lo, hi = model.m_bounds()
-    eps = 1e-9 * (hi - lo)
-    # the ends close the two outer cells, so a root within eps of an end is bracketed too
-    grid = np.concatenate(([lo], np.linspace(lo + eps, hi - eps, int(scan_resolution)), [hi]))
-    n = grid.size
-    f = lambda m, J: model.g_prime(J * m) - m
-    hits, cells = [np.zeros(0, int)], [np.zeros(0, int)]   # flat (J, m) grid indices
-    step = max(1, _BLOCK // n)
-    for k in range(0, Js.size, step):
-        f_vals = f(grid, Js[k:k + step, None])
-        hits.append(np.flatnonzero(f_vals == 0.0) + k * n)
-        r, c = np.nonzero(f_vals[:, :-1] * f_vals[:, 1:] < 0.0)
-        cells.append((k + r) * n + c)
-    hits, cells = np.concatenate(hits), np.concatenate(cells)
-    found = np.concatenate([grid[hits % n], brentq(f, grid[cells % n], grid[cells % n + 1],
-                                                   xtol=_ROOT_XTOL, rtol=8.9e-16,
-                                                   args=(Js[cells // n],))])
-    rows = np.concatenate([hits, cells]) // n
+    folds = _folds(model)
+    f = lambda h, J: h - J * model.g_prime(h)
+    lanes = []
+    for end in model.m_bounds():
+        side = np.sign(end)
+        inner, outer = _MERGE_TOL * Js[:, None], Js[:, None] * abs(end) + 1.0
+        mags = np.sort(side * folds[side * folds > 0.0])
+        nodes = side * np.hstack([inner, np.clip(mags, inner, outer), outer])
+        fv = np.sign(f(nodes, Js[:, None]))
+        r, c = np.nonzero(fv[:, :-1] * fv[:, 1:] <= 0.0)
+        lanes.append((nodes[r, c], nodes[r, c + 1], r))
+    lo, hi, rows = map(np.concatenate, zip(*lanes))
+    h = brentq(f, lo, hi, xtol=_ROOT_XTOL, rtol=8.9e-16, args=(Js[rows],))
     order = np.argsort(rows, kind="stable")
-    found = np.split(found[order], np.searchsorted(rows[order], np.arange(1, Js.size)))
+    found = np.split(model.g_prime(h[order]), np.searchsorted(rows[order], np.arange(1, Js.size)))
 
-    symmetric = abs(model.g_prime(0.0)) < 1e-14     # m = 0 is a root; the grid straddles it
-    cell = (hi - lo) / max(scan_resolution - 1, 1)
     per_J: List[List[float]] = []
-    for Jk, roots in zip(Js.tolist(), found):
-        roots = roots.tolist()
-        if symmetric:
-            # Brent leaves the root through 0 up to xtol off, where J m is far from 0 at huge J
-            roots = [r for r in roots if abs(r) >= _MERGE_TOL] + [0.0]
+    for roots in found:
+        # a root with |m| < _MERGE_TOL is reported as m = 0 itself
         merged: List[float] = []
-        for r in sorted(roots):
+        for r in sorted([r for r in roots.tolist() if abs(r) >= _MERGE_TOL] + [0.0]):
             if not merged or abs(r - merged[-1]) >= _MERGE_TOL:
                 merged.append(r)
-        for r1, r2 in zip(merged, merged[1:]):
-            if r2 - r1 < 2.0 * cell:
-                warnings.warn(f"roots {r1:.6g} and {r2:.6g} closer than two grid "
-                              f"cells at J={Jk}; raise scan_resolution", ScanTooCoarse)
-                break
         per_J.append(merged)
-
     counts = [len(p) for p in per_J]
     Jm, m = np.repeat(Js, counts), np.array([r for p in per_J for r in p])
     stable = (Jm * model.g_second(Jm * m) < 1.0).tolist()     # J g''(J m) < 1
@@ -198,20 +207,8 @@ def find_transition(model: ModelSpec,
     return tp
 
 
-def barrier_height(model: ModelSpec, J, scan_resolution: int = 800):
-    """Barrier Delta(J) on the full-Phi scale; 0 when a single minimum.
-
-    Delta(J) is the gap between the unstable ridge separating the symmetric
-    (smallest nonnegative) and asymmetric (largest) stable minima and the
-    HIGHER of the two minima, multiplied by |omega|^2 to live on the same
-    scale as the infrared error budget.  A float J gives a float, an array
-    an array, from one `solve_branches` call.
-    """
-    out = []
-    for bs in solve_branches(model, np.atleast_1d(J), scan_resolution):
-        mins = sorted(bs.stable(nonnegative=True), key=lambda p: p.m)
-        ridge = [p.phi for p in bs.unstable() if len(mins) > 1
-                 and mins[0].m + _MERGE_TOL < p.m < mins[-1].m - _MERGE_TOL]
-        delta = max(ridge) - max(mins[0].phi, mins[-1].phi) if ridge else 0.0
-        out.append(model.omega_norm_sq * max(delta, 0.0))
+def barrier_height(model: ModelSpec, J):
+    """`BranchSet.barrier` at J: a float for a float J, an array for an
+    array, from one `solve_branches` call."""
+    out = [bs.barrier() for bs in solve_branches(model, np.atleast_1d(J))]
     return np.array(out) if np.ndim(J) else out[0]

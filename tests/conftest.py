@@ -45,8 +45,25 @@ def run_python(probe):
                           capture_output=True, text=True).stdout
 
 
-def branch_ms(model, Js, pick, scan_resolution=400):
+def branch_ms(model, Js, pick):
     """m of pick(solve_branches(model, J)) at each J; 0 where pick finds no root."""
-    picks = [pick(bs) for bs in solve_branches(model, np.asarray(Js, dtype=float),
-                                               scan_resolution)]
+    picks = [pick(bs) for bs in solve_branches(model, np.asarray(Js, dtype=float))]
     return [0.0 if bp is None else bp.m for bp in picks]
+
+
+def reference_roots(model, J, cells):
+    """The roots of m = g'(J m), sorted, from a walk of scipy's brentq over
+    `cells` equal cells on each side of the node m = 0, the cell next to 0
+    cut further by 400 geometric ones down to |m| = 1e-8, the solver's cut:
+    0 and every root with |m| >= 1e-8, with none of the solver's code."""
+    from scipy import optimize
+    f = lambda m: model.g_prime(J * m) - m
+    roots = [0.0]
+    for end in model.m_bounds():
+        grid = np.union1d(np.linspace(0.0, end, cells + 1),
+                          np.copysign(np.geomspace(1e-8, abs(end) / cells, 400), end))
+        fv = f(grid)
+        roots += grid[fv == 0.0].tolist()
+        for i in np.flatnonzero(np.sign(fv[:-1]) * np.sign(fv[1:]) < 0.0):
+            roots.append(optimize.brentq(f, grid[i], grid[i + 1], xtol=1e-14))
+    return sorted({r for r in roots if abs(r) >= 1e-8} | {0.0})

@@ -156,8 +156,7 @@ def test_criterion_04_corrected_fig1_property():
 def test_criterion_05_fig2_reproduction():
     model = M.potts(10)
     with Timer() as t:
-        ms = branch_ms(model, np.linspace(4.4, 5.2, 81), S.BranchSet.max_stable_root,
-                       scan_resolution=600)
+        ms = branch_ms(model, np.linspace(4.4, 5.2, 81), S.BranchSet.max_stable_root)
         onset_jump = max(abs(b - a) for a, b in zip(ms, ms[1:]))
         slack = J_MF_Q10 * model.delta_factor * 0.002
         bands = C.allowed_bands(model, J_MF_Q10, slack, grid=4000)
@@ -213,7 +212,7 @@ def test_criterion_07_reduction_oracles():
         # Potts q=3
         for J in (0.5, 1.8, J_MF_Q3, 3.6, 5.2):
             res = O.potts_fullspace_min(3, J, 200)
-            m_star = S.solve_branches(M.potts(3), J, 600).global_minimum().m
+            m_star = S.solve_branches(M.potts(3), J).global_minimum().m
             if abs(res.value - M.potts_phi(3, J, m_star)) > tol:
                 failures.append(("potts", J, "value"))
             x = np.sort(res.minimizer)[::-1]
@@ -222,7 +221,7 @@ def test_criterion_07_reduction_oracles():
         # cubic r=4 (value convention offset -log 4r between K and phi)
         for J in (1.0, 3.0, 3.7852, 5.5, 7.5):
             res = O.cubic_fullspace_min(4, J, 200)
-            m_star = S.solve_branches(M.cubic(4), J, 600).global_minimum().m
+            m_star = S.solve_branches(M.cubic(4), J).global_minimum().m
             scal = M.scalar_phi(M.cubic(4), J, m_star) - np.log(16.0)
             if abs(res.value - scal) > tol:
                 failures.append(("cubic", J, "value"))
@@ -236,7 +235,7 @@ def test_criterion_07_reduction_oracles():
         # nematic N=3 dual
         for J in (2.0, 6.0, 6.8122, 9.0, 13.0):
             res = O.nematic_dual_min(3, J, resolution=200)
-            lam = S.solve_branches(M.nematic(3), J, 300).global_minimum().m
+            lam = S.solve_branches(M.nematic(3), J).global_minimum().m
             if abs(res.value - M.phi_full_scale(M.nematic(3), J, lam)) > tol:
                 failures.append(("nematic", J, "value"))
             h = np.sort(res.minimizer)
@@ -285,8 +284,7 @@ def test_criterion_08_cubic_order_of_transition():
 def nematic_large_N():
     data = {}
     with Timer() as t:
-        data["lam_1000"] = S.solve_branches(M.nematic(1000), 3000.0,
-                                            scan_resolution=160).max_stable_root().m
+        data["lam_1000"] = S.solve_branches(M.nematic(1000), 3000.0).max_stable_root().m
         data["jmf_over_N"] = {}
         for N in (200, 500, 1000):
             tp = S.find_transition(M.nematic(N), (2.30 * N, 2.60 * N))

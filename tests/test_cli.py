@@ -8,7 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import run_python
+from conftest import reference_roots, run_python
+from mfspin import models
 from mfspin.cli import dispatch
 
 J_MF_Q3 = 4 * np.log(2)
@@ -118,7 +119,7 @@ def test_bands_csv(capsys):
 def test_branches_csv_unstable_between_stable(capsys):
     code, out, _ = run_cli(capsys, "branches", "--model", "potts", "--param",
                            "10", "--Jmin", "4.7", "--Jmax", "5.1", "--steps",
-                           "9", "--scan-resolution", "600")
+                           "9")
     assert code == 0
     header, rows = parse_csv(out)
     assert header == ["J", "m", "stability", "phi"]
@@ -130,6 +131,43 @@ def test_branches_csv_unstable_between_stable(capsys):
         unstable = [m for m, s in pts if s == "unstable" and m > 1e-6]
         if len(stable) >= 2 and unstable:
             assert all(stable[0] < u < stable[-1] for u in unstable)
+
+
+def _reference_rows(model, J):
+    """(m, stability, phi) at every root of a 2e5-cell reference walk."""
+    return [(m, "stable" if J * model.g_second(J * m) < 1.0 else "unstable",
+             J * m * m / 2.0 - model.g(J * m)) for m in reference_roots(model, J, 10 ** 5)]
+
+
+def test_barrier_finds_the_ridge_next_to_zero(capsys):
+    # the ridge at m = 1.2e-3 and m = 0 shared a cell of the 400-point m scan,
+    # which found no ridge and printed a barrier of 0
+    model, J = models.potts(1000), 900.0
+    code, out, err = run_cli(capsys, "barrier", "--model", "potts", "--param", "1000",
+                             "--J", "900")
+    assert (code, err) == (0, "")
+    rows = _reference_rows(model, J)
+    mins = [r for r in rows if r[1] == "stable" and r[0] >= 0.0]
+    ridge = max(r[2] for r in rows if r[1] == "unstable" and mins[0][0] < r[0] < mins[-1][0])
+    expect = model.omega_norm_sq * (ridge - max(mins[0][2], mins[-1][2]))
+    assert expect == pytest.approx(8.25086e-07, rel=1e-5)
+    assert abs(json.loads(out)["barrier"] - expect) <= 1e-15
+
+
+@pytest.mark.parametrize("q, J, m, stability", [
+    (1000, "650.7833", 0.0012397, "unstable"),    # the ridge next to m = 0
+    (3, "3.005", -0.0022075, "stable"),           # the stable root below m = 0
+], ids=["potts1000-ridge", "potts3-negative"])
+def test_branches_find_the_roots_next_to_zero(capsys, q, J, m, stability):
+    # each root shared a cell of the 400-point m scan with m = 0
+    code, out, _ = run_cli(capsys, "branches", "--model", "potts", "--param", str(q),
+                           "--Jmin", J, "--Jmax", J, "--steps", "1")
+    assert code == 0
+    _, rows = parse_csv(out)
+    ref = _reference_rows(models.potts(q), float(J))
+    assert [r[2] for r in rows] == [r[1] for r in ref]
+    assert np.allclose([float(r[1]) for r in rows], [r[0] for r in ref], rtol=0.0, atol=1e-10)
+    assert [r[2] for r in rows if abs(float(r[1]) - m) < 1e-7] == [stability]
 
 
 def test_branches_report_the_root_through_zero_as_zero_at_huge_couplings(capsys):
@@ -342,7 +380,7 @@ GOLDEN = [
      ("profile", "--model", "cubic", "--param", "4", "--J", "3.785", "--grid", "50")),
     ("branches_nematic3.csv",
      ("branches", "--model", "nematic", "--param", "3", "--Jmin", "6", "--Jmax", "7.5",
-      "--steps", "4", "--scan-resolution", "100")),
+      "--steps", "4")),
     ("transition_potts10.json",
      ("transition", "--model", "potts", "--param", "10")),
     ("transition_nematic3.json",
@@ -654,6 +692,17 @@ def test_nematic_oracle_matches_the_scalar_minimum_at_large_coupling(capsys):
     assert abs(res.value - scalar) <= 1e-9
 
 
+def test_nematic_oracle_at_a_root_next_to_the_end(capsys):
+    # at J = 1e13 the ordered root is 3/4 - 1.5e-13 (N = 4) and 2/3 - 1e-13
+    # (N = 3); a scan in m rounded it to 3/4, where the entropy is -inf
+    # (BoundaryMagnetization), and to 2/3 - 1 ulp, 6.9 too high in scalar_min
+    for N in ("4", "3"):
+        code, out, err = run_cli(capsys, "oracle", "--model", "nematic", "--param", N,
+                                 "--J", "1e13", "--resolution", "20")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["matched_scalar"] is True
+
+
 def test_nematic_n5_oracle_matches_the_scalar_minimum(capsys):
     # N = 5 was refused up front; the grid budget alone bounds N now
     code, out, _ = run_cli(capsys, "oracle", "--model", "nematic", "--param", "5",
@@ -749,7 +798,7 @@ def test_nematic_oracle_coupling_overflow_is_typed(capsys):
 
 @pytest.mark.parametrize("argv, solves", [
     (("certify", "--model", "nematic", "--param", "3", "--dim", "512",
-      "--Jlo", "6.80", "--Jhi", "6.82", "--J-grid", "3", "--m-grid", "200"), 3),
+      "--Jlo", "6.80", "--Jhi", "6.82", "--J-grid", "3", "--m-grid", "200"), 2),
     (("branches", "--model", "potts", "--param", "10", "--Jmin", "4.4",
       "--Jmax", "5.2", "--steps", "81"), 1),
     (("reproduce-figures", "--grid", "50", "--outdir", "DIR"), 1),
@@ -786,6 +835,8 @@ def test_each_command_solves_its_couplings_at_once(argv, solves, monkeypatch, tm
     ("bands", "--slack", "-1"), ("bands", "--id-value", "-1"),
     ("certify", "--Jlo", "2.8", "--Jhi", "2.7"), ("certify", "--Jlo", "0"),
     ("id", "--tol", "0"), ("branches", "--steps", "-1"), ("branches", "--steps", "0"),
+    # branches has no --scan-resolution option since its m scan went: any value
+    # is a usage error
     ("branches", "--scan-resolution", "0"), ("transition", "--Jlo", "2.7"),
     ("transition", "--Jhi", "2.9"), ("profile", "--J", "nan"), ("profile", "--J", "inf"),
     ("branches", "--Jmax", "inf"), ("barrier", "--J", "inf"), ("mc", "--J", "inf"),

@@ -130,7 +130,7 @@ def test_nematic_ordered_phase_and_step_tuning():
     cfg = mc.MCConfig(model=M.nematic(3), J=8.0, N=100, sweeps=2500, burn_in=600,
                       seed=5)
     res = mc.run_mc(cfg)
-    lam_mf = S.solve_branches(M.nematic(3), 8.0, scan_resolution=200).max_stable_root().m
+    lam_mf = S.solve_branches(M.nematic(3), 8.0).max_stable_root().m
     assert abs(res.mean_scalar_m - lam_mf) < 0.05
     assert 0.2 < res.extras["acceptance_rate"] < 0.65
 

@@ -464,7 +464,7 @@ def test_stationarity_equivalence(model, J):
     """m solves m = g'(Jm) iff phi_J'(m) = 0 (checked by centered differences)."""
     from mfspin.solver import solve_branches
     eps = 1e-6
-    for p in solve_branches(model, J, 300).points:
+    for p in solve_branches(model, J).points:
         lo, hi = model.m_bounds()
         if not (lo + 10 * eps < p.m < hi - 10 * eps):
             continue

@@ -127,6 +127,14 @@ def test_brentq_empty_batch_calls_nothing():
     assert roots.shape == (0,) and roots.dtype == float
 
 
+def test_brentq_lanes_with_roots_at_their_ends_call_f_once_per_end():
+    # every lane has f = 0 at an end: those ends are the roots, with no step
+    calls = []
+    roots = brentq(lambda x: calls.append(x.copy()) or x - np.round(x),
+                   [0.0, 1.0, -0.5], [0.5, 1.5, 0.0], xtol=1e-14)
+    assert roots.tolist() == [0.0, 1.0, 0.0] and len(calls) == 2
+
+
 def test_brentq_same_sign_bracket_is_value_error():
     with pytest.raises(ValueError, match="different signs"):
         brentq(lambda x: x + 5.0, [-1.0], [2.0], xtol=1e-14)

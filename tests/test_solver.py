@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from conftest import branch_ms
+from conftest import branch_ms, reference_roots
 from mfspin import certification as C
 from mfspin import models as M
 from mfspin import solver as S
@@ -40,14 +40,14 @@ def test_potts_q3_roots_at_transition():
 
 
 def test_potts_q10_roots_at_transition():
-    bs = S.solve_branches(M.potts(10), J_MF_Q10, 600)
+    bs = S.solve_branches(M.potts(10), J_MF_Q10)
     nonneg = sorted(p.m for p in bs.points if p.m > -1e-9)
     assert nonneg == pytest.approx([0.0, 0.4, 0.8], abs=1e-9)
 
 
 def test_roots_satisfy_fixed_point_equation():
     for model, J in ((M.potts(3), J_MF_Q3), (M.potts(10), 4.8), (M.cubic(4), 3.9)):
-        for p in S.solve_branches(model, J, 500).points:
+        for p in S.solve_branches(model, J).points:
             assert abs(p.m - model.g_prime(J * p.m)) < 1e-10
 
 
@@ -87,19 +87,68 @@ def test_stable_roots_have_positive_phi_curvature():
                 assert d2 < 0
 
 
+# every model family the completeness and fold tests cover
+FAMILIES = ([M.potts(q) for q in (2, 3, 4, 10, 100, 1000)]
+            + [M.cubic(r) for r in range(1, 9)] + [M.nematic(N) for N in range(3, 7)])
+
+
+def dense_fold_couplings(model, factor):
+    """J(h) = h / g'(h) at the sign changes of g' - h g'' on a log grid of |h|
+    `factor` times denser than the solver's fold scan, over the same range."""
+    top = model.m_bounds()[1] * (1.0 / model.g_second(0.0))
+    h = np.geomspace(S._H_MIN, top, factor * (S._H_POINTS - 1) + 1)
+    out = []
+    for x in (-h, h):
+        d = model.g_prime(x) - x * model.g_second(x)
+        i = np.flatnonzero((d[:-1] < 0.0) != (d[1:] < 0.0))
+        out += (x[i] / model.g_prime(x[i])).tolist()
+    return out
+
+
+@pytest.mark.parametrize("model", FAMILIES, ids=str)
+def test_fold_count_matches_a_denser_grid(model):
+    # each fold lies in a cell of the 100x denser grid, and no cell there
+    # holds a fold that the solver's scan misses
+    folds = S._folds(model)
+    dense = dense_fold_couplings(model, 100)
+    assert len(folds) == len(dense)
+    assert np.allclose(sorted(folds / model.g_prime(folds)), sorted(dense), rtol=1e-6)
+
+
+def test_folds_are_the_first_order_spinodals():
+    # J1 of Potts q = 3 (2.745644), q = 10 and nematic N = 3; no fold for
+    # cubic r = 3, where the quartic term of g vanishes
+    for model, J1 in ((M.potts(3), 2.745644), (M.potts(10), 4.559779),
+                      (M.nematic(3), 6.731486)):
+        folds = S._folds(model)
+        assert folds.size == 1 and folds[0] > 0.0
+        assert folds[0] / model.g_prime(folds[0]) == pytest.approx(J1, abs=1e-6)
+    assert S._folds(M.cubic(3)).size == 0
+    folds = S._folds(M.cubic(4))
+    assert folds.tolist() == [-folds[1], folds[1]]
+
+
 def test_branch_completeness_vs_dense_scan():
-    # a 10x finer scan finds the same roots to 1e-6
-    for model, J, res in ((M.potts(10), 4.8, 300), (M.cubic(4), 3.9, 300)):
-        coarse = sorted(p.m for p in S.solve_branches(model, J, res).points)
-        fine = sorted(p.m for p in S.solve_branches(model, J, 10 * res).points)
-        assert len(coarse) == len(fine)
-        assert np.allclose(coarse, fine, atol=1e-6)
+    # on couplings across both spinodals, every root of a dense reference walk
+    # (2e5 cells; 2e4 for the slower nematic g') is found to 1e-10, and no
+    # other root is reported
+    for model in FAMILIES:
+        J2 = 1.0 / model.g_second(0.0)
+        near = [J2] + dense_fold_couplings(model, 1)
+        Js = np.sort(np.concatenate([J2 * np.linspace(0.5, 1.5, 6)]
+                                    + [J * np.array([0.99, 0.999, 1.001, 1.01]) for J in near]))
+        cells = 10 ** 4 if model.kind == "nematic" else 10 ** 5
+        for bs in S.solve_branches(model, Js):
+            found = [p.m for p in bs.points]
+            ref = reference_roots(model, bs.J, cells)
+            assert len(found) == len(ref), (str(model), bs.J, found, ref)
+            assert np.allclose(found, ref, rtol=0.0, atol=1e-10), (str(model), bs.J)
 
 
 def test_sign_scan_matches_the_interval_walk():
-    # reference: a walk over the cells of the scan grid (the two ends, then
-    # 400 interior points) with scipy's brentq on each sign change; the roots
-    # must agree bit for bit
+    # reference: a walk over the cells of the former scan grid (the two ends,
+    # then 400 interior points) with scipy's brentq on each sign change; the
+    # roots agree to 1e-12
     for model, J in ((M.potts(10), 4.9), (M.cubic(4), 3.79), (M.nematic(3), 6.81)):
         lo, hi = model.m_bounds()
         grid = np.concatenate(([lo], np.linspace(lo + 1e-9 * (hi - lo),
@@ -112,9 +161,11 @@ def test_sign_scan_matches_the_interval_walk():
                 walk.append(float(a))
             elif fa * fb < 0.0:
                 walk.append(optimize.brentq(f, a, b, xtol=S._ROOT_XTOL, rtol=8.9e-16))
-        scan = [p.m for p in S.solve_branches(model, J).points]
         assert len(walk) >= 3
-        assert [m for m in scan if abs(m) > 1e-8] == [m for m in walk if abs(m) > 1e-8]
+        scan = [p.m for p in S.solve_branches(model, J).points if abs(p.m) > 1e-8]
+        walk = [m for m in walk if abs(m) > 1e-8]
+        assert len(scan) == len(walk)
+        assert np.allclose(scan, walk, rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +191,7 @@ def test_trace_records_spinodals():
 
 
 def test_trace_q10_discontinuous_onset():
-    ms = branch_ms(M.potts(10), np.linspace(4.4, 5.2, 81), S.BranchSet.max_stable_root,
-                   scan_resolution=600)
+    ms = branch_ms(M.potts(10), np.linspace(4.4, 5.2, 81), S.BranchSet.max_stable_root)
     dm = max(abs(b - a) for a, b in zip(ms, ms[1:]))
     assert dm > 0.3
 
@@ -164,14 +214,14 @@ def test_global_minimizer_magnitude_nondecreasing():
 def test_nematic_large_N_branch_value():
     """Maximal stable branch at scaled coupling 3N approaches the large-N
     fixed point (1 + sqrt(1 - 2/3))/2 = 0.78868."""
-    bp = S.solve_branches(M.nematic(1000), 3000.0, scan_resolution=160).max_stable_root()
+    bp = S.solve_branches(M.nematic(1000), 3000.0).max_stable_root()
     assert bp is not None
     assert bp.m == pytest.approx(0.5 * (1 + np.sqrt(1 / 3)), abs=0.01)
 
 
 def test_roots_next_to_the_ends_are_found():
-    # the ordered roots sit within 1e-9 (hi - lo) of the upper end, in the
-    # cell between the last interior scan point and the end itself
+    # the ordered roots sit within 1e-9 (hi - lo) of the upper end, on the
+    # outer piece, which closes at |h| = J |end| + 1
     bs = S.solve_branches(M.potts(3), 30.0)
     assert abs(bs.max_stable_root().m - 2 / 3) < 1e-12
     for J in (22.0, 24.0, 25.0, 26.0):
@@ -183,16 +233,15 @@ def test_roots_next_to_the_ends_are_found():
 # one solve over an array of couplings
 # ---------------------------------------------------------------------------
 
-@pytest.mark.filterwarnings("ignore::mfspin.errors.ScanTooCoarse")
 @pytest.mark.parametrize("model", [M.potts(3), M.potts(10), M.cubic(2), M.cubic(4),
                                    M.nematic(3), M.nematic(4)], ids=str)
 def test_array_calls_have_the_bits_of_the_per_J_calls(model):
     # J = 0, then couplings across both spinodals
     J2 = 1.0 / model.g_second(0.0)
     Js = np.concatenate(([0.0], np.linspace(0.6 * J2, 1.4 * J2, 9)))
-    sets = S.solve_branches(model, Js, 300)
+    sets = S.solve_branches(model, Js)
     assert isinstance(sets, list)
-    assert repr(sets) == repr([S.solve_branches(model, J, 300) for J in Js.tolist()])
+    assert repr(sets) == repr([S.solve_branches(model, J) for J in Js.tolist()])
     barriers = S.barrier_height(model, Js)
     assert repr(barriers.tolist()) == repr([S.barrier_height(model, J) for J in Js.tolist()])
     dj = C.compute_DJ(model, Js, 1e-3, grid=300)
@@ -203,14 +252,14 @@ def test_array_calls_have_the_bits_of_the_per_J_calls(model):
 
 
 def test_array_call_with_a_coupling_without_bracket():
-    # at J = 0 the cubic scan of 399 points meets f = 0 exactly at m = 0, so
-    # no cell brackets a root: alone, no Brent lane runs at all
+    # at J = 0, h - J g'(h) = h vanishes at the inner ends h = 0 themselves:
+    # alone, every Brent lane stops at its first point
     model = M.cubic(4)
-    alone = S.solve_branches(model, np.array([0.0]), 399)
+    alone = S.solve_branches(model, np.array([0.0]))
     assert [(p.m, p.stability) for p in alone[0].points] == [(0.0, S.STABLE)]
     Js = [0.0, 3.9, 0.0]
-    assert repr(S.solve_branches(model, np.array(Js), 399)) == repr(
-        [S.solve_branches(model, J, 399) for J in Js])
+    assert repr(S.solve_branches(model, np.array(Js))) == repr(
+        [S.solve_branches(model, J) for J in Js])
 
 
 def test_array_calls_on_no_coupling():
@@ -222,12 +271,11 @@ def test_array_calls_on_no_coupling():
         S.solve_branches(model, np.array([1.0, -1.0]))
 
 
-def test_array_solve_evaluates_the_grid_in_blocks():
-    # the whole 2000 x 20002 grid of f would take 320 MB at once; blocks of
-    # about 2^16 entries keep the peak to a few MB
+def test_array_solve_stays_small():
+    # 2000 couplings take a few Brent lanes each: a few MB at the peak
     tracemalloc.start()
     try:
-        sets = S.solve_branches(M.cubic(4), np.linspace(0.5, 5.0, 2000), 20000)
+        sets = S.solve_branches(M.cubic(4), np.linspace(0.5, 5.0, 2000))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
