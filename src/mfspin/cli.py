@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import List, Optional, Sequence
@@ -131,8 +132,10 @@ def _cmd_certify(a) -> str:
 def _cmd_oracle(a) -> str:
     model = _model_from_args(a)
     res, scal = oracle.check_reduction(model, a.J, a.resolution)
+    # the grid's own bound, plus a rounding floor of a few ulps of the values
+    match = abs(res.value - scal) < 2.0 / a.resolution + 4.0 * math.ulp(scal)
     return _json({"model": str(model), "J": a.J, **res.as_dict(), "scalar_min": scal,
-                  "matched_scalar": abs(res.value - scal) < 2.0 / a.resolution})
+                  "matched_scalar": match})
 
 
 def _cmd_mc(a) -> str:

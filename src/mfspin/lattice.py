@@ -7,18 +7,22 @@ and note that Dhat integrates to 1).  I_d ~ 1/(2d) for large d.
 
 Two independent methods:
 
-* ``bessel`` -- the product representation W_d = int_0^inf e^{-t} I0(t/d)^d dt
-  and an analogous three-Bessel formula for I_d directly, valid for every
-  d >= 3.  Both are summed by one fixed rule: Gauss-Legendre panels on
-  [0, T] with doubling edges, T = max(400, 60d), and the tail t = T/u^2 on
-  u in (0, 1], where the t^{-d/2} decay is smooth in u.  The per-panel order
-  steps through 16, 24, 32, ... until two successive orders agree within
-  tol/4; the error estimate is that difference plus a few ulps.  e^-x I0
-  and e^-x I1 come from Chebyshev series kept in this module (Cephes' for
-  I0, fitted ones for I1), and the powers I0(t/d)^k are formed in log space
-  from a power series of log I0, so that their rounding error does not grow
-  with d.  The direct I_d formula is an integrand independent of W_d's, so
-  I_d = W_d - 1 checks the route.
+* ``bessel`` -- the product representation 1/Dhat = int_0^inf e^{-t Dhat} dt
+  gives W_d = int_0^inf e^{-t} I0(t/d)^d dt, and the identity gives
+  I_d = int_0^inf e^{-t} (I0(t/d)^d - 1) dt, valid for every d >= 3.  The
+  route sums that one integrand and reports W_d = 1 + I_d.  It is summed by
+  one fixed rule: Gauss-Legendre panels on [0, T] with doubling edges,
+  T = max(400, 60d), and the tail t = T/u^2 on u in (0, 1], where the
+  t^{-d/2} decay is smooth in u.  The per-panel order steps through 16, 24,
+  32, ... until two successive orders agree within tol/4; the error estimate
+  is that difference plus a few ulps of I_d, plus half an ulp of W_d for
+  its rounding.  I0(t/d)^d is formed in log space, so that its rounding
+  error does not grow with d: y = d log I0(t/d) from a power series of
+  log I0 where t/d <= 2, and Cephes' Chebyshev series of e^-x I0 above.
+  Where y < 1 the integrand is e^{-t} expm1(y), so that I_d keeps its
+  relative accuracy at large d; elsewhere the difference of the two
+  exponentials loses no digits.  mpmath and an exact large-d series check
+  the route in the tests.
 * ``quad``  -- fixed-panel Gauss-Legendre quadrature of the momentum integral
   itself, feasible for d <= 4.  The integrable 1/|k|^2 singularity at k = 0 is
   removed by excluding a ball of radius r0 and adding its analytic small-k
@@ -28,8 +32,9 @@ Two independent methods:
   orders 4, 6, 8, ... until two successive orders agree within tol/4; the
   error estimate is the ball expansion's plus that last difference.
 
-Within ``quad`` the identity I_d = W_d - 1 is not an independent check, since
-both integrals share their nodes; the check is ``quad`` against ``bessel``.
+Neither route checks I_d = W_d - 1 independently (``bessel`` uses it, and
+``quad`` sums both integrals from the same nodes); the check is ``quad``
+against ``bessel``.
 """
 
 from __future__ import annotations
@@ -86,12 +91,10 @@ def _gauss_legendre(order: int):
 # Bessel-product representation
 # ---------------------------------------------------------------------------
 
-# Chebyshev series of the exponentially scaled Bessel functions, highest
-# degree first, in the Cephes convention of _chebyshev.  _I0E_LO and _I0E_HI
-# are Cephes' i0.c tables (the ones numpy's np.i0 uses): e^-x I0(x) in
-# x/2 - 2 on [0, 8] and sqrt(x) e^-x I0(x) in 32/x - 2 on (8, inf).  _I1E_LO
-# and _I1E_HI were fitted in 50-digit arithmetic (docs/decisions.md): e^-x
-# I1(x)/x in x/2 - 2 on [0, 8] and sqrt(x) e^-x I1(x) in 32/x - 2 on (8, inf).
+# Chebyshev series of the exponentially scaled Bessel function e^-x I0(x),
+# highest degree first, in the Cephes convention of _chebyshev: Cephes' i0.c
+# tables (the ones numpy's np.i0 uses), e^-x I0(x) in x/2 - 2 on [0, 8] and
+# sqrt(x) e^-x I0(x) in 32/x - 2 on (8, inf).
 _I0E_LO = (
     -4.4153416464793395e-18, 3.3307945188222384e-17, -2.431279846547955e-16,
     1.715391285555133e-15, -1.1685332877993451e-14, 7.676185498604936e-14,
@@ -115,29 +118,6 @@ _I0E_HI = (
     2.8913705208347567e-06, 6.889758346916825e-05, 0.0033691164782556943,
     0.8044904110141088,
 )
-_I1E_LO = (
-    -3.541581772542136e-19, 2.7779141127610464e-18, -2.111421214358166e-17,
-    1.5536319577362005e-16, -1.1055969477353862e-15, 7.600684294735408e-15,
-    -5.042185504727912e-14, 3.223793365945575e-13, -1.9839743977649436e-12,
-    1.1736186298890901e-11, -6.663489723502027e-11, 3.625590281552117e-10,
-    -1.8872497517228294e-09, 9.381537386495773e-09, -4.445059128796328e-08,
-    2.0032947535521353e-07, -8.568720264695455e-07, 3.4702513081376785e-06,
-    -1.3273163656039436e-05, 4.781565107550054e-05, -0.00016176081582589674,
-    0.0005122859561685758, -0.0015135724506312532, 0.004156422944312888,
-    -0.010564084894626197, 0.024726449030626516, -0.05294598120809499,
-    0.1026436586898471, -0.17641651835783406, 0.25258718644363365,
-)
-_I1E_HI = (
-    -1.242193275194891e-18, -9.314178867326884e-19, 7.517296310842105e-18,
-    4.414348323071708e-18, -4.6503053684893586e-17, -3.209525921993424e-17,
-    2.96262899764595e-16, 3.3082023109209285e-16, -1.8803547755107825e-15,
-    -3.8144030724370075e-15, 1.0420276984128802e-14, 4.272440016711951e-14,
-    -2.1015418427726643e-14, -4.0835511110921974e-13, -7.198551776245908e-13,
-    2.0356285441470896e-12, 1.4125807436613782e-11, 3.2526035830154884e-11,
-    -1.8974958123505413e-11, -5.589743462196584e-10, -3.835380385964237e-09,
-    -2.6314688468895196e-08, -2.512236237870209e-07, -3.882564808877691e-06,
-    -0.00011058893876262371, -0.009761097491361469, 0.7785762350182801,
-)
 _LOG_I0_SERIES_MAX = 2.0           # log I0 from its power series up to here
 _LOG_I0_TERMS = 14                 # terms of I0 - 1 = sum_k (x^2/4)^k / k!^2
 _BESSEL_ORDERS = range(16, 65, 8)  # per-panel orders tried in turn, up to the cap
@@ -153,25 +133,15 @@ def _chebyshev(y, coeffs):
     return 0.5 * (b0 - b2)
 
 
-def _scaled_bessel(x, lo, hi):
-    """Series lo at the entries x <= 8 and series hi over sqrt(x) at the
-    entries x > 8 of an array x > 0."""
+def _i0e(x):
+    """e^-x I0(x) on an array x > 0: the series _I0E_LO at the entries
+    x <= 8 and _I0E_HI over sqrt(x) at the entries x > 8."""
     out = np.empty_like(x)
     small = x <= 8.0
-    out[small] = _chebyshev(x[small] / 2.0 - 2.0, lo)
+    out[small] = _chebyshev(x[small] / 2.0 - 2.0, _I0E_LO)
     xl = x[~small]
-    out[~small] = _chebyshev(32.0 / xl - 2.0, hi) / np.sqrt(xl)
+    out[~small] = _chebyshev(32.0 / xl - 2.0, _I0E_HI) / np.sqrt(xl)
     return out
-
-
-def _i0e(x):
-    """e^-x I0(x) on an array x >= 0."""
-    return _scaled_bessel(x, _I0E_LO, _I0E_HI)
-
-
-def _i1e(x):
-    """e^-x I1(x) on an array x > 0."""
-    return _scaled_bessel(x, _I1E_LO, _I1E_HI) * np.where(x <= 8.0, x, 1.0)
 
 
 def _log_i0_series(x):
@@ -248,30 +218,22 @@ def _bessel_integral(d: int, integrand, what: str, tol: float):
     return value, diff + _ROUNDING_ULPS * float(np.spacing(value))
 
 
-def _wd_bessel(d: int, tol: float):
-    """W_d = int_0^inf e^{-t} I0(t/d)^d dt, the power formed in log space."""
-    return _bessel_integral(d, lambda t: np.exp(d * _log_i0e(t / d)), f"W_{d}", tol)
+def _id_integrand(t, d: int):
+    """e^{-t} (I0(t/d)^d - 1) on an array t > 0, the power formed in log space.
 
-
-def _id_bessel(d: int, tol: float):
-    """Direct product formula for I_d.
-
-    Writing 1 - Dhat = (1/d) sum_j cos k_j and expanding the square under
-    1/Dhat = int_0^infty e^{-t Dhat} dt gives, with x = t/d and exponentially
-    scaled Bessel functions,
-
-        I_d = int_0^inf [ (i0e+i2e)(x)/2 * i0e(x)^{d-1} / d
-                          + (d-1)/d * i1e(x)^2 * i0e(x)^{d-2} ] dt,
-
-    where (i0e + i2e)/2 = i0e - i1e/x and the powers of i0e are formed in
-    log space, as for W_d.
+    Where y = d log I0(t/d) < 1 (only at t/d <= 2, since every t/d > 2 has
+    y > 2.4) the integrand is e^{-t} expm1(y), y from the power series of
+    log I0; elsewhere it is exp(d log i0e(t/d)) - e^{-t}, whose first term
+    is at least e times the second, so the difference loses no digits.
     """
-    def f(t):
-        x = t / d
-        i0, i1, log_i0e = _i0e(x), _i1e(x), _log_i0e(x)
-        return ((i0 - i1 / x) * np.exp((d - 1) * log_i0e) / d
-                + (d - 1) / d * i1 * i1 * np.exp((d - 2) * log_i0e))
-    return _bessel_integral(d, f, f"I_{d}", tol)
+    x = t / d
+    out = np.exp(d * _log_i0e(x)) - np.exp(-t)
+    small = np.flatnonzero(x <= _LOG_I0_SERIES_MAX)
+    y = d * _log_i0_series(x[small])
+    near = y < 1.0
+    at = small[near]
+    out[at] = np.exp(-t[at]) * np.expm1(y[near])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -400,16 +362,16 @@ def compute_id(d: int, method: str = "bessel", tol: float = 1e-8) -> IdEstimate:
     """Infrared integral I_d = int (1-Dhat)^2/Dhat over the Brillouin zone.
 
     The one entry to both integrals: the estimate carries W_d in
-    ``wd_value``.  I_d is evaluated directly, by the three-Bessel product
-    formula next to W_d's own (so I_d = W_d - 1 checks the route), or by
-    fixed-panel quadrature of (1-Dhat)^2/Dhat from the nodes that also give
-    W_d, checked against the Bessel route.
+    ``wd_value``.  The Bessel route sums I_d = int e^{-t} (I0(t/d)^d - 1) dt
+    once and reports W_d = 1 + I_d, its error estimate widened by half an
+    ulp of W_d so that it covers both; the quad route sums (1-Dhat)^2/Dhat
+    and 1/Dhat from the same nodes, checked against the Bessel route.
     """
     _check_args(d, method, tol)
     if method == "bessel":
-        v, err = _id_bessel(d, tol)
-        wd, werr = _wd_bessel(d, tol)
-        err = max(err, werr)
+        v, err = _bessel_integral(d, lambda t: _id_integrand(t, d), f"I_{d}", tol)
+        wd = 1.0 + v
+        err += 0.5 * float(np.spacing(wd))
     else:
         wd, v, err = _quad_value(d, tol)
     if err > max(tol, 1e-14):

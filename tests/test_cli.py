@@ -703,6 +703,17 @@ def test_nematic_oracle_at_a_root_next_to_the_end(capsys):
         assert json.loads(out)["matched_scalar"] is True
 
 
+def test_oracle_match_allows_rounding_at_large_values(capsys):
+    # value -3749999999999943.5 and scalar_min -3749999999999944.0 are one
+    # ulp apart, more than 2/resolution = 0.1
+    code, out, _ = run_cli(capsys, "oracle", "--model", "nematic", "--param", "4",
+                           "--J", "1e16", "--resolution", "20")
+    assert code == 0
+    payload = json.loads(out)
+    assert abs(payload["value"] - payload["scalar_min"]) > 2.0 / 20
+    assert payload["matched_scalar"] is True
+
+
 def test_nematic_n5_oracle_matches_the_scalar_minimum(capsys):
     # N = 5 was refused up front; the grid budget alone bounds N now
     code, out, _ = run_cli(capsys, "oracle", "--model", "nematic", "--param", "5",

@@ -1,6 +1,7 @@
 """Infrared integrals: two independent methods, identities, asymptotics."""
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -170,6 +171,85 @@ def test_large_d_asymptotic_expansion(d):
     assert abs(value - 1.0 / (2 * d) - 3.0 / (4 * d * d)) <= 2.0 / d ** 3
 
 
+def _wd_series_coefficients(terms):
+    """w_0, w_1, ... of W_d = sum_n w_n / d^n, exact.
+
+    d log I0(t/d) = sum_k l_k t^{2k} / d^{2k-1}, l_k the coefficients of
+    log I0(x) = sum_k l_k x^{2k}; exponentiated as a series in 1/d whose
+    coefficients are polynomials in t, and integrated against e^{-t} term by
+    term, int_0^inf t^m e^{-t} dt = m!.
+    """
+    b = [Fraction(1, 4 ** k * math.factorial(k) ** 2) for k in range(terms)]
+    log_i0 = [Fraction(0)] * terms
+    for n in range(1, terms):
+        log_i0[n] = b[n] - sum((k * log_i0[k] * b[n - k] for k in range(1, n)),
+                               Fraction(0)) / n
+    # the exponent's coefficient of 1/d^n as {power of t: coefficient}
+    p = [{} for _ in range(terms)]
+    for k in range(1, terms // 2 + 1):
+        p[2 * k - 1] = {2 * k: log_i0[k]}
+    # e = exp(sum_n p_n / d^n) by n e_n = sum_{k=1}^n k p_k e_{n-k}
+    e = [{0: Fraction(1)}]
+    for n in range(1, terms):
+        acc = {}
+        for k in range(1, n + 1):
+            for i, a in p[k].items():
+                for j, c in e[n - k].items():
+                    acc[i + j] = acc.get(i + j, Fraction(0)) + k * a * c / n
+        e.append(acc)
+    return [sum(c * math.factorial(m) for m, c in en.items()) for en in e]
+
+
+WD_SERIES = _wd_series_coefficients(16)
+
+
+def test_wd_series_coefficients():
+    assert WD_SERIES[:9] == [1, Fraction(1, 2), Fraction(3, 4), Fraction(3, 2),
+                             Fraction(15, 4), Fraction(355, 32), Fraction(595, 16),
+                             Fraction(8715, 64), Fraction(67095, 128)]
+
+
+@pytest.mark.parametrize("d", [64, 256, 1024, 10 ** 4, 10 ** 5, 10 ** 6, 10 ** 7])
+def test_large_d_matches_the_exact_series(d):
+    # the series is asymptotic, its terms shrinking until n ~ d; the 16th
+    # is below 3e-19 from d = 64 on, far inside the reported error
+    est = compute_id(d, "bessel", 1e-12)
+    terms = [c / Fraction(d) ** n for n, c in enumerate(WD_SERIES)]
+    assert abs(terms[-1]) < est.abs_error_estimate / 100
+    exact = sum(terms[1:])
+    assert abs(Fraction(est.value) - exact) <= Fraction(est.abs_error_estimate)
+
+
+def _mp_id(d):
+    """I_d = int_0^inf e^{-t} expm1(d log I0(t/d)) dt at 30 digits, with
+    mpmath's error estimate."""
+    with mpmath.workdps(30):
+        def f(t):
+            return mpmath.exp(-t) * mpmath.expm1(d * mpmath.log(mpmath.besseli(0, t / d)))
+        return mpmath.quad(f, [0, 1, 4, 16, 64, 256, max(1024, 64 * d), mpmath.inf],
+                           error=True)
+
+
+@pytest.mark.parametrize("d", [*range(3, 17), 32, 64, 128])
+def test_id_matches_mpmath(d):
+    reference, quad_error = _mp_id(d)
+    assert quad_error < 1e-25
+    est = compute_id(d, "bessel", 1e-12)
+    with mpmath.workdps(30):
+        assert abs(est.value - reference) <= est.abs_error_estimate
+
+
+def test_bessel_route_sums_one_integral(monkeypatch):
+    # W_d = 1 + I_d exactly, from one order search
+    calls = []
+    converge = lattice._converge
+    monkeypatch.setattr(lattice, "_converge",
+                        lambda *args: calls.append(args[2]) or converge(*args))
+    est = compute_id(7, "bessel", 1e-12)
+    assert calls == ["I_7 (bessel)"]
+    assert est.wd_value == 1.0 + est.value
+
+
 def _mp_array(f, x, dps):
     with mpmath.workdps(dps):
         return np.array([float(f(mpmath.mpf(float(v)))) for v in x])
@@ -182,9 +262,7 @@ BESSEL_POINTS = np.unique(np.concatenate([np.geomspace(1e-6, 1e8, 2001),
 def test_scaled_bessel_series_match_mpmath():
     assert len(BESSEL_POINTS) >= 3000
     i0e = _mp_array(lambda v: mpmath.besseli(0, v) * mpmath.exp(-v), BESSEL_POINTS, 30)
-    i1e = _mp_array(lambda v: mpmath.besseli(1, v) * mpmath.exp(-v), BESSEL_POINTS, 30)
     assert np.max(np.abs(lattice._i0e(BESSEL_POINTS) / i0e - 1.0)) <= 1e-15
-    assert np.max(np.abs(lattice._i1e(BESSEL_POINTS) / i1e - 1.0)) <= 2e-15
 
 
 def test_log_i0_series_matches_mpmath():
