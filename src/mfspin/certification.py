@@ -108,6 +108,8 @@ class Certificate:
     delta_d: float
     J_MF: float
     min_margin: float                       # min over window of Delta(J) - J*delta_d
+    margins: Dict[float, float]             # Delta(J) - J*delta_d at each grid J
+    argmin_J: float                         # the grid J where min_margin is reached
     barrier_min: float
     epsilon1: float
     epsilon2: float
@@ -121,6 +123,8 @@ class Certificate:
             "J_window": list(self.J_window), "I_d": self.I_d,
             "delta_d": self.delta_d, "J_MF": self.J_MF,
             "min_margin": self.min_margin, "barrier_min": self.barrier_min,
+            "margins": {str(k): v for k, v in self.margins.items()},
+            "argmin_J": self.argmin_J,
             "epsilon1": self.epsilon1, "epsilon2": self.epsilon2,
             "forbidden_bands": {str(k): [list(b) for b in v]
                                 for k, v in self.forbidden_bands.items()},
@@ -168,7 +172,7 @@ def certify(model: ModelSpec, d: int, J_window: Tuple[float, float],
     # one solve: the window's barriers and varkappa, and J_MF's minima for K
     *window, at_mf = solve_branches(model, np.append(Js, tp.J_MF))
     barriers = np.array([bs.barrier() for bs in window])
-    margins = barriers - Js * delta_d
+    margins = dict(zip(Js.tolist(), (barriers - Js * delta_d).tolist()))
     forbidden: Dict[float, List[Tuple[float, float]]] = {
         J: _forbidden_from_allowed(allowed_bands(model, J, J * delta_d, grid=m_grid))
         for J in Js.tolist()}
@@ -197,10 +201,12 @@ def certify(model: ModelSpec, d: int, J_window: Tuple[float, float],
     else:
         eps2 = float("inf")
 
-    min_margin = float(min(margins))
+    argmin_J = min(margins, key=margins.get)
+    min_margin = margins[argmin_J]
     return Certificate(
         model=model, d=d, J_window=(J_lo, J_hi), I_d=float(I_d),
         delta_d=delta_d, J_MF=tp.J_MF, min_margin=min_margin,
+        margins=margins, argmin_J=argmin_J,
         barrier_min=float(min(barriers)), epsilon1=float(eps1),
         epsilon2=float(eps2), forbidden_bands=forbidden,
         passed=bool(min_margin > 0.0),

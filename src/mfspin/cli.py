@@ -11,6 +11,7 @@ failure (machine-readable JSON on stderr).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -400,7 +401,13 @@ def dispatch(argv: Optional[List[str]] = None) -> int:
 
 
 def main() -> None:
-    sys.exit(dispatch())
+    try:
+        code = dispatch()
+    finally:
+        # the output and exit code are final: move every tracked object to the
+        # permanent generation, which interpreter shutdown's collections skip
+        gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

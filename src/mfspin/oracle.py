@@ -31,8 +31,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import BudgetExceeded, CouplingOverflow, NoStableRoot
-from .models import (ModelSpec, _xlogx, ising_theta, phi_full_scale, potts_phi,
-                     scalar_phi)
+from .models import ModelSpec, _xlogx, ising_theta, potts_phi, scalar_phi
 from .solver import solve_branches
 
 __all__ = ["potts_fullspace_min", "cubic_fullspace_min", "nematic_dual_min",
@@ -345,15 +344,18 @@ def nematic_dual_min(N: int, J: float, resolution: int = 120) -> OracleResult:
 # ---------------------------------------------------------------------------
 
 # per kind: the search, called as (param, J, resolution), and
-# the scalar reduction's value at m in that search's own convention; each
-# looks its function up by module name at call time (perfbench's tracer rebinds it)
+# the scalar reduction's value at the branch point bp in that search's own
+# convention; each looks its function up by module name at call time
+# (perfbench's tracer rebinds it).  The nematic value is the dual form
+# |omega|^2 ((J/2) m^2 - g(J m)) the solver already formed, which needs no
+# entropy at m and so stays finite where m rounds to the interval's end.
 _ORACLES = {
     "potts": (lambda q, J, res: potts_fullspace_min(q, J, res),
-              lambda model, J, m: potts_phi(model.param, J, m)),
+              lambda model, J, bp: potts_phi(model.param, J, bp.m)),
     "cubic": (lambda r, J, res: cubic_fullspace_min(r, J, res),
-              lambda model, J, m: scalar_phi(model, J, m) - np.log(4.0 * model.param)),
+              lambda model, J, bp: scalar_phi(model, J, bp.m) - np.log(4.0 * model.param)),
     "nematic": (lambda N, J, res: nematic_dual_min(N, J, res),
-                lambda model, J, m: phi_full_scale(model, J, m)),
+                lambda model, J, bp: model.omega_norm_sq * bp.phi),
 }
 
 
@@ -368,5 +370,5 @@ def check_reduction(model: ModelSpec, J: float,
         raise NoStableRoot(f"no stable root m >= 0 of the mean-field equation "
                            f"for {model} at J={J}")
     search, scalar = _ORACLES[model.kind]
-    value = float(scalar(model, J, bp.m))
+    value = float(scalar(model, J, bp))
     return search(model.param, J, resolution), value

@@ -36,13 +36,21 @@ def tmp_outdir(tmp_path_factory):
     return tmp_path_factory.mktemp("cli_out")
 
 
-def run_python(probe):
-    """Run probe in a fresh interpreter that imports this package; its stdout."""
+def python_process(*args):
+    """Run the interpreter on args in a fresh process that imports this
+    package; the finished process, whatever its exit code."""
     src = os.path.dirname(os.path.dirname(mfspin.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    return subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                          capture_output=True, text=True).stdout
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True)
+
+
+def run_python(probe):
+    """Run probe in a fresh interpreter that imports this package; its stdout."""
+    proc = python_process("-c", probe)
+    proc.check_returncode()
+    return proc.stdout
 
 
 def branch_ms(model, Js, pick):

@@ -5,6 +5,7 @@ import pytest
 
 from mfspin import certification as C
 from mfspin import models as M
+from mfspin import solver as S
 from mfspin.errors import WindowExcludesTransition
 
 J_MF_Q10 = 2.25 * np.log(9)
@@ -116,6 +117,23 @@ def test_certificate_small_dimension_fails():
     cert = C.certify(M.potts(10), 3, WINDOW_Q10, J_grid=5, m_grid=1000)
     assert not cert.passed          # I_3 = 0.516 swamps the barrier
     assert cert.min_margin < 0
+
+
+def test_certificate_reports_the_margin_at_each_grid_J():
+    model = M.potts(10)
+    cert = C.certify(model, 3, WINDOW_Q10, I_d=0.002, J_grid=7, m_grid=1200)
+    Js = np.linspace(*WINDOW_Q10, 7).tolist()
+    assert list(cert.margins) == Js == list(cert.forbidden_bands)
+    for J, margin in cert.margins.items():
+        barrier = S.solve_branches(model, J).barrier()
+        assert margin == pytest.approx(barrier - J * cert.delta_d, rel=0, abs=1e-15)
+    assert min(cert.margins.values()) == cert.min_margin
+    assert cert.argmin_J in Js
+    assert cert.margins[cert.argmin_J] == cert.min_margin
+    out = cert.as_dict()
+    assert out["margins"].keys() == out["forbidden_bands"].keys()
+    assert min(out["margins"].values()) == out["min_margin"]
+    assert out["margins"][str(out["argmin_J"])] == out["min_margin"]
 
 
 def test_certificate_monotone_in_d_injected():

@@ -1,5 +1,6 @@
 """CLI dispatch: output formats, exit codes, figure-data reproduction."""
 
+import gc
 import importlib
 import json
 import os
@@ -8,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import reference_roots, run_python
+from conftest import python_process, reference_roots, run_python
 from mfspin import models
 from mfspin.cli import dispatch
 
@@ -466,6 +467,70 @@ def test_nematic_profile_reaches_the_bottom_of_the_interval(capsys):
     header, rows = parse_csv(out)
     assert header == ["m", "phi", "phi_full_scale"] and len(rows) == 5
     assert np.all(np.isfinite(np.array(rows, dtype=float)))
+
+
+# The exit path as a shell runs it: `python -m mfspin.cli` in a fresh
+# interpreter, through main() and its heap freeze to interpreter shutdown.
+EXITS_1 = ("certify", "--model", "potts", "--param", "3", "--dim", "64",
+           "--Jlo", "1", "--Jhi", "2")
+EXITS_2 = ("certify", "--model", "potts", "--param", "3", "--dim", "64",
+           "--Jlo", "2", "--Jhi", "1")
+
+
+@pytest.mark.parametrize("fixture", ["transition_potts3.json", "id_bessel_d1024.json",
+                                     "certify_cubic4_d512.json"])
+def test_module_entry_prints_the_golden_bytes_and_exits_0(fixture):
+    proc = python_process("-m", "mfspin.cli", *dict(GOLDEN)[fixture])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    with open(os.path.join(DATA, fixture), "rb") as fh:
+        assert proc.stdout.encode("utf-8") == fh.read()
+
+
+def test_module_entry_exits_1_with_typed_json_on_stderr():
+    proc = python_process("-m", "mfspin.cli", *EXITS_1)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    err = json.loads(proc.stderr)
+    assert err["schema_version"] == 1 and err["error"] == "WindowExcludesTransition"
+
+
+def test_module_entry_exits_2_on_a_usage_error():
+    proc = python_process("-m", "mfspin.cli", *EXITS_2)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("usage: mfspin ")
+    assert proc.stderr.endswith("mfspin: error: certify requires 0 < --Jlo < --Jhi\n")
+
+
+@pytest.mark.parametrize("code,argv", [(0, ("id", "--dim", "3", "--method", "bessel")),
+                                       (1, EXITS_1), (2, EXITS_2)])
+def test_main_freezes_the_heap_before_every_exit(code, argv):
+    # the shutdown collections skip the permanent generation; once numpy is
+    # imported about 22 000 tracked objects are left for them to sweep
+    probe = ("import gc, sys, mfspin.cli\n"
+             f"sys.argv = ['mfspin', *{argv!r}]\n"
+             "try:\n"
+             "    mfspin.cli.main()\n"
+             "except SystemExit as exc:\n"
+             "    print(exc.code, gc.get_freeze_count(), len(gc.get_objects()))\n")
+    got, frozen, unfrozen = map(int, run_python(probe).splitlines()[-1].split())
+    assert got == code
+    assert frozen > 10_000
+    assert unfrozen < 100
+
+
+def test_dispatch_leaves_the_collector_alone(capsys):
+    # tests and library callers run dispatch() in-process and keep normal GC
+    before = gc.get_freeze_count()
+    code, _, _ = run_cli(capsys, "id", "--dim", "3", "--method", "bessel")
+    assert code == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_console_script_is_main():
+    # main() is where the freeze sits; an entry point past it would skip it
+    tomllib = pytest.importorskip("tomllib")          # Python 3.11+
+    with open(os.path.join(os.path.dirname(DATA), os.pardir, "pyproject.toml"), "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts == {"mfspin": "mfspin.cli:main"}
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():

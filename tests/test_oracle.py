@@ -11,7 +11,7 @@ import pytest
 from mfspin import models as M
 from mfspin import oracle as O
 from mfspin import solver as S
-from mfspin.errors import BoundaryMagnetization, BudgetExceeded, CouplingOverflow
+from mfspin.errors import BudgetExceeded, CouplingOverflow, NoStableRoot
 from mfspin.models import _xlogx
 
 J_MF_Q3 = 4 * np.log(2)
@@ -477,13 +477,24 @@ def test_nematic_budget_guard():
 
 
 def test_check_reduction_fails_on_the_scalar_side_before_the_search(monkeypatch):
-    # from J ~ 3e16 the N = 4 ordered root, 3/4 - O(1/J), rounds to 3/4, the
-    # end of the m interval, where the full-scale free energy is out of reach
+    # J = 3 is the m = 0 spinodal of cubic r = 3, where no root is stable
     def search(*args):
-        raise AssertionError("the dual search ran")
-    monkeypatch.setattr(O, "nematic_dual_min", search)
-    with pytest.raises(BoundaryMagnetization):
-        O.check_reduction(M.nematic(4), 1e17, resolution=20)
+        raise AssertionError("the full-space search ran")
+    monkeypatch.setattr(O, "cubic_fullspace_min", search)
+    with pytest.raises(NoStableRoot):
+        O.check_reduction(M.cubic(3), 3.0, resolution=20)
+
+
+def test_check_reduction_nematic_scalar_side_is_finite_past_the_rounding_coupling():
+    # from J ~ 3e16 the N = 4 ordered root, 3/4 - O(1/J), rounds to 3/4, the
+    # end of the m interval, where the entropy is -inf; the dual form
+    # |omega|^2 ((J/2) m^2 - g(J m)) needs no entropy and stays finite
+    model, J = M.nematic(4), 1e17
+    _, scal = O.check_reduction(model, J, resolution=20)
+    assert np.isfinite(scal)
+    assert scal == model.omega_norm_sq * S.solve_branches(model, J).global_minimum().phi
+    # |omega|^2 (-(J/2) m^2 - s(m)) at m = 3/4, up to the O(log J) entropy
+    assert scal == pytest.approx(-(4 / 3) * J * (3 / 4) ** 2 / 2, rel=1e-12)
 
 
 @pytest.mark.parametrize("N", [3, 4])
