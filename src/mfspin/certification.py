@@ -8,7 +8,7 @@ split into disjoint bands and the magnetization must jump: the window is
 certified first-order at dimension d.
 
 The certificate here is a numerical statement about quantities computed on
-stated grids at stated tolerances, not a proof object.  The constants
+stated coupling grids at stated tolerances, not a proof object.  The constants
 varkappa (minimal asymmetric magnetization over the window) and K (Lipschitz
 bound of the free energy near the minima) entering epsilon_2 are existential
 in the source argument; the instantiation below is one admissible,
@@ -18,82 +18,105 @@ conservative choice, and is recorded in the certificate metadata.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .errors import WindowExcludesTransition
 from .models import ModelSpec
-from .solver import find_transition, solve_branches
+from .roots import brentq
+from .solver import BranchSet, find_transition, solve_branches
 
 __all__ = ["Certificate", "allowed_bands", "compute_DJ", "certify"]
 
 
-@lru_cache(maxsize=8)
-def _entropy_grid(model: ModelSpec, grid: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Uniform m >= 0 grid (interior endpoints) and s(m) on it, read-only."""
-    _, hi = model.m_bounds()
-    eps = 1e-9 * hi
-    ms = np.linspace(0.0, hi - eps, grid)
-    s, _ = model.entropy(ms)
-    ms.flags.writeable = False
-    s.flags.writeable = False
-    return ms, s
+def _sublevel(model: ModelSpec, sets: List[BranchSet], thetas):
+    """Per BranchSet, its stable m >= 0 minima and the maximal intervals of
+    {m >= 0 : Phi_J(m) <= min Phi_J + theta}, theta one value or one per set.
+
+    With m = g'(h), Phi(h) = |omega|^2 (-J m^2/2 + h m - g(h)) has the slope
+    |omega|^2 g''(h) (h - J m): it is monotone between the stationary fields
+    h = J m, and on the top piece, which doubling closes where Phi exceeds the
+    level (where g' stops moving first, the band reaches m_hi).  One lockstep
+    Brent lane per (set, piece) whose ends straddle the level gives each edge,
+    in u = log(1 + h): a node at h ~ 1e300 is 690 away, not 1000 halvings."""
+    if not sets:
+        return []
+    w, m_hi = model.omega_norm_sq, model.m_bounds()[1]
+    phi = lambda u, J, m: w * (-J * m * m / 2.0 + np.expm1(u) * m - model.g(np.expm1(u)))
+    # a row per set: its nodes, padded with its top node, which the last column moves up
+    nodes = [[bs.J * q.m for q in bs.points if q.m >= 0.0] for bs in sets]
+    width = max(map(len, nodes)) + 1
+    u = np.log1p([hs + hs[-1:] * (width - len(hs)) for hs in nodes])
+    J, g = np.array([bs.J for bs in sets])[:, None], model.g_prime(np.expm1(u))
+    p = phi(u, J, g)
+    level = p.min(axis=1) + np.asarray(thetas, dtype=float)
+    todo = np.flatnonzero(p[:, -1] <= level)
+    while todo.size:
+        new = np.minimum(2.0 * u[todo, -1] + 1.0, 709.0)    # expm1 overflows above 709.78
+        gnew = model.g_prime(np.expm1(new))
+        moved = gnew > g[todo, -1]              # the rest reach m_hi
+        todo, new, gnew = todo[moved], new[moved], gnew[moved]
+        u[todo, -1], g[todo, -1], p[todo, -1] = new, gnew, phi(new, J[todo, 0], gnew)
+        todo = todo[p[todo, -1] <= level[todo]]
+    inside = p <= level[:, None]
+    r, c = np.nonzero(inside[:, :-1] != inside[:, 1:])
+    f = lambda x, J, lv: phi(x, J, model.g_prime(np.expm1(x))) - lv
+    edges = model.g_prime(np.expm1(brentq(f, u[r, c], u[r, c + 1], xtol=1e-14,
+                                          args=(J[r, 0], level[r]))))
+    # a band starts at m = 0 or at an edge, and ends at an edge or at m_hi
+    ends = [[0.0] * lo + edges[r == i].tolist() + [m_hi] * hi
+            for i, (lo, hi) in enumerate(inside[:, [0, -1]].tolist())]
+    return [([q.m for q in bs.stable(nonnegative=True)], list(zip(e[::2], e[1::2])))
+            for bs, e in zip(sets, ends)]
 
 
-def _phi_grid(model: ModelSpec, J: float, grid: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Full-scale free energy |omega|^2 (-J m^2/2 - s(m)) on the m >= 0 grid.
-
-    s(m) does not depend on J, so it comes from the per-(model, grid) cache
-    `_entropy_grid`; only the quadratic term is formed per J, in the same
-    operation order as `phi_full_scale`, so the values are bit-identical.
-    """
-    ms, s = _entropy_grid(model, int(grid))
-    return ms, model.omega_norm_sq * (-J * ms * ms / 2.0 - s)
+def _sup_distance(mins: List[float], bands: List[Tuple[float, float]]) -> float:
+    """The largest distance to the nearest minimum over the bands (nan with no
+    minimum): at a band's end or a midpoint of adjacent minima inside a band."""
+    mids = [(a + b) / 2.0 for a, b in zip(mins, mins[1:])]
+    pts = [e for b in bands for e in b] + [x for x in mids
+                                           if any(lo <= x <= hi for lo, hi in bands)]
+    return float(np.min(np.abs(np.subtract.outer(pts, mins)), axis=1).max()) if mins else np.nan
 
 
-def allowed_bands(model: ModelSpec, J: float, slack: float,
-                  grid: int = 2000) -> List[Tuple[float, float]]:
-    """Maximal intervals of {m >= 0 : Phi_J(m) <= min Phi_J + slack}.
+def _lipschitz(model: ModelSpec, bs: BranchSet, radius: float) -> float:
+    """K = max |dPhi/dm| = |omega|^2 max |h - J m| over the balls of this radius
+    about the stable m >= 0 minima of bs, inf if one reaches m_hi (as h does):
+    at the balls' ends, with h from `entropy`, or where J g''(h) = 1, once
+    between adjacent roots of opposite stability."""
+    mins = np.array([q.m for q in bs.stable(nonnegative=True)])
+    if np.any(mins + radius >= model.m_bounds()[1]):
+        return float("inf")
+    ends = np.append(np.maximum(mins - radius, 0.0), mins + radius)
+    roots = [q for q in bs.points if q.m >= 0.0]
+    lo, hi = np.array([(bs.J * a.m, bs.J * b.m) for a, b in zip(roots, roots[1:])
+                       if a.stability != b.stability]).reshape(-1, 2).T
+    h = brentq(lambda h: bs.J * model.g_second(h) - 1.0, lo, hi, xtol=1e-14)
+    h = h[np.any(np.abs(np.subtract.outer(model.g_prime(h), mins)) <= radius, axis=1)]
+    h, m = np.append(model.entropy(ends)[1], h), np.append(ends, model.g_prime(h))
+    return float(model.omega_norm_sq * np.abs(h - bs.J * m).max())
 
-    Phi is the full-scale free energy |omega|^2 phi_J.  With slack = 0 the
-    bands degenerate to the global-minimizer set (up to grid resolution);
-    slack above the barrier yields a single connected band.
+
+def allowed_bands(model: ModelSpec, J: float, slack: float) -> List[Tuple[float, float]]:
+    """Maximal intervals of {m >= 0 : Phi_J(m) <= min Phi_J + slack}, Phi the
+    full-scale free energy |omega|^2 phi_J.  With slack = 0 they degenerate to
+    the global minimizers; slack above the barrier yields one band.
     """
     if slack < 0:
         raise ValueError("slack must be non-negative")
-    ms, phis = _phi_grid(model, J, grid)
-    level = phis.min() + slack
-    ok = phis <= level + 1e-15
-    # +1 where a run of allowed points starts, -1 just past where one ends
-    edges = np.diff(ok.astype(np.int8), prepend=0, append=0)
-    starts, stops = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
-    return [(float(ms[i]), float(ms[j - 1])) for i, j in zip(starts, stops)]
+    return _sublevel(model, [solve_branches(model, J)], slack)[0][1]
 
 
-def compute_DJ(model: ModelSpec, J, theta: float, grid: int = 2000):
-    """Sup distance to the local-minima set over the theta-sublevel set.
-
-    D_J(theta) = sup { dist(m, minima) : m >= 0, Phi_J(m) < F_MF + theta },
-    with minima taken from the stable mean-field-equation roots (scalar
-    reduction).  Monotone non-decreasing in theta; -> 0 as theta -> 0 at
-    couplings with nondegenerate minima.  A float J gives a float, an array
-    an array, from one `solve_branches` call.
-    """
+def compute_DJ(model: ModelSpec, J, theta: float):
+    """D_J(theta) = sup { dist(m, minima) : m >= 0, Phi_J(m) <= F_MF + theta },
+    the minima being the stable mean-field-equation roots: monotone in theta,
+    -> 0 as theta -> 0 at nondegenerate minima.  A float J gives a float, an
+    array an array, from one `solve_branches` call."""
     if theta <= 0:
         raise ValueError("theta must be positive")
-    out = []
-    for bs in solve_branches(model, np.atleast_1d(J)):
-        mins = np.array([p.m for p in bs.stable(nonnegative=True)])
-        ms, phis = _phi_grid(model, bs.J, grid)
-        near = ms[phis < phis.min() + theta]
-        if not mins.size:
-            out.append(float("nan"))
-        elif not near.size:
-            out.append(0.0)
-        else:
-            out.append(float(np.min(np.abs(near[:, None] - mins[None, :]), axis=1).max()))
+    out = [_sup_distance(*mb)
+           for mb in _sublevel(model, solve_branches(model, np.atleast_1d(J)), theta)]
     return np.array(out) if np.ndim(J) else out[0]
 
 
@@ -116,11 +139,14 @@ class Certificate:
     forbidden_bands: Dict[float, List[Tuple[float, float]]] = field(default_factory=dict)
     passed: bool = False
     notes: str = ""
+    I_d_method: Optional[str] = None        # compute_id's method and error estimate;
+    I_d_err: Optional[float] = None         # None for an I_d passed in
 
     def as_dict(self):
         return {
             "model": str(self.model), "d": self.d,
             "J_window": list(self.J_window), "I_d": self.I_d,
+            "I_d_method": self.I_d_method, "I_d_err": self.I_d_err,
             "delta_d": self.delta_d, "J_MF": self.J_MF,
             "min_margin": self.min_margin, "barrier_min": self.barrier_min,
             "margins": {str(k): v for k, v in self.margins.items()},
@@ -132,35 +158,29 @@ class Certificate:
         }
 
 
-def _forbidden_from_allowed(bands: List[Tuple[float, float]]) -> List[Tuple[float, float]]:
-    return [(a[1], b[0]) for a, b in zip(bands, bands[1:])]
-
-
 def certify(model: ModelSpec, d: int, J_window: Tuple[float, float],
-            J_grid: int = 21, m_grid: int = 2000,
-            I_d: Optional[float] = None,
+            J_grid: int = 21, I_d: Optional[float] = None,
             DJ_J_grid: int = 25) -> Certificate:
     """Evaluate the error-budget certificate at dimension d over a J-window.
 
     Margin: min over the window of Delta(J) - J*delta_d, with Delta the
     full-scale barrier; the certificate passes iff the margin is positive.
-    epsilon_1 = sup_{J' <= J_hi} D_{J'}(J_hi * delta_d);
-    epsilon_2 = (2 epsilon_1 K + J_hi delta_d) / (varkappa^2 / 2) with
-    varkappa the least asymmetric-minimum magnetization over the window and
-    K a gridded Lipschitz bound of the full-scale free energy near the
-    minima.
+    epsilon_1 = sup_{J' <= J_hi} D_{J'}(J_hi * delta_d) over DJ_J_grid
+    couplings from 1e-3; epsilon_2 = (2 epsilon_1 K + J_hi delta_d) /
+    (varkappa^2 / 2) with varkappa the least asymmetric minimum over the window
+    and K = max |dPhi/dm| over the epsilon_1-balls about the minima at J_MF.
     """
     J_lo, J_hi = float(J_window[0]), float(J_window[1])
     if not (0 < J_lo < J_hi):
         raise ValueError(f"bad J_window {J_window}")
-    if m_grid < 4:
-        raise ValueError(f"m_grid must be at least 4, got {m_grid}")
     if J_grid < 1 or DJ_J_grid < 1:
         raise ValueError(f"J_grid and DJ_J_grid must be at least 1, "
                          f"got {J_grid} and {DJ_J_grid}")
+    I_d_method = I_d_err = None
     if I_d is None:
         from .lattice import compute_id     # on first use: bands and figures need no I_d
-        I_d = compute_id(d, "bessel", 1e-10).value
+        est = compute_id(d, "bessel", 1e-10)
+        I_d, I_d_method, I_d_err = est.value, est.method, est.abs_error_estimate
     delta_d = float(model.delta_factor * I_d)    # the slack at coupling J is J*delta_d
 
     tp = find_transition(model)
@@ -168,38 +188,25 @@ def certify(model: ModelSpec, d: int, J_window: Tuple[float, float],
         raise WindowExcludesTransition(
             f"J_MF={tp.J_MF:.6f} outside window {J_window}")
 
-    Js = np.linspace(J_lo, J_hi, int(J_grid))
-    # one solve: the window's barriers and varkappa, and J_MF's minima for K
-    *window, at_mf = solve_branches(model, np.append(Js, tp.J_MF))
+    # one solve: the window, the D_J couplings J' <= J_hi, and J_MF for K
+    Js, DJs = np.linspace(J_lo, J_hi, int(J_grid)), np.linspace(1e-3, J_hi, int(DJ_J_grid))
+    sets = solve_branches(model, np.concatenate([Js, DJs, [tp.J_MF]]))
+    window = sets[:Js.size]
     barriers = np.array([bs.barrier() for bs in window])
     margins = dict(zip(Js.tolist(), (barriers - Js * delta_d).tolist()))
-    forbidden: Dict[float, List[Tuple[float, float]]] = {
-        J: _forbidden_from_allowed(allowed_bands(model, J, J * delta_d, grid=m_grid))
-        for J in Js.tolist()}
-    asym = [[p.m for p in bs.stable(nonnegative=True) if p.m > 1e-6] for bs in window]
-    kappas = [min(a) for a in asym if a]
+    varkappa = min((p.m for bs in window for p in bs.stable(nonnegative=True)
+                    if p.m > 1e-6), default=0.0)
 
-    # epsilon_1 per the sup_{J' <= J} D_{J'}(J delta_d) recipe; at zero slack
-    # (ideal d = infinity) the floor leaves only grid resolution in epsilon_1.
-    # Python's max skips a nan D_J (a coupling without minima); np.max would not
+    # epsilon_1 = sup_{J' <= J_hi} D_{J'}(J_hi delta_d), theta floored for zero slack
+    # (d = infinity); Python's max skips the nan D_J of a coupling without minima
     theta = max(J_hi * delta_d, 1e-12)
-    eps1 = max(0.0, *compute_DJ(model, np.linspace(1e-3, J_hi, int(DJ_J_grid)), theta,
-                                grid=m_grid).tolist())
-
-    # K: max |dPhi/dm| (full scale) within eps1-balls around the minima at J_MF
-    ms, phis = _phi_grid(model, tp.J_MF, m_grid)
-    dphi = np.gradient(phis, ms)
-    mins = [p.m for p in at_mf.stable(nonnegative=True)]
-    near = np.zeros_like(ms, dtype=bool)
-    for m0 in mins:
-        near |= np.abs(ms - m0) <= max(eps1, 1e-3)
-    K = float(np.abs(dphi[near]).max()) if near.any() else float(np.abs(dphi).max())
-
-    varkappa = min(kappas) if kappas else 0.0
-    if varkappa > 0:
-        eps2 = (2.0 * eps1 * K + J_hi * delta_d) / (0.5 * varkappa ** 2)
-    else:
-        eps2 = float("inf")
+    sub = _sublevel(model, sets[:-1], np.append(Js * delta_d, np.full(DJs.size, theta)))
+    forbidden = {J: [(a[1], b[0]) for a, b in zip(bands, bands[1:])]
+                 for J, (_, bands) in zip(Js.tolist(), sub)}
+    eps1 = max(0.0, *(_sup_distance(*mb) for mb in sub[Js.size:]))
+    K = _lipschitz(model, sets[-1], eps1)
+    eps2 = ((2.0 * eps1 * K + J_hi * delta_d) / (0.5 * varkappa ** 2) if varkappa > 0
+            else float("inf"))
 
     argmin_J = min(margins, key=margins.get)
     min_margin = margins[argmin_J]
@@ -209,7 +216,8 @@ def certify(model: ModelSpec, d: int, J_window: Tuple[float, float],
         margins=margins, argmin_J=argmin_J,
         barrier_min=float(min(barriers)), epsilon1=float(eps1),
         epsilon2=float(eps2), forbidden_bands=forbidden,
-        passed=bool(min_margin > 0.0),
-        notes=("varkappa/K instantiated from dense grids; scalar on-axis "
-               "reduction; numerical certificate, not interval arithmetic"),
+        passed=bool(min_margin > 0.0), I_d_method=I_d_method, I_d_err=I_d_err,
+        notes=(f"scalar on-axis reduction; bands, epsilon1 and K exact in the field h; gridded: "
+               f"the window on {int(J_grid)} couplings, the sup over J' on {int(DJ_J_grid)} "
+               "couplings from 1e-3; numerical certificate, not interval arithmetic"),
     )

@@ -87,14 +87,14 @@ def _cmd_profile(a) -> str:
                 zip(ms.tolist(), phi.tolist(), full.tolist()))
 
 
-def _branches_csv(model, Js) -> str:
-    sets = solver.solve_branches(model, np.asarray(Js, dtype=float))
+def _branches_csv(sets) -> str:
     return _csv(("J", "m", "stability", "phi"),
                 [(p.J, p.m, p.stability, p.phi) for bs in sets for p in bs.points])
 
 
 def _cmd_branches(a) -> str:
-    return _branches_csv(_model_from_args(a), np.linspace(a.Jmin, a.Jmax, a.steps))
+    return _branches_csv(solver.solve_branches(_model_from_args(a),
+                                               np.linspace(a.Jmin, a.Jmax, a.steps)))
 
 
 def _cmd_transition(a) -> str:
@@ -109,24 +109,19 @@ def _cmd_barrier(a) -> str:
     return _json({"model": str(model), "J": a.J, "barrier": delta})
 
 
-_BANDS_HEADER = ("J", "band_index", "m_lo", "m_hi")
-
-
-def _bands_rows(model, J, slack, grid):
-    bands = certification.allowed_bands(model, J, slack, grid)
-    return [(J, i, b[0], b[1]) for i, b in enumerate(bands)]
+def _bands_csv(Js, per_J) -> str:
+    return _csv(("J", "band_index", "m_lo", "m_hi"),
+                [(J, i, lo, hi) for J, b in zip(Js, per_J) for i, (lo, hi) in enumerate(b)])
 
 
 def _cmd_bands(a) -> str:
     model = _model_from_args(a)
     slack = a.slack if a.slack is not None else a.J * model.delta_factor * a.id_value
-    return _csv(_BANDS_HEADER, _bands_rows(model, a.J, slack, a.grid))
+    return _bands_csv([a.J], [certification.allowed_bands(model, a.J, slack)])
 
 
 def _cmd_certify(a) -> str:
-    model = _model_from_args(a)
-    cert = certification.certify(model, a.dim, (a.Jlo, a.Jhi),
-                                 J_grid=a.J_grid, m_grid=a.m_grid)
+    cert = certification.certify(_model_from_args(a), a.dim, (a.Jlo, a.Jhi), J_grid=a.J_grid)
     return _json(cert.as_dict())
 
 
@@ -196,20 +191,19 @@ def _cmd_reproduce_figures(a) -> str:
     files["fig1_q3.csv"] = {"model": "potts(q=3)", "J": list(_FIG1_JS),
                             "grid": a.grid, "m_range": [0.0, hi]}
 
-    # branch structure and allowed bands of the 10-state model
+    # branch structure and allowed bands of the 10-state model, from one solve
     q10 = models.potts(_FIG2_Q)
-    Js = [float(J) for J in np.linspace(*_FIG2_JRANGE, _FIG2_STEPS)]
-    _write(os.path.join(outdir, "fig2_q10_branches.csv"), _branches_csv(q10, Js))
-    band_rows = []
-    for J in Js:
-        band_rows.extend(_bands_rows(q10, J, J * q10.delta_factor * _FIG2_ID, 2000))
-    _write(os.path.join(outdir, "fig2_q10_bands.csv"), _csv(_BANDS_HEADER, band_rows))
+    Js = np.linspace(*_FIG2_JRANGE, _FIG2_STEPS)
+    sets = solver.solve_branches(q10, Js)
+    _write(os.path.join(outdir, "fig2_q10_branches.csv"), _branches_csv(sets))
+    bands = [b for _, b in certification._sublevel(q10, sets, Js * q10.delta_factor * _FIG2_ID)]
+    _write(os.path.join(outdir, "fig2_q10_bands.csv"), _bands_csv(Js.tolist(), bands))
     files["fig2_q10_branches.csv"] = {
         "model": f"potts(q={_FIG2_Q})", "J_range": list(_FIG2_JRANGE),
         "steps": _FIG2_STEPS}
     files["fig2_q10_bands.csv"] = {
         "model": f"potts(q={_FIG2_Q})", "J_range": list(_FIG2_JRANGE),
-        "steps": _FIG2_STEPS, "I_d": _FIG2_ID, "m_grid": 2000}
+        "steps": _FIG2_STEPS, "I_d": _FIG2_ID}
     _write(os.path.join(outdir, "manifest.json"), _json({"files": files}))
     return _json({"outdir": outdir, "written": sorted(files) + ["manifest.json"]})
 
@@ -316,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="I_d to convert into slack J*n*(kappa/2)*I_d")
     p.add_argument("--slack", type=_nonnegative, default=None,
                    help="explicit slack (overrides --id-value)")
-    p.add_argument("--grid", type=_size(2), default=2000)
 
     p = sub.add_parser("certify", help="first-order certificate on a J window")
     _add_model_flags(p)
@@ -324,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--Jlo", type=_finite, required=True)
     p.add_argument("--Jhi", type=_finite, required=True)
     p.add_argument("--J-grid", dest="J_grid", type=_size(1), default=21)
-    p.add_argument("--m-grid", dest="m_grid", type=_size(4), default=2000)
 
     p = sub.add_parser("oracle", help="full-space brute-force minimization")
     _add_model_flags(p)

@@ -159,7 +159,7 @@ def test_criterion_05_fig2_reproduction():
         ms = branch_ms(model, np.linspace(4.4, 5.2, 81), S.BranchSet.max_stable_root)
         onset_jump = max(abs(b - a) for a, b in zip(ms, ms[1:]))
         slack = J_MF_Q10 * model.delta_factor * 0.002
-        bands = C.allowed_bands(model, J_MF_Q10, slack, grid=4000)
+        bands = C.allowed_bands(model, J_MF_Q10, slack)
         gap = bands[1][0] - bands[0][1] if len(bands) == 2 else 0.0
     # endpoints recorded; frozen from the dense-grid oracle run
     ok = (onset_jump > 0.3 and len(bands) == 2 and gap > 0.3
@@ -374,8 +374,7 @@ SWEEP_DS = (3, 4, 6, 8, 12, 16, 24, 32, 48, 64)
 @pytest.fixture(scope="module")
 def q3_certificates():
     with Timer() as t:
-        certs = {d: C.certify(M.potts(3), d, WINDOW_Q3, J_grid=9, m_grid=1500,
-                              DJ_J_grid=13)
+        certs = {d: C.certify(M.potts(3), d, WINDOW_Q3, J_grid=9, DJ_J_grid=13)
                  for d in SWEEP_DS}
     return certs, t.elapsed
 
@@ -404,14 +403,14 @@ def test_criterion_11_certificate_sweep_as_stated(q3_certificates):
 
 def test_criterion_11_corrected_pass_flip_at_large_d(q3_certificates):
     """Verified form of the existence claim: the certificate flips from fail
-    to pass at finite d.  On this test's grids (J_grid=9, m_grid=1500,
-    DJ_J_grid=13) the first passing dimension is d* = 872, as on the default
-    grids.  d = 820 is where I_d first clears the barrier at J_MF alone; the
-    barrier is lower towards the window's ends (0.0010619 at J = 2.7715)."""
+    to pass at finite d.  On this test's grids (J_grid=9, DJ_J_grid=13) the
+    first passing dimension is d* = 872, as on the default grids.  d = 820 is
+    where I_d first clears the barrier at J_MF alone; the barrier is lower
+    towards the window's ends (0.0010619 at J = 2.7715)."""
     certs, _ = q3_certificates
     assert not certs[64].passed
-    lo = C.certify(M.potts(3), 256, WINDOW_Q3, J_grid=9, m_grid=1500, DJ_J_grid=13)
-    hi = C.certify(M.potts(3), 1024, WINDOW_Q3, J_grid=9, m_grid=1500, DJ_J_grid=13)
+    lo = C.certify(M.potts(3), 256, WINDOW_Q3, J_grid=9, DJ_J_grid=13)
+    hi = C.certify(M.potts(3), 1024, WINDOW_Q3, J_grid=9, DJ_J_grid=13)
     assert not lo.passed
     assert hi.passed
     assert hi.min_margin > lo.min_margin > certs[64].min_margin

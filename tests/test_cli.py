@@ -371,10 +371,10 @@ def test_reproduce_figures_deterministic(figures_dir):
 GOLDEN = [
     ("certify_potts3_d1024.json",
      ("certify", "--model", "potts", "--param", "3", "--dim", "1024",
-      "--Jlo", "2.7715", "--Jhi", "2.7735", "--J-grid", "3", "--m-grid", "400")),
+      "--Jlo", "2.7715", "--Jhi", "2.7735", "--J-grid", "3")),
     ("bands_potts10.csv",
      ("bands", "--model", "potts", "--param", "10", "--J", "4.94",
-      "--id-value", "0.002", "--grid", "500")),
+      "--id-value", "0.002")),
     ("profile_potts3.csv",
      ("profile", "--model", "potts", "--param", "3", "--J", "2.76", "--grid", "50")),
     ("profile_cubic4.csv",
@@ -438,10 +438,10 @@ GOLDEN = [
      ("id", "--dim", "1024", "--method", "bessel", "--tol", "1e-12")),
     ("certify_cubic4_d512.json",
      ("certify", "--model", "cubic", "--param", "4", "--dim", "512",
-      "--Jlo", "3.78", "--Jhi", "3.79", "--J-grid", "3", "--m-grid", "400")),
+      "--Jlo", "3.78", "--Jhi", "3.79", "--J-grid", "3")),
     ("certify_nematic3_d512.json",
      ("certify", "--model", "nematic", "--param", "3", "--dim", "512",
-      "--Jlo", "6.80", "--Jhi", "6.82", "--J-grid", "3", "--m-grid", "200")),
+      "--Jlo", "6.80", "--Jhi", "6.82", "--J-grid", "3")),
     ("transition_potts3.json",
      ("transition", "--model", "potts", "--param", "3")),
 ]
@@ -552,7 +552,7 @@ def test_every_exported_name_resolves(module):
 
 # a command of every kind that computes, for the probes of what they load
 _COMPUTING = """
-window = ['--J-grid', '3', '--m-grid', '400']
+window = ['--J-grid', '3']
 commands = (
     ['mc', '--model', 'potts', '--param', '3', '--J', '2', '--N', '10', '--sweeps', '20'],
     ['mc', '--model', 'nematic', '--param', '3', '--J', '2', '--N', '10', '--sweeps', '20'],
@@ -618,7 +618,7 @@ for argv in commands:
 # when it is first read
 _RUN_MODULES = ("sorted(n[7:] for n, m in list(sys.modules.items()) "
                 "if n.startswith('mfspin.') and type(m) is types.ModuleType)")
-_WINDOW = ["--J-grid", "3", "--m-grid", "400"]
+_WINDOW = ["--J-grid", "3"]
 _TRANSITION = {"cli", "errors", "models", "roots", "solver"}
 
 
@@ -874,7 +874,7 @@ def test_nematic_oracle_coupling_overflow_is_typed(capsys):
 
 @pytest.mark.parametrize("argv, solves", [
     (("certify", "--model", "nematic", "--param", "3", "--dim", "512",
-      "--Jlo", "6.80", "--Jhi", "6.82", "--J-grid", "3", "--m-grid", "200"), 2),
+      "--Jlo", "6.80", "--Jhi", "6.82", "--J-grid", "3"), 1),
     (("branches", "--model", "potts", "--param", "10", "--Jmin", "4.4",
       "--Jmax", "5.2", "--steps", "81"), 1),
     (("reproduce-figures", "--grid", "50", "--outdir", "DIR"), 1),
@@ -897,6 +897,8 @@ def test_each_command_solves_its_couplings_at_once(argv, solves, monkeypatch, tm
 
 
 @pytest.mark.parametrize("argv", [
+    # certify has no --m-grid and bands no --grid since the band edges are
+    # exact: any value is a usage error
     ("certify", "--m-grid", "1"), ("certify", "--m-grid", "3"),
     ("certify", "--J-grid", "0"), ("bands", "--grid", "1"),
     ("profile", "--grid", "-1"), ("profile", "--grid", "0"),
@@ -922,6 +924,8 @@ def test_each_command_solves_its_couplings_at_once(argv, solves, monkeypatch, tm
     # oracle has no --sphere-samples option: any value is a usage error
     ("oracle", "--sphere-samples", "-5"), ("oracle", "--sphere-samples", "0"),
     ("oracle", "--sphere-samples", str(10 ** 30)),
+    # (bands --grid, branches --scan-resolution and certify --m-grid are gone:
+    # unknown options)
     *((cmd, opt, str(10 ** 30)) for cmd, opt in (
         ("profile", "--grid"), ("bands", "--grid"), ("reproduce-figures", "--grid"),
         ("branches", "--steps"), ("branches", "--scan-resolution"),

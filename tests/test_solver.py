@@ -244,11 +244,11 @@ def test_array_calls_have_the_bits_of_the_per_J_calls(model):
     assert repr(sets) == repr([S.solve_branches(model, J) for J in Js.tolist()])
     barriers = S.barrier_height(model, Js)
     assert repr(barriers.tolist()) == repr([S.barrier_height(model, J) for J in Js.tolist()])
-    dj = C.compute_DJ(model, Js, 1e-3, grid=300)
-    assert repr(dj.tolist()) == repr([C.compute_DJ(model, J, 1e-3, grid=300)
+    dj = C.compute_DJ(model, Js, 1e-3)
+    assert repr(dj.tolist()) == repr([C.compute_DJ(model, J, 1e-3)
                                       for J in Js.tolist()])
     assert type(S.barrier_height(model, 1.0)) is float
-    assert type(C.compute_DJ(model, 1.0, 1e-3, grid=300)) is float
+    assert type(C.compute_DJ(model, 1.0, 1e-3)) is float
 
 
 def test_array_call_with_a_coupling_without_bracket():
