@@ -46,9 +46,21 @@ def _csv(header: Sequence[str], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _null_nonfinite(x):
+    """x with every float that is not finite, at any depth, made None: JSON
+    (RFC 8259) has no Infinity or NaN, and null says there is no finite value."""
+    if isinstance(x, float):
+        return x if math.isfinite(x) else None
+    if isinstance(x, dict):
+        return {k: _null_nonfinite(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_null_nonfinite(v) for v in x]
+    return x
+
+
 def _json(payload: dict) -> str:
-    payload = {"schema_version": SCHEMA_VERSION, **payload}
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    payload = _null_nonfinite({"schema_version": SCHEMA_VERSION, **payload})
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _write(path: Optional[str], text: str):

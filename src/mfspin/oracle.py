@@ -76,7 +76,8 @@ def _grid_min(blocks):
     blocks, as one argmin over all the values gives it, and the seeds: the
     least points of the blocks whose minimum is strictly below the previous
     block's and no higher than the next one's (the ends compare with inf),
-    in block order.  The grid minimum's block is always one."""
+    in block order.  The grid minimum's block is always one.  Each block's
+    point(i) is read before the next block is drawn."""
     minima = []
     for vals, point in blocks:
         i = int(np.argmin(vals))
@@ -94,18 +95,26 @@ def _simplex_blocks(t: np.ndarray, parts: int, resolution: int):
     The compositions with first part c0 are those of `resolution` into
     parts - 1 whose last part (the slack) is at least c0, with c0 taken off
     it, which are those of resolution - c0, still in lexicographic order, so
-    only one block is ever held."""
+    only one block is ever held.  The table is gathered over each column but
+    the slack once; each block takes its rows of those gathers and gathers
+    its slack, c0 taken off, itself."""
     if parts == 1:
         yield t[[resolution]], lambda i: np.array([resolution], dtype=np.int32)
         return
     tails = _compositions(resolution, parts - 1)
+    slack = tails[:, -1]
+    cols = [t[c] for c in tails[:, :-1].T]
     for c0 in range(resolution + 1):
-        rows = tails[tails[:, -1] >= c0]
-        rows[:, -1] -= c0
-        vals = t[c0] + t[rows[:, 0]]
-        for k in range(1, parts - 1):
-            vals += t[rows[:, k]]
-        yield vals, lambda i: np.concatenate([np.array([c0], dtype=np.int32), rows[i]])
+        keep = slack >= c0
+        first, *rest = [col[keep] for col in cols] + [t[slack[keep] - c0]]
+        vals = t[c0] + first
+        for col in rest:
+            vals += col
+
+        def point(i):
+            row = tails[np.flatnonzero(keep)[i]]
+            return np.array([c0, *row[:-1], row[-1] - c0], dtype=np.int32)
+        yield vals, point
 
 
 def _polish(g, J: float, P: np.ndarray, seeds, report, grid):
@@ -171,6 +180,8 @@ def potts_fullspace_min(q: int, J: float, resolution: int = 200) -> OracleResult
     if comb(resolution + q - 1, q - 1) > _MAX_GRID_POINTS:
         raise BudgetExceeded(
             f"simplex grid would have {comb(resolution + q - 1, q - 1)} points")
+    if not np.isfinite(J):
+        raise CouplingOverflow(f"J = {J}: the coupling is not finite")
 
     xs = np.arange(resolution + 1) / resolution
     (grid_val, comp), seeds = _grid_min(
@@ -265,13 +276,28 @@ def _g_diag(H: np.ndarray, weights: bool = False):
     near (1 - d)^(-1/2), so no product overflows at any N or |h|.  Each row
     is sorted first, so that G is the same to the bit under every
     permutation.  With `weights`, (w, G), w = _C / prod_a (s - d_a)^(1/2)
-    the scaled weights of the sum, over the entries d = h - max h below 0."""
+    the scaled weights of the sum, over the entries d = h - max h below 0.
+
+    A factor depends only on its gap d, and a grid's rows share few gaps,
+    so each distinct gap's factor is formed once and gathered: the product
+    is taken column by column in the sorted order, the same multiplications
+    as a product over the factors, and so the same bits (docs/decisions.md)."""
     h = np.sort(H, axis=1)
-    d = h[:, :-1, None] - h[:, -1:, None]
-    e = np.frexp(1.0 - d)[1] // 2
-    w = _C / np.prod(np.sqrt(_S - d) * np.ldexp(1.0, -e), axis=1)
+    d = h[:, :-1] - h[:, -1:]
+    gaps, at = np.unique(d, return_inverse=True)
+    at = at.reshape(d.shape)
+    e = np.frexp(1.0 - gaps)[1] // 2
+    factor = _S - gaps[:, None]
+    np.sqrt(factor, out=factor)
+    factor *= np.ldexp(1.0, -e)[:, None]
+    w = factor[at[:, 0]]
+    for k in range(1, at.shape[1]):
+        # in place, 256 rows at a time: a gathered column is never held whole
+        for s in range(0, len(w), 256):
+            w[s:s + 256] *= factor[at[s:s + 256, k]]
+    np.divide(_C, w, out=w)
     G = (np.log(gamma(h.shape[1] / 2.0) / (8.0 * np.pi) * w.imag.sum(axis=1))
-         - np.log(2.0) * e.sum(axis=(1, 2)) + h[:, -1])
+         - np.log(2.0) * e[at].sum(axis=1) + h[:, -1])
     return (w, G) if weights else G
 
 
@@ -312,7 +338,8 @@ def nematic_dual_min(N: int, J: float, resolution: int = 120) -> OracleResult:
     if not np.isfinite(N * ((N - 1) * hi) * ((N - 1) * hi)):
         raise CouplingOverflow(f"J = {J}: |h|^2 overflows on the dual grid's box")
     axis = np.linspace(lo, hi, resolution)
-    shape, row, chunk = (resolution,) * (N - 1), resolution ** (N - 2), 500
+    shape, row, chunk = (resolution,) * (N - 1), resolution ** (N - 2), 2000
+    span = max(1, chunk // row) * row
 
     def fields(start, stop):
         # the grid is the meshgrid of `axis` (ij order) with the trace closed
@@ -320,15 +347,28 @@ def nematic_dual_min(N: int, J: float, resolution: int = 120) -> OracleResult:
         free = axis[np.stack(np.unravel_index(np.arange(start, stop), shape), axis=-1)]
         return np.hstack([free, -free.sum(axis=1, keepdims=True)])
 
+    def psi(H):
+        return (H * H).sum(axis=1) / (2.0 * J) - _g_diag(H)
+
     def rows():
         # the blocks are the grid's rows (first entry fixed), their values
-        # formed one chunk of flat indices at a time
-        for start in range(0, resolution ** (N - 1), row):
-            vals = []
-            for i in range(start, start + row, chunk):
-                H = fields(i, min(i + chunk, start + row))
-                vals.append((H * H).sum(axis=1) / (2.0 * J) - _g_diag(H))
-            yield np.concatenate(vals), lambda i: fields(start + i, start + i + 1)[0]
+        # formed over spans of whole rows of at most `chunk` fields, and each
+        # row's least point copied out of the span's fields (a copy: a view
+        # would keep the span alive).  A row longer than a chunk is a span of
+        # its own, its values formed one chunk at a time and its least point
+        # formed again from its flat index
+        total = resolution ** (N - 1)
+        for start in range(0, total, span):
+            stop = min(start + span, total)
+            if row > chunk:
+                yield (np.concatenate([psi(fields(i, min(i + chunk, stop)))
+                                       for i in range(start, stop, chunk)]),
+                       lambda i: fields(start + i, start + i + 1)[0])
+            else:
+                H = fields(start, stop)
+                vals = psi(H)
+                for k in range(0, stop - start, row):
+                    yield vals[k:k + row], lambda i: H[k + i].copy()
     (grid_val, h0), seeds = _grid_min(rows())
 
     def report(h):

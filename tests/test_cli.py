@@ -392,6 +392,13 @@ GOLDEN = [
      ("oracle", "--model", "potts", "--param", "3", "--J", "2.7725887")),
     ("oracle_cubic4.json",
      ("oracle", "--model", "cubic", "--param", "4", "--J", "3.7852")),
+    ("oracle_nematic3.json",
+     ("oracle", "--model", "nematic", "--param", "3", "--J", "6.8122",
+      "--resolution", "200")),
+    # a grid row of 2 500 fields, longer than the search's chunk
+    ("oracle_nematic4_r50.json",
+     ("oracle", "--model", "nematic", "--param", "4", "--J", "9.5",
+      "--resolution", "50")),
     ("mc_potts3.json",
      ("mc", "--model", "potts", "--param", "3", "--J", "3.2", "--N", "30",
       "--sweeps", "200", "--burn-in", "50", "--seed", "3", "--bins", "20")),
@@ -457,6 +464,37 @@ def test_outputs_match_golden_bytes(capsys, tmp_path, fixture, argv):
         out = target.read_text(encoding="utf-8")
     with open(os.path.join(DATA, fixture), "rb") as fh:
         assert out.encode("utf-8") == fh.read()
+
+
+def strict_json(text):
+    """text parsed as RFC 8259 JSON, which has no Infinity or NaN."""
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("fixture", sorted(
+    os.path.relpath(os.path.join(root, name), DATA)
+    for root, _, names in os.walk(DATA) for name in names if name.endswith(".json")))
+def test_json_fixtures_are_strict_json(fixture):
+    with open(os.path.join(DATA, fixture), encoding="utf-8") as fh:
+        assert strict_json(fh.read())["schema_version"] == 1
+
+
+@pytest.mark.parametrize("argv", [
+    *(argv for _, argv in GOLDEN if argv[0] == "certify"),
+    ("certify", "--model", "potts", "--param", "3", "--dim", "64",
+     "--Jlo", "2.7", "--Jhi", "2.8"),
+    ("certify", "--model", "potts", "--param", "4", "--dim", "256",
+     "--Jlo", "3.2", "--Jhi", "3.4", "--J-grid", "3")])
+def test_certify_outputs_are_strict_json_with_null_for_no_finite_value(capsys, argv):
+    # cubic r = 4 on [3.78, 3.79] and Potts q = 3 on [2.7, 2.8] hold no
+    # ordered minimum, varkappa = 0, so epsilon2 has no finite value: null,
+    # where Python's json writes Infinity
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    cert = strict_json(out)
+    assert (cert["epsilon2"] is None) == ("3.78" in argv or "2.7" in argv)
 
 
 def test_nematic_profile_reaches_the_bottom_of_the_interval(capsys):

@@ -1,6 +1,7 @@
 """Full-space brute-force oracles vs the scalar reductions."""
 
 import itertools
+import math
 import tracemalloc
 import warnings
 
@@ -83,6 +84,18 @@ def test_simplex_grid_min_matches_plain_enumeration(table, J, parts, resolution,
     assert tuple(comp.tolist()) == first and value == best
     if tied:
         assert sum(v == best for v, _ in values) > 1
+    # and each block's first least point, the polish seeds' source, is the
+    # plain enumeration's for that first part (a block's point is read
+    # before the next block is drawn, as _grid_min reads it)
+    blocks = 0
+    for vals, point in O._simplex_blocks(t, parts, resolution):
+        i = int(np.argmin(vals))
+        c = tuple(point(i).tolist())
+        block = [(v, cc) for v, cc in values if cc[0] == c[0]]
+        assert vals.tolist() == [v for v, _ in block]
+        assert (float(vals[i]), c) == min(block, key=lambda vc: vc[0])
+        blocks += 1
+    assert blocks == (resolution + 1 if parts > 1 else 1)
 
 
 def test_grid_min_seeds_are_the_blocks_below_their_neighbours():
@@ -140,6 +153,14 @@ def test_potts_budget_guards():
         O.potts_fullspace_min(6, 2.0, 200)
     with pytest.raises(ValueError):
         O.potts_fullspace_min(3, 2.0, 10)
+
+
+@pytest.mark.parametrize("J", [np.nan, np.inf, -np.inf])
+def test_potts_nonfinite_coupling_is_typed(J):
+    # as the cubic and nematic searches do; the grid gave value nan and a
+    # RuntimeWarning
+    with pytest.raises(CouplingOverflow):
+        O.potts_fullspace_min(3, J, 20)
 
 
 def test_potts_oracle_deterministic():
@@ -295,6 +316,49 @@ def test_g_diag_at_huge_fields_is_the_leading_term(N):
                       - sum(mpmath.log(-mpmath.mpf(float(x))) for x in row[:-1]) / 2)
                 for row in h]
     np.testing.assert_allclose(O._g_diag(h), lead, rtol=1e-15, atol=0)
+
+
+def product_g_diag(H, weights=False):
+    """_g_diag as one product over every row's own factors, each formed
+    where it is used, the reference that forming one factor per distinct
+    gap must keep to the bit."""
+    h = np.sort(H, axis=1)
+    d = h[:, :-1, None] - h[:, -1:, None]
+    e = np.frexp(1.0 - d)[1] // 2
+    w = O._C / np.prod(np.sqrt(O._S - d) * np.ldexp(1.0, -e), axis=1)
+    G = (np.log(math.gamma(h.shape[1] / 2.0) / (8.0 * np.pi) * w.imag.sum(axis=1))
+         - np.log(2.0) * e.sum(axis=(1, 2)) + h[:, -1])
+    return (w, G) if weights else G
+
+
+def dual_grid_batch(N, J, resolution, start, stop):
+    """Rows start..stop-1 of nematic_dual_min's grid, in its flat order."""
+    axis = np.linspace(-1.3 * J / (N - 1), 1.1 * J, resolution)
+    idx = np.stack(np.unravel_index(np.arange(start, stop), (resolution,) * (N - 1)),
+                   axis=-1)
+    free = axis[idx]
+    return np.hstack([free, -free.sum(axis=1, keepdims=True)])
+
+
+@pytest.mark.parametrize("N", [3, 4, 5, 6, 7, 8])
+def test_g_diag_one_factor_per_gap_keeps_the_bits(N):
+    # dual-grid batches, where gaps repeat heavily; rows with tied entries
+    # (gaps of 0 below the top and repeated gaps within a row); zero rows;
+    # and random fields up to |h| = 1e17
+    rng = np.random.default_rng(N)
+    resolution = {3: 200, 4: 50}.get(N, 6)
+    grid = dual_grid_batch(N, 6.8122, resolution, 0, min(3000, resolution ** (N - 1)))
+    tied = np.round(rng.standard_normal((300, N)) * 3.0)
+    tied[::3, 1:] = tied[::3, :1]
+    big = rng.standard_normal((300, N)) * 10.0 ** rng.uniform(-3, 17, (300, 1))
+    for H in (grid, tied, np.zeros((5, N)), big, np.vstack([grid[:100], tied, big])):
+        assert len(np.unique(H)) < H.size or H is big
+        assert np.array_equal(O._g_diag(H), product_g_diag(H))
+        (w, G), (w0, G0) = O._g_diag(H, weights=True), product_g_diag(H, weights=True)
+        assert np.array_equal(w, w0) and np.array_equal(G, G0)
+    for h in np.vstack([grid[:20], tied[:20], big[:20]]):
+        assert np.array_equal(O._g_diag(h[None, :], weights=True)[0],
+                              product_g_diag(h[None, :], weights=True)[0])
 
 
 @pytest.mark.parametrize("N", [3, 4, 5, 6])
