@@ -95,9 +95,10 @@ def _simplex_blocks(t: np.ndarray, parts: int, resolution: int):
     The compositions with first part c0 are those of `resolution` into
     parts - 1 whose last part (the slack) is at least c0, with c0 taken off
     it, which are those of resolution - c0, still in lexicographic order, so
-    only one block is ever held.  The table is gathered over each column but
-    the slack once; each block takes its rows of those gathers and gathers
-    its slack, c0 taken off, itself."""
+    only one block is ever held.  The table is gathered over each column of
+    the tails but the slack once, for the whole call; each block adds, from
+    t[c0], its rows of those gathers one column at a time, then its slack's,
+    c0 taken off, so it holds one compressed column at a time."""
     if parts == 1:
         yield t[[resolution]], lambda i: np.array([resolution], dtype=np.int32)
         return
@@ -106,10 +107,10 @@ def _simplex_blocks(t: np.ndarray, parts: int, resolution: int):
     cols = [t[c] for c in tails[:, :-1].T]
     for c0 in range(resolution + 1):
         keep = slack >= c0
-        first, *rest = [col[keep] for col in cols] + [t[slack[keep] - c0]]
-        vals = t[c0] + first
-        for col in rest:
-            vals += col
+        vals = np.full(np.count_nonzero(keep), t[c0])
+        for col in cols:
+            vals += col[keep]
+        vals += t[slack[keep] - c0]
 
         def point(i):
             row = tails[np.flatnonzero(keep)[i]]
@@ -351,24 +352,17 @@ def nematic_dual_min(N: int, J: float, resolution: int = 120) -> OracleResult:
         return (H * H).sum(axis=1) / (2.0 * J) - _g_diag(H)
 
     def rows():
-        # the blocks are the grid's rows (first entry fixed), their values
-        # formed over spans of whole rows of at most `chunk` fields, and each
-        # row's least point copied out of the span's fields (a copy: a view
-        # would keep the span alive).  A row longer than a chunk is a span of
-        # its own, its values formed one chunk at a time and its least point
-        # formed again from its flat index
+        # the blocks are the grid's rows (first entry fixed), held in spans of
+        # whole rows (one row where a row is longer than `chunk`), their
+        # values formed `chunk` fields at a time, and each row's least point
+        # copied out of the span's fields (a copy: a view would keep the span
+        # alive)
         total = resolution ** (N - 1)
         for start in range(0, total, span):
-            stop = min(start + span, total)
-            if row > chunk:
-                yield (np.concatenate([psi(fields(i, min(i + chunk, stop)))
-                                       for i in range(start, stop, chunk)]),
-                       lambda i: fields(start + i, start + i + 1)[0])
-            else:
-                H = fields(start, stop)
-                vals = psi(H)
-                for k in range(0, stop - start, row):
-                    yield vals[k:k + row], lambda i: H[k + i].copy()
+            H = fields(start, min(start + span, total))
+            vals = np.concatenate([psi(H[i:i + chunk]) for i in range(0, len(H), chunk)])
+            for k in range(0, len(H), row):
+                yield vals[k:k + row], lambda i: H[k + i].copy()
     (grid_val, h0), seeds = _grid_min(rows())
 
     def report(h):

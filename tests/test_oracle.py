@@ -155,6 +155,15 @@ def test_potts_budget_guards():
         O.potts_fullspace_min(3, 2.0, 10)
 
 
+def test_potts_grid_search_at_the_budget_edge_holds_one_block():
+    # q = 6 at resolution 48 searches C(53, 5) = 2 869 685 compositions, the
+    # most the budget allows, from 270 725 tails; building that table peaks
+    # near 20 MiB, and compressing every gathered column of it at once for
+    # each block peaked at 37 MiB
+    assert math.comb(53, 5) <= O._MAX_GRID_POINTS < math.comb(54, 5)
+    assert traced_peak_mib(O.potts_fullspace_min, 6, 3.6, 48) < 24.0
+
+
 @pytest.mark.parametrize("J", [np.nan, np.inf, -np.inf])
 def test_potts_nonfinite_coupling_is_typed(J):
     # as the cubic and nematic searches do; the grid gave value nan and a
