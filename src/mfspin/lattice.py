@@ -23,14 +23,16 @@ Two independent methods:
   relative accuracy at large d; elsewhere the difference of the two
   exponentials loses no digits.  mpmath and an exact large-d series check
   the route in the tests.
-* ``quad``  -- fixed-panel Gauss-Legendre quadrature of the momentum integral
-  itself, feasible for d <= 4.  The integrable 1/|k|^2 singularity at k = 0 is
-  removed by excluding a ball of radius r0 and adding its analytic small-k
-  expansion; on every axis the ball's slice [0, c] is mapped by k = c sin(psi),
-  so each panel sees a smooth integrand.  W_d and I_d are summed from the same
-  nodes in one pass.  The outer axes (k3, and k4 for d = 4) step through
-  orders 4, 6, 8, ... until two successive orders agree within tol/4; the
-  error estimate is the ball expansion's plus that last difference.
+* ``quad``  -- tensor Gauss-Legendre quadrature of the momentum integral
+  itself, feasible for d <= 4.  k1 is integrated in closed form, which
+  leaves d / sqrt(A^2 - 1), A = d - sum_{j>=2} cos k_j, over [0, pi]^(d-1);
+  Duffy's map k = t (1, u) on each pyramid where one coordinate is largest
+  turns its point singularity at k = 0 into an integrand analytic on a box,
+  and one Gauss-Legendre rule of the same order on every axis converges
+  geometrically.  W_d and I_d are summed from the same nodes in one pass.
+  The order steps through 4, 6, 8, ... until two successive orders agree
+  within tol/4; the error estimate is that difference plus a few ulps of
+  W_d.
 
 Neither route checks I_d = W_d - 1 independently (``bessel`` uses it, and
 ``quad`` sums both integrals from the same nodes); the check is ``quad``
@@ -39,7 +41,6 @@ against ``bessel``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -75,7 +76,8 @@ def _check_args(d: int, method: str, tol: float):
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     if method == "quad" and d > 4:
         raise MethodInfeasible(
-            f"nested quadrature is exponential in d; d={d} > 4 unsupported")
+            f"momentum quadrature costs n^(d-1) nodes at order n; "
+            f"d={d} > 4 unsupported")
     if tol <= 0:
         raise ValueError("tol must be positive")
 
@@ -121,7 +123,7 @@ _I0E_HI = (
 _LOG_I0_SERIES_MAX = 2.0           # log I0 from its power series up to here
 _LOG_I0_TERMS = 14                 # terms of I0 - 1 = sum_k (x^2/4)^k / k!^2
 _BESSEL_ORDERS = range(16, 65, 8)  # per-panel orders tried in turn, up to the cap
-_ROUNDING_ULPS = 4                 # error floor of a Bessel integral, in ulps
+_ROUNDING_ULPS = 4                 # error floor of either route, in ulps
 
 
 def _chebyshev(y, coeffs):
@@ -237,121 +239,37 @@ def _id_integrand(t, d: int):
 
 
 # ---------------------------------------------------------------------------
-# fixed-panel quadrature with ball exclusion
+# momentum-space quadrature
 # ---------------------------------------------------------------------------
 
-_R0 = 0.2                          # radius of the excluded ball around k = 0
-_INNER_ORDER = 40                  # Gauss-Legendre order per (k1, k2) panel
-_OUTER_ORDERS = range(4, 17, 2)    # outer orders tried in turn, up to the cap
-_CHUNK = 16                        # outer nodes per vectorized (k1, k2) block
+_QUAD_ORDERS = range(4, 25, 2)     # orders per axis tried in turn, up to the cap
 
 
-def _panels(c, order: int, slice_panel: bool = True):
-    """Gauss-Legendre panels of one axis of [0, pi], one at a time, as
-    (nodes, weights, the ball radius left to the next axis); each broadcasts
-    to c.shape + (order,).
+def _momentum_integrals(d: int, order: int):
+    """(W_d, I_d) by the tensor Gauss-Legendre rule of `order` nodes an axis.
 
-    c (an array) is the radius of the ball's slice on this axis, 0 where the
-    slice is empty.  The panel [0, c] uses k = c sin(psi), so a node leaves a
-    slice of radius c cos(psi) to the next axis and the curved boundary costs
-    no accuracy; the panels [c, 2 r0], [2 r0, 1.5] and [1.5, pi] resolve the
-    sharp-but-smooth peak left near the origin.  slice_panel=False leaves
-    [0, c] out (the last axis, whose slice is inside the ball).
+    k1 is integrated exactly: (1/pi) int_0^pi dk1 / (A - cos k1) =
+    1/sqrt(A^2 - 1), A = d - sum_{j>=2} cos k_j, so W_d is the mean of
+    d / sqrt((A - 1)(A + 1)) over [0, pi]^m, m = d - 1, and the k1-average of
+    Dhat is A/d.  The integrand is symmetric in k2..kd, so the m pyramids
+    where one coordinate is largest are alike, and k = t (1, u), t in
+    [0, pi], u in [0, 1]^(m-1), maps one of them onto a box with Jacobian
+    t^(m-1) (Duffy's map).  With A - 1 = 2 s, s = sum sin^2(k_j/2) formed
+    without cancellation, t^(m-1) / sqrt((A - 1)(A + 1)) is analytic on the
+    closed box.  I_d = W_d - 2 + mean(A/d) is summed from the same nodes.
     """
-    t, w = _gauss_legendre(order)
-    c = np.asarray(c, dtype=float)[..., None]
-    if slice_panel:
-        psi = (np.pi / 2.0) * t
-        rest = c * np.cos(psi)
-        yield c * np.sin(psi), rest * (np.pi / 2.0) * w, rest
-    lo = c
-    for hi in (2.0 * _R0, 1.5, np.pi):
-        yield lo + (hi - lo) * t, (hi - lo) * w, 0.0
-        lo = hi
-
-
-def _outer_nodes(d: int, order: int):
-    """(sum of cos k_j, ball radius left to (k1, k2), weight) of every node of
-    the outer axes k3..kd, flattened."""
-    cos_rest, s, weight = np.zeros(1), np.full(1, _R0), np.ones(1)
-    for _ in range(d - 2):
-        shape = s.shape + (order,)
-        k, w, s = (np.concatenate([np.broadcast_to(x, shape) for x in xs], axis=-1)
-                   for xs in zip(*_panels(s, order)))
-        cos_rest = (np.cos(k) + cos_rest[:, None]).ravel()
-        weight = (w * weight[:, None]).ravel()
-        s = s.ravel()
-    return cos_rest, s, weight
-
-
-def _inner_sums(cos_rest, s, weight, d: int):
-    """Sums of w/Dhat, w*Dhat and w over a chunk of outer nodes (arrays) and
-    their (k1, k2) nodes in [0, pi]^2 outside the disk of radius s, w being
-    the product of the outer and inner weights."""
-    sums = np.zeros(3)
-    for k2, w2, s1 in _panels(s, _INNER_ORDER, slice_panel=bool(s.any())):
-        dhat2 = 1.0 - (np.cos(k2) + cos_rest[:, None]) / d
-        w2 = w2 * weight[:, None]
-        for k1, w1, _ in _panels(s1, _INNER_ORDER, slice_panel=False):
-            dhat = dhat2[..., None] - np.cos(k1) / d
-            w1 = np.broadcast_to(w1, dhat.shape)
-            sums += (np.einsum("ijk,ijk,ij->", w1, 1.0 / dhat, w2),
-                     np.einsum("ijk,ijk,ij->", w1, dhat, w2),
-                     np.einsum("ijk,ij->", w1, w2))
-    return sums
-
-
-def _outside_ball(d: int, order: int):
-    """int 1/Dhat and int (1-Dhat)^2/Dhat over [0, pi]^d outside the ball,
-    divided by pi^d, with outer Gauss-Legendre order `order`.
-
-    Both integrands are summed from the same nodes, _CHUNK outer nodes at a
-    time; the nodes with a slice of the ball come first, so the chunks
-    after them share their (k1, k2) nodes.
-    """
-    cos_rest, s, weight = _outer_nodes(d, order)
-    first = np.argsort(s == 0.0, kind="stable")
-    cos_rest, s, weight = cos_rest[first], s[first], weight[first]
-    inv, dhat, vol = sum(_inner_sums(cos_rest[lo:lo + _CHUNK], s[lo:lo + _CHUNK],
-                                     weight[lo:lo + _CHUNK], d)
-                         for lo in range(0, len(s), _CHUNK))
-    return inv / np.pi ** d, (inv - 2.0 * vol + dhat) / np.pi ** d
-
-
-def _ball_series(d: int):
-    """Analytic small-k contributions of the excluded ball to W_d and I_d,
-    with an error guess.
-
-    1/Dhat = (2d/rho^2)(1 + S4/(12 rho^2) + [S4^2/144 - S6/360]/rho^2 + ...)
-    averaged over angles; S_p = sum k_j^p.  I_d adds the exact -2 + Dhat
-    ball integrals.
-    """
-    r0 = _R0
-    A_d = 2.0 * np.pi ** (d / 2.0) / math.gamma(d / 2.0)
-    norm = A_d / (2.0 * np.pi) ** d
-    c2 = d * (d + 20.0) / (24.0 * (d + 2.0) * (d + 4.0) * (d + 6.0))
-    val = norm * (2.0 * d * r0 ** (d - 2) / (d - 2.0)
-                  + r0 ** d / (2.0 * (d + 2.0))
-                  + c2 * r0 ** (d + 2) / (d + 2.0))
-    err = 3.0 * r0 * r0 * norm * c2 * r0 ** (d + 2) / (d + 2.0)
-    vol = norm * r0 ** d / d
-    # int_B Dhat = (1/d)[int rho^2/2 - int S4/24 + ...]
-    int_rho2 = norm * r0 ** (d + 2) / (d + 2.0)
-    int_s4 = norm * (3.0 / (d + 2.0)) * r0 ** (d + 4) / (d + 4.0)
-    return val, val - 2.0 * vol + (int_rho2 / 2.0 - int_s4 / 24.0) / d, err
-
-
-def _quad_value(d: int, tol: float):
-    """(W_d, I_d, error estimate) by fixed-panel quadrature.
-
-    The outer order steps through _OUTER_ORDERS until two successive orders
-    agree within tol/4 on both integrals; the error estimate is the ball's
-    plus their last difference.
-    """
-    ball_w, ball_i, ball_err = _ball_series(d)
-    (w, i), diff = _converge(_OUTER_ORDERS, lambda order: _outside_ball(d, order),
-                             f"d={d} (quad)", tol)
-    return w + ball_w, i + ball_i, ball_err + diff
+    m = d - 1
+    x, w = _gauss_legendre(order)
+    t = np.pi * x
+    s = np.sin(t / 2.0) ** 2
+    weight = (m / np.pi ** (m - 1)) * w * t ** (m - 1)
+    off_axis = np.sin(np.multiply.outer(t, x) / 2.0) ** 2
+    for j in range(m - 1):
+        s = s[..., None] + off_axis.reshape((order,) + (1,) * j + (order,))
+        weight = np.multiply.outer(weight, w)
+    s, weight = s.ravel(), weight.ravel()
+    wd = 0.5 * d * float(weight @ (1.0 / np.sqrt(s * (1.0 + s))))
+    return wd, wd - 2.0 + float(weight @ (1.0 + 2.0 * s)) / d
 
 
 # ---------------------------------------------------------------------------
@@ -364,8 +282,10 @@ def compute_id(d: int, method: str = "bessel", tol: float = 1e-8) -> IdEstimate:
     The one entry to both integrals: the estimate carries W_d in
     ``wd_value``.  The Bessel route sums I_d = int e^{-t} (I0(t/d)^d - 1) dt
     once and reports W_d = 1 + I_d, its error estimate widened by half an
-    ulp of W_d so that it covers both; the quad route sums (1-Dhat)^2/Dhat
-    and 1/Dhat from the same nodes, checked against the Bessel route.
+    ulp of W_d so that it covers both; the quad route sums W_d and I_d from
+    the same nodes of a momentum-space rule, checked against the Bessel
+    route.  The estimate is accepted while its error estimate is at most
+    max(tol, 1e-14), else QuadratureFailure.
     """
     _check_args(d, method, tol)
     if method == "bessel":
@@ -373,7 +293,9 @@ def compute_id(d: int, method: str = "bessel", tol: float = 1e-8) -> IdEstimate:
         wd = 1.0 + v
         err += 0.5 * float(np.spacing(wd))
     else:
-        wd, v, err = _quad_value(d, tol)
+        (wd, v), diff = _converge(_QUAD_ORDERS, lambda order: _momentum_integrals(d, order),
+                                  f"d={d} (quad)", tol)
+        err = diff + _ROUNDING_ULPS * float(np.spacing(wd))
     if err > max(tol, 1e-14):
         raise QuadratureFailure(
             f"I_{d} ({method}): error estimate {err:.2e} exceeds tol {tol:.2e}")

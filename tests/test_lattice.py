@@ -136,16 +136,29 @@ def test_bessel_orders_that_disagree_fail(monkeypatch):
         compute_id(3, "bessel", 1e-6)
     with pytest.raises(QuadratureFailure):
         compute_id(1024, "bessel", 1e-6)
-    # outer orders 4 and 6 differ by about 6e-6 at d = 3, far above 1e-8/4
-    monkeypatch.setattr(lattice, "_OUTER_ORDERS", range(4, 7, 2))
+    # orders 4 and 6 differ by about 8e-5 at d = 3, far above 1e-8/4
+    monkeypatch.setattr(lattice, "_QUAD_ORDERS", range(4, 7, 2))
     with pytest.raises(QuadratureFailure, match="orders 4 and 6"):
         compute_id(3, "quad", 1e-8)
 
 
-def test_quad_below_the_ball_error_fails():
-    # the excluded ball's expansion is good to about 3.6e-9 at d = 3
+def test_quad_w3_to_1e12_and_below_the_rounding_floor_fails():
+    # no ball or series leaves an error floor: the rule reaches 1e-12
+    est = compute_id(3, "quad", 1e-12)
+    assert 0.0 < est.abs_error_estimate <= 1e-12
+    assert abs(est.wd_value - W3_REFERENCE) <= est.abs_error_estimate
+    assert abs(est.value - (W3_REFERENCE - 1.0)) <= est.abs_error_estimate
+    # successive orders never agree within 1e-300/4
     with pytest.raises(QuadratureFailure):
-        compute_id(3, "quad", 1e-10)
+        compute_id(3, "quad", 1e-300)
+
+
+def test_i4_by_quad_and_bessel_at_1e12():
+    # I_4 has no closed form: the two routes are each other's reference
+    bessel = compute_id(4, "bessel", 1e-12)
+    quad = compute_id(4, "quad", 1e-12)
+    assert abs(quad.value - bessel.value) <= 1e-13
+    assert abs(quad.wd_value - 1.0 - quad.value) <= 2.0 * quad.abs_error_estimate
 
 
 def test_lattice_routes_leave_scipy_unloaded():

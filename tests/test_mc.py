@@ -738,26 +738,46 @@ def test_overflowing_coupling_is_a_typed_error():
             mc.run_mc(mc.MCConfig(model=model, J=709.0, N=N, sweeps=sweeps))
 
 
-def _sweep_cost_ratio(model, J):
-    """Wall time at N = 200 over N = 100, best of three each."""
-    def wall(N):
-        cfg = mc.MCConfig(model=model, J=J, N=N, sweeps=400, burn_in=0, seed=1)
+def _best_wall(model, J, N, sweeps):
+    """Best of three wall times of one run_mc call, after a warm-up."""
+    cfg = mc.MCConfig(model=model, J=J, N=N, sweeps=sweeps, burn_in=0, seed=1)
+    def wall():
         t0 = time.perf_counter()
         mc.run_mc(cfg)
         return time.perf_counter() - t0
-    wall(100)  # warm-up
-    t1 = min(wall(100) for _ in range(3))
-    t2 = min(wall(200) for _ in range(3))
-    return t2 / t1
+    wall()
+    return min(wall() for _ in range(3))
 
 
-def test_sweep_cost_scales_linearly(monkeypatch):
-    # complexity guard: doubling N costs no more than ~2.5x (generous cap 3x),
-    # on the count-keyed table at both N (400 sweeps at N = 200 would not
-    # repay its 121 203 entries, so _use_table's cap is applied alone)
+def _sweep_cost_ratio(model, J):
+    """Cost of 398 sweeps at N = 200 over N = 100: a 400-sweep run's wall
+    time net of a 2-sweep run's, which holds the setup, the count table's
+    build included."""
+    net = {N: _best_wall(model, J, N, 400) - _best_wall(model, J, N, 2) for N in (100, 200)}
+    return net[200] / net[100]
+
+
+@pytest.fixture
+def table_at_any_sweeps(monkeypatch):
+    # _use_table's entry cap applied alone: 400 sweeps at N = 200 would not
+    # repay the 121 203 entries of Potts q = 3, nor 2 sweeps at either N
     use_table = mc._use_table
     monkeypatch.setattr(mc, "_use_table", lambda n, N, sweeps: use_table(n, N, math.inf))
+
+
+def test_sweep_cost_scales_linearly(table_at_any_sweeps):
+    # complexity guard: doubling N costs the sweeps no more than ~2.5x
+    # (generous cap 3x), on the count-keyed table at both N
     assert _sweep_cost_ratio(M.potts(3), 2.0) < 3.0
+
+
+def test_table_build_cost_scales_with_its_entries(table_at_any_sweeps):
+    # the n (N+1)^(n-1) entries of the table, 30 603 at N = 100 and 121 203
+    # at N = 200, are most of a 2-sweep run; its time per entry stays within
+    # 3x between them
+    per_entry = {N: _best_wall(M.potts(3), 2.0, N, 2) / (3 * (N + 1) ** 2)
+                 for N in (100, 200)}
+    assert per_entry[200] / per_entry[100] < 3.0
 
 
 def test_loop_sweep_cost_scales_linearly():
